@@ -1,139 +1,790 @@
 """Vectorised formula evaluation over boolean numpy arrays.
 
 Computes { b̄ : φ(params; b̄) } for a whole free-variable space at once.
-Semantically identical to formulas.evaluate (property-tested against it);
-exists purely so the interpreter can meet the acceptance-suite runtime.
+The first call for a formula object, a set of parameter names and an
+order of free variables lowers the formula into one straight-line numpy
+kernel (generated Python source, compiled once) and caches it; later
+calls only run the kernel.  Semantically identical to formulas.evaluate,
+which stays the slow reference (property-tested against it).
+
+The lowering
+- gives every atom a precomputed transpose and broadcast index, so an
+  atom is one or two numpy view operations;
+- evaluates subformulas that mention no free variable (only parameters
+  and constants) as Python scalars, which pick a branch instead of
+  allocating full arrays;
+- evaluates a repeated subformula once (structural hash-consing);
+- checks, at run time, whether an array operand is one of the shared
+  all-false / all-true constants a branch produced, and then skips the
+  operation or the other operand (`x & y` with x all-false is all-false);
+- lowers `x = t & ψ`, x a free variable and t a parameter or constant,
+  with x bound to t inside ψ, and computes a rule whose disjunction has
+  such a disjunct (`!(x = t) & OLD | x = t & NEW`) as the formula with
+  x = t false, overwritten on the slice x = t by the formula with x
+  bound to t: the slice has one axis less;
+- frees every named intermediate after its last use.
+
+Kernels hold no program names: relation and parameter names are bound
+as default arguments, so rules of the same shape share one code object.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import builtins
+import functools
+import hashlib
+import re
+import sys
+import types
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .formulas import (And, Atom, Const, Eq, Exists, Forall, Formula,
                        FormulaError, Not, Or, Truth, Var, Xor)
 
+Kernel = Callable[[Mapping[str, np.ndarray], int, Mapping[str, int]], np.ndarray]
+
+# Kernels kept, least recently used dropped first.  The catalog has 718
+# rules; throwaway formulas (property tests, CLI) cycle out.
+CACHE_SIZE = 4096
+_kernels: OrderedDict[tuple, tuple[Formula, Kernel]] = OrderedDict()
+# Compiled code by the digest of its source.  Relation and parameter
+# names are arguments of the code, bound per kernel, so rules of the same
+# shape share one code object (the catalog's 718 rules have 238 shapes).
+_codes: OrderedDict[bytes, types.CodeType] = OrderedDict()
+
 
 def bulk_eval(f: Formula, rels: Mapping[str, np.ndarray], n: int,
               params: Mapping[str, int], frees: tuple[str, ...]) -> np.ndarray:
-    """Boolean array of shape (n,)*len(frees), axis i ranging over frees[i]."""
-    shape = (n,) * len(frees)
-    axis_of = {v: i for i, v in enumerate(frees)}
-    res = _eval(f, rels, n, params, frees, axis_of)
-    return np.broadcast_to(res, shape)
+    """Boolean array of shape (n,)*len(frees), axis i ranging over frees[i].
 
-
-def _full(value: bool, n: int, frees) -> np.ndarray:
-    return np.full((n,) * len(frees), value, dtype=bool)
-
-
-def _term_resolve(t, params):
-    """Return ('const', id) or ('var', name)."""
-    if isinstance(t, Const):
-        return ("const", t.value)
-    if t.name in params:
-        return ("const", params[t.name])
-    return ("var", t.name)
-
-
-def _eval(f, rels, n, params, frees, axis_of) -> np.ndarray:
-    if isinstance(f, Truth):
-        return _full(f.value, n, frees)
-    if isinstance(f, Not):
-        return ~_eval(f.sub, rels, n, params, frees, axis_of)
-    if isinstance(f, And):
-        return _eval(f.left, rels, n, params, frees, axis_of) & \
-            _eval(f.right, rels, n, params, frees, axis_of)
-    if isinstance(f, Or):
-        return _eval(f.left, rels, n, params, frees, axis_of) | \
-            _eval(f.right, rels, n, params, frees, axis_of)
-    if isinstance(f, Xor):
-        return _eval(f.left, rels, n, params, frees, axis_of) ^ \
-            _eval(f.right, rels, n, params, frees, axis_of)
-    if isinstance(f, (Exists, Forall)):
-        inner_frees = frees + (f.var,)
-        inner_axis = dict(axis_of)
-        inner_axis[f.var] = len(frees)
-        inner_params = {k: v for k, v in params.items() if k != f.var}
-        body = np.broadcast_to(
-            _eval(f.body, rels, n, inner_params, inner_frees, inner_axis),
-            (n,) * len(inner_frees))
-        if n == 0:
-            return _full(isinstance(f, Forall), n, frees)
-        reducer = np.any if isinstance(f, Exists) else np.all
-        return reducer(body, axis=-1)
-    if isinstance(f, Eq):
-        return _eval_eq(f, n, params, frees, axis_of)
-    if isinstance(f, Atom):
-        return _eval_atom(f, rels, n, params, frees, axis_of)
-    raise FormulaError(f"unknown node {f!r}")
-
-
-def _axis_view(arr: np.ndarray, var_order: list[str], n: int, frees, axis_of):
-    """Reshape an array over var_order into broadcast position over frees."""
-    for v in var_order:
-        if v not in axis_of:
-            raise FormulaError(f"unbound variable {v!r}")
-    order = sorted(range(len(var_order)), key=lambda i: axis_of[var_order[i]])
-    arr = np.transpose(arr, order)
-    # sorted axes slot straight into the full shape, 1s elsewhere broadcast;
-    # indexing by axis (not name) keeps shadowed duplicate names distinct
-    out_shape = [1] * len(frees)
-    for v in var_order:
-        out_shape[axis_of[v]] = n
-    return arr.reshape(out_shape)
-
-
-def _eval_eq(f: Eq, n, params, frees, axis_of):
-    left = _term_resolve(f.left, params)
-    right = _term_resolve(f.right, params)
-    if left[0] == "const" and right[0] == "const":
-        return _full(left[1] == right[1], n, frees)
-    if left[0] == "const" or right[0] == "const":
-        (_, c), (_, v) = (left, right) if left[0] == "const" else (right, left)
-        col = np.zeros(n, dtype=bool)
-        if 0 <= c < n:
-            col[c] = True
-        return _axis_view(col, [v], n, frees, axis_of)
-    if left[1] == right[1]:
-        return _full(True, n, frees)
-    eye = np.eye(n, dtype=bool)
-    return _axis_view(eye, [left[1], right[1]], n, frees, axis_of)
-
-
-def _eval_atom(f: Atom, rels, n, params, frees, axis_of):
+    The array is fresh and writable: it shares no memory with `rels` or
+    with any earlier result.
+    """
+    frees = tuple(frees)
+    key = (id(f), tuple(params), frees)
+    hit = _kernels.get(key)
+    if hit is not None and hit[0] is f:
+        _kernels.move_to_end(key)
+        kernel = hit[1]
+    else:
+        kernel = _lower(f, tuple(params), frees)
+        _kernels[key] = (f, kernel)
+        _kernels.move_to_end(key)
+        if len(_kernels) > CACHE_SIZE:
+            _kernels.popitem(last=False)
     try:
-        arr = rels[f.rel]
-    except KeyError:
-        raise FormulaError(f"unknown relation {f.rel!r}") from None
-    if arr.ndim != len(f.terms):
-        raise FormulaError(f"arity mismatch on {f.rel!r}")
-    index = []
-    var_positions: list[str] = []
-    for t in f.terms:
-        kind, val = _term_resolve(t, params)
-        if kind == "const":
-            if not 0 <= val < n:
-                return _full(False, n, frees)
-            index.append(val)
+        return kernel(rels, n, params)
+    except KeyError as exc:
+        raise FormulaError(f"unknown relation {exc.args[0]!r}") from None
+    except _ArityMismatch:
+        raise FormulaError(f"arity mismatch on {_mismatched(f, rels)!r}") from None
+
+
+def _lower(f: Formula, params: tuple[str, ...], frees: tuple[str, ...]) -> Kernel:
+    """The kernel of f.  Lowering recurses a few frames per level of f, so
+    the recursion limit is raised for deep formulas while it runs."""
+    depth, level = 0, {id(f): f}
+    while level:  # level by level: a shared subformula is visited once a level
+        depth += 1
+        level = {id(c): c for g in level.values() for c in _children(g)}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * depth)
+    try:
+        return _Lowering(f, params, frees).kernel()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# ---------------------------------------------------------------- runtime
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def _eye(n: int) -> np.ndarray:
+    return _readonly(np.eye(n, dtype=bool))
+
+
+@functools.lru_cache(maxsize=64)
+def _arange(n: int) -> np.ndarray:
+    return _readonly(np.arange(n))
+
+
+def _diag(sub: np.ndarray, spec: str) -> np.ndarray:
+    """Collapse repeated variables of an atom to their diagonal."""
+    return np.einsum(spec, sub.astype(np.uint8)).astype(bool)
+
+
+def _take(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """`a` itself when it is a fresh, full-shape, contiguous, writable
+    array (an operation's own output); otherwise a broadcast copy.  Atoms
+    are views and the shared constants are read-only, so neither is ever
+    handed out."""
+    flags = a.flags
+    if a.base is None and a.shape == shape and flags.writeable \
+            and flags.c_contiguous:
+        return a
+    return _copy(a, shape)
+
+
+def _copy(a, shape: tuple[int, ...]) -> np.ndarray:
+    out = np.empty(shape, dtype=bool)
+    out[...] = a
+    return out
+
+
+class _ArityMismatch(Exception):
+    """A kernel was given an array whose ndim is not its atom's arity."""
+
+
+def _mismatched(f: Formula, rels) -> str:
+    stack, seen = [f], set()
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom) and rels[g.rel].ndim != len(g.terms):
+            return g.rel
+        if id(g) not in seen:
+            seen.add(id(g))
+            stack.extend(_children(g))
+    raise AssertionError("no mismatched atom")
+
+
+def _children(f: Formula) -> list[Formula]:
+    return [getattr(f, name) for name in ("sub", "left", "right", "body")
+            if hasattr(f, name)]
+
+
+# namespace of every kernel; the all-false / all-true constants Z<d> and
+# O<d> of shape (1,)*d are added on first use
+_NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
+                    "_copy": _copy, "_diag": _diag, "_eye": _eye,
+                    "_arange": _arange, "_ArityMismatch": _ArityMismatch}
+
+
+def _constant(value: bool, depth: int) -> str:
+    name = f"{'O' if value else 'Z'}{depth}"
+    if name not in _NAMESPACE:
+        _NAMESPACE[name] = _readonly(np.full((1,) * depth, value, dtype=bool))
+    return name
+
+
+# ---------------------------------------------------------------- lowering
+
+# Nesting limits of the generated source: deeper expressions are named,
+# deeper branches are not taken.
+_MAX_NEST = 40
+_MAX_LEVEL = 30
+_TEMP = re.compile(r"\bt\d+\b")
+# context keys: the (axis, term) equalities known to be false, and a
+# mark that no case split may be made
+_NE = "!="
+_NO_SPLIT = "-"
+
+
+@dataclass(frozen=True)
+class _Val:
+    """A lowered subformula.  `code` is a Python expression; `array`
+    tells an array of ndim = depth from a scalar (bool).  `const` is the
+    value when known at compile time (all-false/all-true for arrays);
+    `may` holds the constants an array may turn out to be at run time,
+    and then `code` is a name."""
+
+    code: str
+    array: bool
+    const: bool | None = None
+    may: frozenset = frozenset()
+    nest: int = 0
+
+
+@dataclass
+class _Block:
+    stmts: list = field(default_factory=list)
+    parent: "_Block | None" = None
+    memo: dict = field(default_factory=dict)
+    level: int = 0
+
+    def child(self) -> "_Block":
+        return _Block(parent=self, level=self.level + 1)
+
+    def lookup(self, key):
+        b = self
+        while b is not None:
+            if key in b.memo:
+                return b.memo[key]
+            b = b.parent
+        return None
+
+
+class _Lowering:
+    """Lowers one formula for one set of parameter names and one order of
+    free variables into a kernel `(rels, n, params) -> array`."""
+
+    def __init__(self, f: Formula, params: tuple[str, ...],
+                 frees: tuple[str, ...]):
+        self.f = f
+        self.frees = frees
+        self.fv: dict[int, frozenset[str]] = {}
+        self.cid: dict[int, int] = {}
+        self.interned: dict[tuple, int] = {}
+        self.arities: dict[str, set[int]] = {}
+        self._scan(f)
+        unbound = self.fv[id(f)] - set(params) - set(frees)
+        if unbound:
+            raise FormulaError(f"unbound variable {min(unbound)!r}")
+        # a name binds its last axis; parameters win over free variables
+        self.ctx: dict[str, tuple[str, object]] = {
+            v: ("axis", i) for i, v in enumerate(frees)}
+        self.param_local: dict[str, str] = {}
+        for p in params:
+            self.ctx[p] = ("param", p)
+        self.guarded: set[str] = set()
+        self.uses: dict[int, int] = {}
+        self._count(f)
+        self.temps = 0
+        self.need_arange = self.need_eye = False
+
+    # -- analysis: structural ids, free variables and uses, each node once
+
+    def _scan(self, f: Formula) -> int:
+        i = id(f)
+        if i in self.cid:
+            return self.cid[i]
+        if isinstance(f, Atom):
+            self.arities.setdefault(f.rel, set()).add(len(f.terms))
+            fv = frozenset(t.name for t in f.terms if isinstance(t, Var))
+            key = (Atom, f.rel, f.terms)
+        elif isinstance(f, Eq):
+            fv = frozenset(t.name for t in (f.left, f.right) if isinstance(t, Var))
+            key = (Eq, f.left, f.right)
+        elif isinstance(f, Truth):
+            fv, key = frozenset(), (Truth, f.value)
+        elif isinstance(f, Not):
+            sub = self._scan(f.sub)
+            fv, key = self.fv[id(f.sub)], (Not, sub)
+        elif isinstance(f, (And, Or, Xor)):
+            left, right = self._scan(f.left), self._scan(f.right)
+            fv = self.fv[id(f.left)] | self.fv[id(f.right)]
+            key = (type(f), left, right)
+        elif isinstance(f, (Exists, Forall)):
+            body = self._scan(f.body)
+            fv = self.fv[id(f.body)] - {f.var}
+            key = (type(f), f.var, body)
         else:
-            index.append(slice(None))
-            var_positions.append(val)
-    sub = arr[tuple(index)]
-    # collapse repeated variables to their diagonal
-    distinct: list[str] = []
-    for v in var_positions:
-        if v not in distinct:
-            distinct.append(v)
-    if len(distinct) < len(var_positions):
-        letters = {v: chr(ord("a") + i) for i, v in enumerate(distinct)}
-        spec = "".join(letters[v] for v in var_positions)
-        out = "".join(letters[v] for v in distinct)
-        sub = np.einsum(f"{spec}->{out}", sub.astype(np.uint8)).astype(bool)
-    if not distinct:
-        return _full(bool(sub), n, frees)
-    return _axis_view(sub, distinct, n, frees, axis_of)
+            raise FormulaError(f"unknown node {f!r}")
+        self.fv[i] = fv
+        self.cid[i] = self.interned.setdefault(key, len(self.interned))
+        return self.cid[i]
+
+    def _count(self, f: Formula) -> None:
+        """Occurrences of each structure; a repeated one is named, so its
+        parts are counted once."""
+        key = self.cid[id(f)]
+        seen = key in self.uses
+        self.uses[key] = self.uses.get(key, 0) + 1
+        if seen:
+            return
+        if isinstance(f, Not):
+            self._count(f.sub)
+        elif isinstance(f, (And, Or, Xor)):
+            self._count(f.left)
+            self._count(f.right)
+        elif isinstance(f, (Exists, Forall)):
+            self._count(f.body)
+
+    def _is_array(self, f: Formula, ctx) -> bool:
+        return any(ctx[v][0] == "axis" for v in self.fv[id(f)])
+
+    # -- code generation
+
+    def kernel(self) -> Kernel:
+        source = self.source()
+        digest = hashlib.sha256(source.encode()).digest()
+        code = _codes.get(digest)
+        if code is None:
+            module = compile(source, "<bulk_eval kernel>", "exec")
+            code = next(c for c in module.co_consts
+                        if isinstance(c, types.CodeType))
+            _codes[digest] = code
+            if len(_codes) > CACHE_SIZE:
+                _codes.popitem(last=False)
+        _codes.move_to_end(digest)
+        names = tuple(sorted(self.arities)) + tuple(self.param_local)
+        return types.FunctionType(code, _NAMESPACE, "kernel", names)
+
+    def source(self) -> str:
+        depth = len(self.frees)
+        body = _Block()
+        root = self.gen(self.f, self.ctx, depth, (), body)
+        shape = _shape(depth)
+        if root.array and root.const is None:
+            ret = f"return _take({root.code}, {shape})"
+        else:
+            value = root.const if root.const is not None else root.code
+            ret = f"return np.full({shape}, {value}, dtype=bool)"
+        body.stmts.append(("return", ret))
+        _insert_dels(body.stmts, ())
+        # the names of the relations (R<i>) and parameters (P<i>) it reads
+        args = [f"R{i}" for i in range(len(self.arities))] + \
+            [f"P{i}" for i in range(len(self.param_local))]
+        lines = [f"def kernel({', '.join(['rels', 'n', 'params'] + args)}):"]
+        lines += self._preamble()
+        _render(body.stmts, 1, lines)
+        return "\n".join(lines) + "\n"
+
+    def _preamble(self) -> list[str]:
+        lines = []
+        checks = []
+        for i, (rel, arities) in enumerate(sorted(self.arities.items())):
+            lines.append(f"    r{i} = rels[R{i}]")
+            checks += [f"r{i}.ndim != {a}" for a in sorted(arities)]
+        if checks:
+            lines.append(f"    if {' or '.join(checks)}:")
+            lines.append("        raise _ArityMismatch")
+        for i, local in enumerate(self.param_local.values()):
+            lines.append(f"    {local} = params[P{i}]")
+            if local in self.guarded:
+                lines.append(f"    k{local[1:]} = 0 <= {local} < n")
+        if self.need_arange:
+            lines.append("    ar = _arange(n)")
+        if self.need_eye:
+            lines.append("    eye = _eye(n)")
+        return lines
+
+    def _rel(self, rel: str) -> str:
+        return f"r{sorted(self.arities).index(rel)}"
+
+    def _param(self, name: str) -> str:
+        if name not in self.param_local:
+            self.param_local[name] = f"p{len(self.param_local)}"
+        return self.param_local[name]
+
+    def _temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def named(self, v: _Val, block: _Block) -> _Val:
+        if v.const is not None or v.code.isidentifier():
+            return v
+        t = self._temp()
+        block.stmts.append(("assign", t, v.code))
+        return _Val(t, v.array, None, v.may)
+
+    def val(self, code: str, array: bool, block: _Block,
+            may=frozenset(), nest: int = 0) -> _Val:
+        v = _Val(code, array, None, frozenset(may), nest)
+        if may or nest > _MAX_NEST:
+            v = self.named(v, block)
+        return v
+
+    def const(self, value: bool, array: bool, depth: int) -> _Val:
+        code = _constant(value, depth) if array else repr(value)
+        return _Val(code, array, value)
+
+    def coerce(self, v: _Val, array: bool, depth: int, block: _Block) -> _Val:
+        """A scalar as an array of the node's depth, when the node is one."""
+        if not array or v.array:
+            return v
+        if v.const is not None:
+            return self.const(v.const, True, depth)
+        return self.val(f"({_constant(True, depth)} if {v.code} else "
+                        f"{_constant(False, depth)})", True, block,
+                        may={True, False})
+
+    def gen(self, f: Formula, ctx, depth: int, scope: tuple,
+            block: _Block) -> _Val:
+        key = (self.cid[id(f)], scope)
+        hit = block.lookup(key)
+        if hit is not None:
+            return hit
+        v = self._gen(f, ctx, depth, scope, block)
+        if self.uses[key[0]] > 1:
+            v = self.named(v, block)
+            block.memo[key] = v
+        return v
+
+    def _gen(self, f, ctx, depth, scope, block) -> _Val:
+        if isinstance(f, Truth):
+            return self.const(f.value, False, depth)
+        if isinstance(f, Atom):
+            return self._atom(f, ctx, depth, block)
+        if isinstance(f, Eq):
+            return self._eq(f, ctx, depth, block)
+        array = self._is_array(f, ctx)
+        if isinstance(f, Not):
+            return self.negate(self.gen(f.sub, ctx, depth, scope, block),
+                               depth, block)
+        if isinstance(f, (And, Or)):
+            return self._junction(f, isinstance(f, And), array, ctx, depth,
+                                  scope, block)
+        if isinstance(f, Xor):
+            return self._xor(f, array, ctx, depth, scope, block)
+        return self._quantifier(f, array, ctx, depth, scope, block)
+
+    def _term(self, t, ctx):
+        """('lit', int) | ('param', local) | ('axis', position)"""
+        if isinstance(t, Const):
+            return ("lit", t.value)
+        kind, where = ctx[t.name]
+        if kind == "param":
+            return ("param", self._param(where))
+        if kind == "same":  # bound by an equality to a resolved term
+            return where
+        return (kind, where)
+
+    def _implied(self, f: Formula, ctx) -> list[tuple[str, tuple]]:
+        """Equalities `x = t` that hold wherever the conjunction f does,
+        x bound to an axis and t to no axis: (x, t resolved)."""
+        if isinstance(f, And):
+            return self._implied(f.left, ctx) + self._implied(f.right, ctx)
+        if not isinstance(f, Eq):
+            return []
+        for a, b in ((f.left, f.right), (f.right, f.left)):
+            if isinstance(a, Var) and ctx[a.name][0] == "axis":
+                other = self._term(b, ctx)
+                if other[0] != "axis" and \
+                        (ctx[a.name][1], other) not in ctx.get(_NE, ()):
+                    return [(a.name, other)]
+        return []
+
+    def _split(self, f: Formula, name: str, term: tuple, ctx, depth: int,
+               scope: tuple, block: _Block) -> _Val:
+        """f where x != t, overwritten where x = t by f with x bound to t:
+        the slice is computed with one axis less."""
+        axis = ctx[name][1]
+        off_ctx = dict(ctx)
+        off_ctx[_NE] = ctx.get(_NE, frozenset()) | {(axis, term)}
+        off = self.gen(f, off_ctx, depth, scope + ((_NE, axis, term),), block)
+        on_ctx = dict(ctx)
+        on_ctx[name] = ("same", term)
+        on_ctx[_NO_SPLIT] = (None, None)
+        branch = block.child()
+        on = self.gen(f, on_ctx, depth, scope + ((name, term),), branch)
+        kind, at = term
+        if kind == "lit":
+            if at < 0:  # x = t holds nowhere
+                return off
+            guard = f"{at} < n"
+        else:
+            self.guarded.add(at)
+            guard = f"k{at[1:]}"
+        if off.const is not None and on.const == off.const:
+            return off
+        t = self._temp()
+        index = ", ".join([":"] * axis + [f"{at}:{at} + 1"])
+        # length n on the axes a name is bound to, 1 on those bound away
+        live = {b[1] for k, b in ctx.items() if k != _NE and b[0] == "axis"}
+        shape = "(" + "".join("n, " if a in live else "1, "
+                              for a in range(depth)) + ")"
+        block.stmts.append(("assign", t, f"_copy({off.code}, {shape})"))
+        block.stmts.append(("if", guard, branch.stmts + [
+            ("store", f"{t}[{index}]", on.code)], [], None))
+        return _Val(t, True)
+
+    def _atom(self, f: Atom, ctx, depth: int, block: _Block) -> _Val:
+        terms = [self._term(t, ctx) for t in f.terms]
+        array = any(kind == "axis" for kind, _ in terms)
+        if any(kind == "lit" and value < 0 for kind, value in terms):
+            return self.const(False, array, depth)
+        guards = []
+        for kind, value in terms:
+            if kind == "lit":
+                guards.append(f"{value} < n")
+            elif kind == "param":
+                self.guarded.add(value)
+                guards.append(f"k{value[1:]}")
+        guards = list(dict.fromkeys(guards))
+        r = self._rel(f.rel)
+        index = [str(v) for k, v in terms if k != "axis"]
+        axes = [v for k, v in terms if k == "axis"]
+        if not axes:
+            code = f"{r}[{', '.join(index) or '()'}]"
+        else:
+            distinct = sorted(set(axes))
+            # constant positions first, then the variables by axis
+            order = [i for i, (k, _) in enumerate(terms) if k != "axis"] + \
+                sorted((i for i, (k, _) in enumerate(terms) if k == "axis"),
+                       key=lambda i: terms[i][1])
+            if len(distinct) < len(axes):
+                letters = "".join(chr(ord("a") + distinct.index(a)) for a in axes)
+                spec = letters + "->" + "".join(
+                    chr(ord("a") + i) for i in range(len(distinct)))
+                sub = ", ".join(":" if k == "axis" else str(v) for k, v in terms)
+                code = f"_diag({r}[{sub}], {spec!r})[{_pattern(distinct, depth)}]"
+            elif axes == distinct:
+                code = f"{r}[{', '.join(_interleave(terms, depth))}]"
+            else:
+                perm = ", ".join(map(str, order))
+                sub = ", ".join(index + [_pattern(distinct, depth)])
+                code = f"{r}.transpose({perm})[{sub}]"
+        if guards:
+            code = f"({code} if {' and '.join(guards)} else " \
+                f"{_constant(False, depth) if array else 'False'})"
+        return self.val(code, array, block)
+
+    def _eq(self, f: Eq, ctx, depth: int, block: _Block) -> _Val:
+        left, right = self._term(f.left, ctx), self._term(f.right, ctx)
+        if left[0] != "axis" and right[0] != "axis":
+            if left[0] == right[0] == "lit" or left == right:
+                return self.const(left[1] == right[1], False, depth)
+            return self.val(f"({left[1]} == {right[1]})", False, block)
+        if left[0] == "axis" and right[0] == "axis":
+            if left[1] == right[1]:
+                return self.const(True, True, depth)
+            self.need_eye = True
+            axes = sorted((left[1], right[1]))
+            return self.val(f"eye[{_pattern(axes, depth)}]", True, block)
+        (_, axis), (kind, c) = (left, right) if left[0] == "axis" else (right, left)
+        if (axis, (kind, c)) in ctx.get(_NE, ()):
+            return self.const(False, True, depth)
+        if kind == "lit" and c < 0:
+            return self.const(False, True, depth)
+        self.need_arange = True
+        code = f"(ar == {c})"
+        if depth > 1:
+            code += f"[{_pattern([axis], depth)}]"
+        return self.val(code, True, block)
+
+    def negate(self, v: _Val, depth: int, block: _Block) -> _Val:
+        if v.const is not None:
+            return self.const(not v.const, v.array, depth)
+        if not v.array:
+            return self.val(f"(not {v.code})", False, block, nest=v.nest + 1)
+        return self.val(_not_code(v, depth), True, block,
+                        {not c for c in v.may}, v.nest + 1)
+
+    def _junction(self, f, is_and: bool, array: bool, ctx, depth, scope,
+                  block) -> _Val:
+        absorb, ident = not is_and, is_and
+        first, second = f.left, f.right
+        if self._is_array(first, ctx) and not self._is_array(second, ctx):
+            first, second = second, first
+        # a split copies the formula, so only the rule's own disjunction
+        # is split, and the slice part is not split again
+        if not is_and and array and f is self.f and _NO_SPLIT not in ctx:
+            for d in _disjuncts(f):
+                implied = self._implied(d, ctx)
+                if implied:
+                    return self._split(f, *implied[0], ctx, depth, scope, block)
+        # where `first` holds and implies x = t, `second` is lowered with
+        # x bound to t: one axis less to compute
+        implied = self._implied(first, ctx) if is_and else []
+        if is_and and not implied and self._is_array(first, ctx):
+            implied = self._implied(second, ctx)
+            if implied:
+                first, second = second, first
+        x = self.gen(first, ctx, depth, scope, block)
+        if implied:
+            ctx = dict(ctx)
+            for name, term in implied:
+                ctx[name] = ("same", term)
+            scope = scope + tuple(implied)
+        if x.const == absorb:
+            return self.const(absorb, array, depth)
+        if x.const == ident:
+            return self.coerce(self.gen(second, ctx, depth, scope, block),
+                               array, depth, block)
+        # the second operand is only evaluated when the first does not decide
+        decides = (not x.array) or absorb in x.may
+        branch = block.child() if decides and block.level < _MAX_LEVEL else block
+        y = self.gen(second, ctx, depth, scope, branch)
+        if y.const == absorb:
+            return self.const(absorb, array, depth)
+        if y.const == ident:
+            return self.coerce(x, array, depth, block)
+        if not x.array:
+            # decided: x is the absorbing value; otherwise the result is y
+            test = x.code if is_and else f"(not {x.code})"
+            return self._select(test, branch, y.code,
+                                self.const(absorb, y.array, depth), y.array,
+                                y.may | ({absorb} if y.array else set()),
+                                max(x.nest, y.nest) + 1, block)
+        # both arrays; x may still be the identity constant, y either one
+        op = "&" if is_and else "|"
+        code = f"({x.code} {op} {y.code})"
+        may: set = set()
+        for c in y.may:
+            code = f"({_constant(absorb, depth) if c == absorb else x.code} " \
+                f"if {y.code} is {_constant(c, depth)} else {code})"
+            may |= {absorb} if c == absorb else set()
+        if ident in x.may:
+            code = f"({y.code} if {x.code} is {_constant(ident, depth)} else {code})"
+            may |= y.may
+        if absorb in x.may:
+            return self._select(f"({x.code} is not {_constant(absorb, depth)})",
+                                branch, code, self.const(absorb, True, depth),
+                                True, may | {absorb}, max(x.nest, y.nest) + 1,
+                                block)
+        return self.val(code, True, block, may, max(x.nest, y.nest) + 1)
+
+    def _select(self, test: str, branch: _Block, code: str, otherwise: _Val,
+                array: bool, may, nest: int, block: _Block) -> _Val:
+        """`code` when `test` holds, else `otherwise`.  Statements that
+        `code` needs go into an if-statement, so they run only then."""
+        if branch is block or not branch.stmts:
+            return self.val(f"({code} if {test} else {otherwise.code})", array,
+                            block, may, nest)
+        t = self._temp()
+        block.stmts.append(("if", test, branch.stmts + [("assign", t, code)],
+                            [("assign", t, otherwise.code)], t))
+        return _Val(t, array, None, frozenset(may))
+
+    def _xor(self, f, array: bool, ctx, depth, scope, block) -> _Val:
+        first, second = f.left, f.right
+        if self._is_array(first, ctx) and not self._is_array(second, ctx):
+            first, second = second, first
+        x = self.gen(first, ctx, depth, scope, block)
+        y = self.gen(second, ctx, depth, scope, block)
+        for a, b in ((x, y), (y, x)):
+            if a.const is not None:
+                b = self.coerce(b, array, depth, block)
+                return self.negate(b, depth, block) if a.const else b
+        nest = max(x.nest, y.nest) + 1
+        if not x.array:
+            if not y.array:
+                return self.val(f"({x.code} != {y.code})", False, block, nest=nest)
+            y = self.named(y, block)
+            return self.val(f"({_not_code(y, depth)} if {x.code} else {y.code})",
+                            True, block, y.may | {not c for c in y.may}, nest)
+        code = f"({x.code} ^ {y.code})"
+        may: set = set()
+        for a, b in ((y, x), (x, y)):
+            for c in a.may:
+                other = b.code if not c else f"(~{b.code})"
+                code = f"({other} if {a.code} is {_constant(c, depth)} else {code})"
+                if not c:
+                    may |= b.may
+        return self.val(code, True, block, may, nest)
+
+    def _quantifier(self, f, array: bool, ctx, depth, scope, block) -> _Val:
+        exists = isinstance(f, Exists)
+        inner = dict(ctx)
+        inner[f.var] = ("axis", depth)
+        body = self.gen(f.body, inner, depth + 1, scope + (f.var,), block)
+        if not array:
+            # the domain may be empty: exists is then false, forall true
+            nonempty = "n > 0" if exists else "n == 0"
+            if body.const is not None:
+                if body.const != exists:
+                    return self.const(body.const, False, depth)
+                return self.val(f"({nonempty})", False, block)
+            reduce = body.code
+            if body.array:
+                reduce += f".{'any' if exists else 'all'}()"
+            return self.val(f"({nonempty} {'and' if exists else 'or'} {reduce})",
+                            False, block, nest=body.nest + 1)
+        # an array result has an axis of length n, so n > 0 or it is empty
+        if body.const is not None:
+            return self.const(body.const, True, depth)
+        code = f"{body.code}.{'any' if exists else 'all'}(axis=-1)"
+        for c in body.may:
+            code = f"({_constant(c, depth)} if {body.code} is " \
+                f"{_constant(c, depth + 1)} else {code})"
+        return self.val(code, True, block, body.may, body.nest + 1)
+
+
+def _disjuncts(f: Formula) -> list[Formula]:
+    if isinstance(f, Or):
+        return _disjuncts(f.left) + _disjuncts(f.right)
+    return [f]
+
+
+def _shape(depth: int) -> str:
+    return "(" + "n, " * depth + ")"
+
+
+def _not_code(v: _Val, depth: int) -> str:
+    code = f"(~{v.code})"
+    for c in v.may:
+        code = f"({_constant(not c, depth)} if {v.code} is " \
+            f"{_constant(c, depth)} else {code})"
+    return code
+
+
+def _pattern(axes: list[int], depth: int) -> str:
+    """Index placing sorted axes in a depth-dim broadcast shape."""
+    return ", ".join(":" if a in axes else "None" for a in range(depth))
+
+
+def _interleave(terms, depth: int) -> list[str]:
+    """One basic index for an atom whose variables come in axis order:
+    constants in place, a slice per variable, None per absent axis."""
+    out, last = [], -1
+    for kind, value in terms:
+        if kind != "axis":
+            out.append(str(value))
+            continue
+        out += ["None"] * (value - last - 1) + [":"]
+        last = value
+    return out + ["None"] * (depth - last - 1)
+
+
+# ---------------------------------------------------------------- source
+
+def _reads(stmt) -> set[str]:
+    if stmt[0] == "del":
+        return set()
+    if stmt[0] == "assign":
+        return set(_TEMP.findall(stmt[2]))
+    if stmt[0] == "store":
+        return set(_TEMP.findall(stmt[1] + " " + stmt[2]))
+    if stmt[0] == "return":
+        return set(_TEMP.findall(stmt[1]))
+    out = set(_TEMP.findall(stmt[1]))
+    for s in stmt[2] + stmt[3]:
+        out |= _reads(s)
+    return out
+
+
+def _insert_dels(stmts: list, outer: tuple) -> None:
+    """Delete every temporary defined in this block after the last
+    statement of the block that reads it; `outer` are the temporaries
+    this block assigns for an enclosing block."""
+    for s in stmts:
+        if s[0] == "if":
+            _insert_dels(s[2], (s[4],))
+            _insert_dels(s[3], (s[4],))
+    defined = [s[4] if s[0] == "if" else s[1] for s in stmts
+               if s[0] == "assign" or s[0] == "if" and s[4] is not None]
+    last: dict[str, int] = {}
+    for i, s in enumerate(stmts):
+        for t in _reads(s):
+            last[t] = i
+    after: dict[int, list[str]] = {}
+    for t in defined:
+        if t in outer:
+            continue
+        i = last.get(t)
+        if i is None:
+            i = next(j for j, s in enumerate(stmts)
+                     if s[0] in ("assign", "if")
+                     and (s[4] if s[0] == "if" else s[1]) == t)
+        if stmts[i][0] != "return":
+            after.setdefault(i, []).append(t)
+    for i in sorted(after, reverse=True):
+        stmts.insert(i + 1, ("del", ", ".join(sorted(after[i]))))
+
+
+def _render(stmts: list, level: int, lines: list[str]) -> None:
+    pad = "    " * level
+    for s in stmts:
+        if s[0] in ("assign", "store"):
+            lines.append(f"{pad}{s[1]} = {s[2]}")
+        elif s[0] == "del":
+            lines.append(f"{pad}del {s[1]}")
+        elif s[0] == "return":
+            lines.append(f"{pad}{s[1]}")
+        else:
+            lines.append(f"{pad}if {s[1]}:")
+            _render(s[2], level + 1, lines)
+            if s[3]:
+                lines.append(f"{pad}else:")
+                _render(s[3], level + 1, lines)
 
 
 def relation_to_array(tuples, arity: int, n: int) -> np.ndarray:

@@ -256,19 +256,6 @@ def fo_logn_init(n: int) -> FoLogNState:
     return FoLogNState(n)
 
 
-def fo_degk_apply(state: ParityExistsEngine, c: Change) -> ParityExistsEngine:
-    return state.apply(c)
-
-
-def fo_logn_apply(state: FoLogNState, c: Change) -> FoLogNState:
-    state.apply(c)
-    return state
-
-
-def fo_answer(state: ParityExistsEngine) -> bool:
-    return state.answer()
-
-
 def indexed_in_neighbours(state: ParityExistsEngine, w: int,
                           index_set) -> IndexedNeighbours:
     """Nodes at the positions of index_set in w's ordered in-neighbour

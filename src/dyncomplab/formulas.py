@@ -21,12 +21,12 @@ class FormulaError(DynLabError):
 
 # ---------------------------------------------------------------- terms
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: int
 
@@ -36,53 +36,53 @@ Term = Var | Const
 
 # ---------------------------------------------------------------- AST
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     rel: str
     terms: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Truth:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Xor:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
     var: str
     body: "Formula"
@@ -96,22 +96,45 @@ FALSE = Truth(False)
 
 # ---------------------------------------------------------------- builders
 
+# The builders hand out one object per distinct leaf, looked up by their
+# arguments: the catalog's programs repeat a few hundred atoms and terms
+# tens of thousands of times.
+_LEAVES: dict = {}
+_MAX_LEAVES = 1 << 16
+
+
+def _store(key, leaf):
+    if len(_LEAVES) >= _MAX_LEAVES:
+        _LEAVES.clear()
+    _LEAVES[key] = leaf
+    return leaf
+
+
 def _term(t) -> Term:
     if isinstance(t, (Var, Const)):
         return t
-    if isinstance(t, str):
-        return Var(t)
-    if isinstance(t, int):
-        return Const(t)
-    raise FormulaError(f"cannot interpret {t!r} as a term")
+    if not isinstance(t, (str, int)):
+        raise FormulaError(f"cannot interpret {t!r} as a term")
+    leaf = _LEAVES.get(t)
+    if leaf is None:
+        leaf = _store(t, Var(t) if isinstance(t, str) else Const(t))
+    return leaf
 
 
 def atom(rel: str, *terms) -> Atom:
-    return Atom(rel, tuple(_term(t) for t in terms))
+    key = (rel, terms)
+    leaf = _LEAVES.get(key)
+    if leaf is None:
+        leaf = _store(key, Atom(rel, tuple(_term(t) for t in terms)))
+    return leaf
 
 
 def eq(a, b) -> Eq:
-    return Eq(_term(a), _term(b))
+    key = (a, b, "=")
+    leaf = _LEAVES.get(key)
+    if leaf is None:
+        leaf = _store(key, Eq(_term(a), _term(b)))
+    return leaf
 
 
 def neq(a, b) -> Not:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -103,6 +104,9 @@ def validate(p: DynamicProgram) -> list[str]:
     for name in p.builtin_schema():
         if name in p.input_schema or name in p.aux_schema:
             out.append(f"builtin relation name {name!r} clashes")
+    for name in p.input_schema:
+        if name in p.aux_schema:
+            out.append(f"relation {name!r} declared both input and aux")
     seen = set()
     for key, rule in p.rules.items():
         op, relation, target = key
@@ -223,9 +227,8 @@ def step(state: ProgramState, c: Change, mode: str = "skip") -> ProgramState:
     for target in p.aux_schema:
         rule = p.rules[(c.op, c.relation, target)]
         params = dict(zip(rule.params, c.args))
-        # np.array (not ascontiguousarray) keeps 0-dim results 0-dim
-        new_aux[target] = np.array(
-            bulk_eval(rule.body, env, state.n, params, rule.frees), dtype=bool)
+        # a fresh array, shared with no other state
+        new_aux[target] = bulk_eval(rule.body, env, state.n, params, rule.frees)
     return ProgramState(p, apply_change(state.input, c), new_aux,
                         state.builtin_arrays)
 
@@ -356,10 +359,12 @@ def _parse_rule(line: str, lineno: int) -> UpdateRule:
     if len(tokens) != 3 or tokens[0] != "on" or tokens[1] not in ("ins", "del"):
         raise ScriptSyntaxError("expected: on ins|del <Rel>(...) update ...", lineno)
     op = tokens[1]
-    rest = tokens[2]
-    rel_part, sep, target_part = rest.partition("update")
-    if not sep:
+    # the keyword is the first whole word "update" after the head's ")";
+    # relation names may contain it
+    m = re.fullmatch(r"(.*?\))\s*update(?![\w'])(.*)", tokens[2], re.S)
+    if not m:
         raise ScriptSyntaxError("rule missing 'update'", lineno)
+    rel_part, target_part = m.groups()
 
     def parse_head(part: str) -> tuple[str, tuple[str, ...]]:
         part = part.strip()

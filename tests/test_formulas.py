@@ -155,6 +155,57 @@ def test_bulk_eval_matches_evaluate():
                                                        repeat=len(frees))
             if evaluate(f, s, dict(zip(frees, b))))
         assert got == want, pretty(f)
+    # parameters bound to values (some >= n), quantifiers that rebind a
+    # parameter's name, constants >= n, repeated variables, n = 0
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randrange(0, 5)
+        f = random_formula(rng)
+        names = sorted(free_variables(f) | {rng.choice(VARS)})
+        rng.shuffle(names)
+        k = rng.randrange(len(names) + 1)
+        params = {v: rng.randrange(n + 2) for v in names[:k]}
+        _check_bulk(f, random_structure(rng, n), params, tuple(names[k:]))
+    fixed = [
+        ("E(x, u) & !U(u) | u = y", {"u": 1}, ("x", "y"), 3),
+        ("exists u. E(u, x) & R(u)", {"u": 2}, ("x",), 3),
+        ("U(u) & (forall u. E(x, u) | u = x)", {"u": 0}, ("x",), 3),
+        ("E(x, u) | u = x | u = v", {"u": 5, "v": 5}, ("x",), 3),
+        ("E(x, 7) | x = 9 | R(5) | E(4, 4)", {}, ("x",), 3),
+        ("E(x, x) & (exists y. E(y, y) & E(x, y))", {}, ("x",), 3),
+        ("E(x, x) & U(u)", {"u": 1}, ("y", "x"), 3),
+        ("forall x. U(x)", {}, (), 0),
+        ("exists x. U(x)", {}, (), 0),
+        ("!(exists x. U(x)) & (forall y. R(y))", {}, ("z",), 0),
+    ]
+    for text, params, frees, n in fixed:
+        _check_bulk(parse_formula(text), random_structure(rng, n), params, frees)
+    # one formula object, in a row, under two orders of the free variables
+    # and two parameter bindings
+    f = parse_formula("E(x, y) & !U(u) | R(x) & u = y")
+    s = random_structure(rng, 4)
+    for params, frees in [({"u": 1}, ("x", "y")), ({"u": 1}, ("y", "x")),
+                          ({"u": 3}, ("y", "x")), ({"y": 2, "u": 0}, ("x",)),
+                          ({}, ("u", "x", "y")), ({"u": 1}, ("x", "y"))]:
+        _check_bulk(f, s, params, frees)
+
+
+def test_bulk_eval_of_a_deep_formula():
+    f = conj([atom("U", "x") if i % 2 else neg(atom("E", "x", "u"))
+              for i in range(900)])
+    s = Structure.make(3, SCHEMA, {"U": [(0,), (2,)], "E": [(2, 1)]})
+    _check_bulk(f, s, {"u": 1}, ("x",))
+
+
+def _check_bulk(f, s, params, frees):
+    arrays = {rel: relation_to_array(tuples, ar, s.n)
+              for rel, (ar, tuples) in s.relations.items()}
+    got = bulk_eval(f, arrays, s.n, params, frees)
+    assert got.shape == (s.n,) * len(frees) and got.dtype == bool
+    want = frozenset(
+        b for b in __import__("itertools").product(range(s.n), repeat=len(frees))
+        if evaluate(f, s, {**params, **dict(zip(frees, b))}))
+    assert array_to_relation(got) == want, (pretty(f), params, frees, s.n)
 
 
 @given(st.integers(0, 2 ** 30))

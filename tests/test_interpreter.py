@@ -86,6 +86,11 @@ def test_run_is_deterministic():
     (pg.parity_degree_div3_program, 4),
     (lambda: pg.degree_k_relation_program(1), 4),
     (lambda: pg.parity_exists_deg_k_prop_program(3), 4),
+    # the rest of the catalog
+    *(pytest.param(pg.catalog_entry(name).build, n, id=name) for name, n in (
+        ("parity", 4), ("size_1", 4), ("size_3", 4), ("size_4", 4),
+        ("degree_rel_2", 4), ("degree_rel_3", 4),
+        ("parity_exists_prop_4", 3))),
 ])
 def test_step_matches_reference(builder, n):
     prog = builder()
@@ -133,3 +138,45 @@ def test_validate_reports_quantifier_use():
                        {(r.op, r.relation, r.target): r for r in rules},
                        {}, "A", class_claim="DynProp")
     assert any("quantifier" in d or "first-order" in d for d in validate(p))
+
+
+def test_step_results_share_no_buffer():
+    """Every new auxiliary array is the state's own, identity rules
+    (T(x) := T(x)) included, so writing to one state leaves the others."""
+    prog = pg.parity_exists_deg_k_prop_program(3)
+    n = 4
+    states = [init_state(prog, n)]
+    for c in random_effective_changes(n, rels_for(prog), 12, random.Random(5)):
+        states.append(step(states[-1], c))
+    arrays = [a for st in states for a in st.aux_arrays.values()]
+    for i, a in enumerate(arrays):
+        assert a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+def test_validate_rejects_input_aux_name_clash():
+    text = ("input U/1\naux U/1\naux A/0\nanswer A\n"
+            "on ins U(u) update A() := A()\non del U(u) update A() := A()\n"
+            "on ins U(u) update U(x) := U(x)\non del U(u) update U(x) := U(x)\n")
+    with pytest.raises(ProgramError, match="both input and aux"):
+        parse_program(text)
+    rules = [UpdateRule(op, "U", target, ("u",), frees, atom(target, *frees))
+             for op in ("ins", "del") for target, frees in (("A", ()), ("U", ("x",)))]
+    with pytest.raises(ProgramError, match="both input and aux"):
+        make_program("clash", {"U": 1}, {"U": 1, "A": 0}, rules, {}, "A")
+
+
+def test_relation_name_containing_update_round_trips():
+    text = ("input Lastupdate/1\naux Seen/0\naux updateCount/1\nanswer Seen\n"
+            "on ins Lastupdate(u) update Seen() := Seen() | !Lastupdate(u)\n"
+            "on del Lastupdate(u) update Seen() := Seen()\n"
+            "on ins Lastupdate(u) update updateCount(x) := updateCount(x) | x = u\n"
+            "on del Lastupdate(u) update updateCount(x) := updateCount(x)\n")
+    prog = parse_program(text, name="lastupdate")
+    again = parse_program(format_program(prog), name="lastupdate")
+    assert again.rules == prog.rules
+    st = init_state(again, 3)
+    assert st.answer() is False
+    st = step(st, Change("ins", "Lastupdate", (2,)))
+    assert st.answer() is True
+    assert np.array_equal(st.aux_arrays["updateCount"], [False, False, True])
