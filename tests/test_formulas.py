@@ -174,6 +174,10 @@ def test_bulk_eval_matches_evaluate():
         ("E(x, 7) | x = 9 | R(5) | E(4, 4)", {}, ("x",), 3),
         ("E(x, x) & (exists y. E(y, y) & E(x, y))", {}, ("x",), 3),
         ("E(x, x) & U(u)", {"u": 1}, ("y", "x"), 3),
+        ("!(x = u & R(v)) & E(x, y) | x = u & R(v) & (U(y) | E(y, u))",
+         {"u": 1, "v": 0}, ("x", "y"), 3),
+        ("E(x, y) | x = 2 & y = u | y = 5 & U(x)", {"u": 0}, ("y", "x"), 3),
+        ("E(x, y) | x = u & U(y)", {"u": 4}, ("x", "y"), 3),
         ("forall x. U(x)", {}, (), 0),
         ("exists x. U(x)", {}, (), 0),
         ("!(exists x. U(x)) & (forall y. R(y))", {}, ("z",), 0),
