@@ -237,7 +237,9 @@ class _Lowering:
         unbound = self.fv[id(f)] - set(params) - set(frees)
         if unbound:
             raise FormulaError(f"unbound variable {min(unbound)!r}")
-        # a name binds its last axis; parameters win over free variables
+        # name -> ("axis", position) | ("param", name) | ("same", term), the
+        # last for a variable an equality binds to a parameter or constant.
+        # A name binds its last axis; parameters win over free variables.
         self.ctx: dict[str, tuple[str, object]] = {
             v: ("axis", i) for i, v in enumerate(frees)}
         self.param_local: dict[str, str] = {}
