@@ -118,15 +118,16 @@ def _drive_program(program, script, query, mode="skip",
     shadow = state.input
     report = RunReport()
     applied = checkpoint = 0
+    t0 = time.perf_counter()          # start of the current segment
     for entry in script.entries:
         if isinstance(entry, Checkpoint):
-            t0 = time.perf_counter()
             got = state.answer()
             want = oc.eval_query(query, shadow) if query else got
+            t1 = time.perf_counter()
             report.records.append(CheckpointRecord(
-                checkpoint, applied, got, want, got == want,
-                time.perf_counter() - t0))
+                checkpoint, applied, got, want, got == want, t1 - t0))
             checkpoint += 1
+            t0 = t1
             continue
         before = state
         state = ip.step(state, entry, mode=mode)
@@ -147,15 +148,16 @@ def _drive_engine(engine, script, bound, audit: bool = False) -> RunReport:
     report = RunReport()
     applied = checkpoint = 0
     query = oc.QueryId("parity_exists_deg", bound)
+    t0 = time.perf_counter()          # start of the current segment
     for entry in script.entries:
         if isinstance(entry, Checkpoint):
-            t0 = time.perf_counter()
             got = engine.answer()
             want = oc.eval_query(query, shadow)
+            t1 = time.perf_counter()
             report.records.append(CheckpointRecord(
-                checkpoint, applied, got, want, got == want,
-                time.perf_counter() - t0))
+                checkpoint, applied, got, want, got == want, t1 - t0))
             checkpoint += 1
+            t0 = t1
             continue
         engine.apply(entry)
         shadow = apply_change(shadow, entry)

@@ -306,6 +306,9 @@ def random_script(n: int, profile="default", seed: int = 0) -> ChangeScript:
         except KeyError:
             raise ValidationError(f"unknown profile {profile!r}; "
                                   f"have {sorted(PROFILES)}") from None
+    if n < 1:
+        raise ValidationError(f"a random script needs a non-empty domain, "
+                              f"not n={n}")
     rng = random.Random(seed)
     schema = dict(profile.relations)
     cur = Structure.make(n, schema)

@@ -1,16 +1,33 @@
 """Procedural first-order maintenance engines for the covered-nodes parity.
 
 The maintained query: is the number of nodes with in-degree between 1 and
-k that have a coloured in-neighbour odd?  The engine stores, per node w
-and per non-empty index set I into w's ordered in-neighbour list, one bit
-P_I(w): the parity of the node set that "agrees" with N_I(w) (edges from
-all of it, no coloured in-neighbour outside it, bounded in-degree).
+k that have a coloured in-neighbour odd?
 
-Every update combines stored bits with locally checkable conditions; no
-global recount ever happens (the test-suite instruments this).  The
-graph is kept as per-node bitmasks, the store as a set of (w, imask)
-pairs where bit i of imask means position i+1 of w's in-neighbour list,
-ordered by node id.
+For a node set C, the agreeing set A(C) holds the nodes x with
+1 <= indeg(x) <= k, edges from all of C and no coloured in-neighbour
+outside C.  The paper stores, per node w and per non-empty index set I
+into w's ordered in-neighbour list, one bit P_I(w): the parity of
+A(N_I(w)).  That bit depends only on the node set N_I(w), so the engine
+keeps one parity table `par`, keyed by the bitmask of C, with an entry
+(always True) exactly when |A(C)| is odd.  `store_pairs()` derives the
+paper's (w, imask) pairs from it on demand; bit i of imask means
+position i+1 of w's in-neighbour list, ordered by node id.
+
+A node x lies in A(C) exactly for the C with r ∩ in(x) ⊆ C ⊆ in(x), so
+every change moves few entries, and no global recount ever happens:
+
+- an edge change at w0 moves only w0's own contributions, at most
+  2·2^k entries;
+- a colour change of v moves only the contributions of v's
+  out-neighbours, at most 2^k each, and flips the answer by the parity
+  of A({v}).
+
+`apply` runs that update, in O(2^k·(1 + outdeg)) per change.
+`apply_reference` runs the paper's literal parallel update instead: it
+rebuilds every stored bit from the old ones, and finds each old parity
+through a witness node.  Both read and write the same state, so one
+engine can be driven down either path.  The graph is kept as per-node
+bitmasks of in- and out-neighbours.
 """
 
 from __future__ import annotations
@@ -59,7 +76,7 @@ class ParityExistsEngine:
         self.in_mask = [0] * n
         self.out_mask = [0] * n
         self.r_mask = 0
-        self.store: set[tuple[int, int]] = set()
+        self.par: dict[int, bool] = {}
         self.ans = False
 
     # ------------------------------------------------------------ views
@@ -74,26 +91,34 @@ class ParityExistsEngine:
         return coloured_graph(self.n, self.edges(), self.coloured())
 
     def store_pairs(self) -> set[tuple[int, int]]:
-        return set(self.store)
+        """The paper's relation P: the (w, imask) whose node set C agrees
+        with w and has an odd agreeing set."""
+        return {(w, imask) for w, imask, c_mask in self._index_sets(
+            self.in_mask, self.r_mask) if c_mask in self.par}
 
     def answer(self) -> bool:
         return self.ans
 
     # ------------------------------------------------------- local tests
 
-    def _positions_mask(self, in_w: int, c_mask: int) -> int:
-        imask = 0
-        for i, v in enumerate(_bits(in_w)):   # ascending node order
-            if c_mask >> v & 1:
-                imask |= 1 << i
-        return imask
-
     def _nodes_at(self, in_w: int, imask: int) -> int:
         c_mask = 0
-        for i, v in enumerate(_bits(in_w)):
+        for i, v in enumerate(_bits(in_w)):   # ascending node order
             if imask >> i & 1:
                 c_mask |= 1 << v
         return c_mask
+
+    def _index_sets(self, in_masks, r_mask):
+        """(w, imask, C) for every node w of bounded in-degree and every
+        non-empty index set whose node set C agrees with w."""
+        for w, in_w in enumerate(in_masks):
+            d = in_w.bit_count()
+            if d == 0 or d > self.k:
+                continue
+            for imask in range(1, 1 << d):
+                c_mask = self._nodes_at(in_w, imask)
+                if not r_mask & in_w & ~c_mask:
+                    yield w, imask, c_mask
 
     def _agrees(self, in_x: int, c_mask: int, r_mask: int) -> bool:
         """x (with in-list in_x) has edges from all of C, bounded active
@@ -108,22 +133,6 @@ class ParityExistsEngine:
     def _covered(self, in_x: int, r_mask: int) -> bool:
         d = in_x.bit_count()
         return 1 <= d <= self.k and bool(r_mask & in_x)
-
-    def _old_parity(self, c_mask: int, cache: dict[int, bool]) -> bool:
-        """Parity of the old agreeing set of C, via any witness's stored
-        bit; no witness means the set is empty."""
-        hit = cache.get(c_mask)
-        if hit is not None:
-            return hit
-        parity = False
-        for x in range(self.n):
-            in_x = self.in_mask[x]
-            if self._agrees(in_x, c_mask, self.r_mask):
-                imask = self._positions_mask(in_x, c_mask)
-                parity = (x, imask) in self.store
-                break
-        cache[c_mask] = parity
-        return parity
 
     # ------------------------------------------------------------ update
 
@@ -144,37 +153,98 @@ class ParityExistsEngine:
             raise ValidationError(f"unknown change op {c.op!r}")
 
     def apply(self, c: Change) -> "ParityExistsEngine":
+        return self._route(c, self._apply_colour, self._apply_edge)
+
+    def apply_reference(self, c: Change) -> "ParityExistsEngine":
+        """`apply` by the paper's literal parallel update."""
+        return self._route(c, self._reference_colour, self._reference_edge)
+
+    def _route(self, c: Change, colour, edge) -> "ParityExistsEngine":
         self._validate(c)
         if c.relation == "R":
             (v,) = c.args
-            present = bool(self.r_mask >> v & 1)
-            if (c.op == INSERT) == present:
-                return self              # non-effective: no-op
-            self._apply_colour(v)
+            if (c.op == INSERT) != bool(self.r_mask >> v & 1):
+                colour(v)
         else:
             v, w = c.args
-            present = bool(self.in_mask[w] >> v & 1)
-            if (c.op == INSERT) == present:
-                return self
-            self._apply_edge(v, w, insert=(c.op == INSERT))
-        return self
+            if (c.op == INSERT) != bool(self.in_mask[w] >> v & 1):
+                edge(v, w)
+        return self                      # a non-effective change is a no-op
 
-    def _rebuild(self, new_in, new_r, new_parity) -> set[tuple[int, int]]:
-        new_store: set[tuple[int, int]] = set()
-        for w in range(self.n):
-            in_w = new_in[w]
-            d = in_w.bit_count()
-            if d == 0 or d > self.k:
-                continue
-            for imask in range(1, 1 << d):
-                c_mask = self._nodes_at(in_w, imask)
-                if new_r & in_w & ~c_mask:
-                    continue
-                if new_parity(c_mask):
-                    new_store.add((w, imask))
-        return new_store
+    def _toggle(self, c_mask: int) -> None:
+        """Add or remove one node in A(C): flip the parity of C."""
+        if self.par.pop(c_mask, False) is False:
+            self.par[c_mask] = True
+
+    def _toggle_range(self, lo: int, hi: int) -> None:
+        """Toggle every non-empty C with lo ⊆ C ⊆ hi."""
+        free = hi & ~lo
+        sub = free
+        while True:
+            if lo | sub:
+                self._toggle(lo | sub)
+            if not sub:
+                return
+            sub = (sub - 1) & free
+
+    def _toggle_node(self, in_x: int, r_mask: int) -> None:
+        """Add or remove a node with in-list in_x in every A(C) it
+        belongs to under colouring r_mask."""
+        d = in_x.bit_count()
+        if 1 <= d <= self.k:
+            self._toggle_range(r_mask & in_x, in_x)
 
     def _apply_colour(self, v: int) -> None:
+        bit = 1 << v
+        # covered status flips exactly for the nodes agreeing with {v}
+        self.ans ^= bit in self.par
+        # an out-neighbour x of v leaves or joins exactly the A(C) with
+        # (r \ {v}) ∩ in(x) ⊆ C ⊆ in(x) \ {v}
+        r_rest = self.r_mask & ~bit
+        for x in _bits(self.out_mask[v]):
+            in_x = self.in_mask[x]
+            if in_x.bit_count() <= self.k:
+                hi = in_x & ~bit
+                self._toggle_range(r_rest & hi, hi)
+        self.r_mask ^= bit
+
+    def _apply_edge(self, v: int, w0: int) -> None:
+        old_in = self.in_mask[w0]
+        self._toggle_node(old_in, self.r_mask)
+        self._toggle_node(old_in ^ 1 << v, self.r_mask)
+        self._commit_edge(v, w0)
+
+    def _commit_edge(self, v: int, w0: int) -> None:
+        old_in = self.in_mask[w0]
+        new_in = old_in ^ 1 << v
+        self.ans ^= self._covered(old_in, self.r_mask)
+        self.ans ^= self._covered(new_in, self.r_mask)
+        self.in_mask[w0] = new_in
+        self.out_mask[v] ^= 1 << w0
+
+    # ------------------------------------------- literal parallel update
+
+    def _old_parity(self, c_mask: int, cache: dict[int, bool]) -> bool:
+        """Parity of the old agreeing set of C, via any witness's stored
+        bit; no witness means the set is empty."""
+        hit = cache.get(c_mask)
+        if hit is not None:
+            return hit
+        parity = False
+        for x in range(self.n):
+            if self._agrees(self.in_mask[x], c_mask, self.r_mask):
+                # the witness's bit P_I(x), I the positions of C in in(x)
+                parity = c_mask in self.par
+                break
+        cache[c_mask] = parity
+        return parity
+
+    def _rebuild(self, new_in, new_r, new_parity) -> dict[int, bool]:
+        """The new table: every (w, I) of the new graph, evaluated at once."""
+        return {c_mask: True for _, _, c_mask in self._index_sets(new_in, new_r)
+                if new_parity(c_mask)}
+
+    def _reference_colour(self, v: int) -> None:
         new_r = self.r_mask ^ (1 << v)
         cache: dict[int, bool] = {}
 
@@ -186,13 +256,13 @@ class ParityExistsEngine:
                 p ^= self._old_parity(c_mask | 1 << v, cache)
             return p
 
-        new_store = self._rebuild(self.in_mask, new_r, new_parity)
+        new_par = self._rebuild(self.in_mask, new_r, new_parity)
         # covered status flips exactly for nodes agreeing with {v}
         self.ans ^= self._old_parity(1 << v, cache)
         self.r_mask = new_r
-        self.store = new_store
+        self.par = new_par
 
-    def _apply_edge(self, v: int, w0: int, insert: bool) -> None:
+    def _reference_edge(self, v: int, w0: int) -> None:
         new_in = list(self.in_mask)
         new_in[w0] ^= 1 << v
         cache: dict[int, bool] = {}
@@ -204,29 +274,12 @@ class ParityExistsEngine:
             p ^= self._agrees(new_in[w0], c_mask, self.r_mask)
             return p
 
-        new_store = self._rebuild(new_in, self.r_mask, new_parity)
-        self.ans ^= self._covered(self.in_mask[w0], self.r_mask)
-        self.ans ^= self._covered(new_in[w0], self.r_mask)
-        self.in_mask = new_in
-        if insert:
-            self.out_mask[v] |= 1 << w0
-        else:
-            self.out_mask[v] &= ~(1 << w0)
-        self.store = new_store
+        self.par = self._rebuild(new_in, self.r_mask, new_parity)
+        self._commit_edge(v, w0)
 
 
 class FoDegKState(ParityExistsEngine):
     """Unary-auxiliary engine: one node set per index set I ⊆ {1..k}."""
-
-    def p_set(self, index_set: frozenset[int] | set[int]) -> set[int]:
-        imask = 0
-        for i in index_set:
-            if not 1 <= i <= self.k:
-                raise ValidationError(f"index {i} outside 1..{self.k}")
-            imask |= 1 << (i - 1)
-        if imask == 0:
-            raise ValidationError("index set must be non-empty")
-        return {w for (w, im) in self.store if im == imask}
 
 
 class FoLogNState(ParityExistsEngine):
@@ -245,7 +298,7 @@ class FoLogNState(ParityExistsEngine):
     def p_relation(self) -> set[tuple[int, int]]:
         """(v, w) pairs with w in P indexed by the bit-set of v; the
         imask of positions equals v's own binary encoding."""
-        return {(imask, w) for (w, imask) in self.store}
+        return {(imask, w) for (w, imask) in self.store_pairs()}
 
 
 def fo_degk_init(n: int, k: int) -> FoDegKState:

@@ -95,17 +95,6 @@ def n_exists(s: Structure, xs: Iterable[int]) -> set[int]:
     return out
 
 
-def n_forall(s: Structure, xs: Iterable[int]) -> set[int]:
-    """Intersection of out-neighbourhoods (empty input -> empty set)."""
-    xs = list(xs)
-    if not xs:
-        return set()
-    out = out_neighbours(s, xs[0])
-    for x in xs[1:]:
-        out &= out_neighbours(s, x)
-    return out
-
-
 def n_exists_forall(s: Structure, a: Iterable[int], b: Iterable[int],
                     k: int) -> set[int]:
     """Active nodes with edges from all of A∪B whose coloured in-neighbours

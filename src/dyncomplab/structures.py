@@ -269,10 +269,14 @@ def parse_structure(text: str) -> Structure:
         parts = line.split()
         kw = parts[0]
         if kw == "domain":
+            if n is not None:
+                raise ScriptSyntaxError("duplicate domain line", lineno)
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ScriptSyntaxError("expected: domain <n>", lineno)
             n = int(parts[1])
         elif kw == "rel":
+            if len(parts) != 2 or "/" not in parts[1]:
+                raise ScriptSyntaxError("expected: rel <Name>/<arity>", lineno)
             name, _, ar = parts[1].partition("/")
             if not name or not ar.isdigit():
                 raise ScriptSyntaxError("expected: rel <Name>/<arity>", lineno)

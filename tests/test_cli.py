@@ -1,9 +1,12 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from dyncomplab import constructions as cx
+from dyncomplab import fo_engines as fe
+from dyncomplab import interpreter as ip
 from dyncomplab.cli import main
 from dyncomplab.interpreter import format_program
 from dyncomplab.structures import format_script
@@ -147,3 +150,74 @@ def test_unreadable_script_is_reported(tmp_path, capsys):
     rc = main(["run", "--program", str(PROGDIR / "parity.dyp"),
                "--script", str(bad)])
     assert rc == 2
+
+
+SLOW_SCRIPT = """domain 4
+rel E/2
+rel R/1
+ins E 0 1
+ins R 0
+query
+ins E 1 2
+query
+query
+"""
+
+
+def _elapsed_per_checkpoint(capsys, argv):
+    assert main(argv + ["--json"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    return [json.loads(line) for line in lines if line.startswith("{")]
+
+
+@pytest.mark.parametrize("target", ["program", "engine"])
+def test_elapsed_times_the_whole_segment(tmp_path, capsys, monkeypatch,
+                                         target):
+    """A slow step between checkpoints shows up in the next record's
+    `elapsed`, and a checkpoint with no changes before it stays fast."""
+    delay = 0.05
+    script = tmp_path / "slow.chg"
+    script.write_text(SLOW_SCRIPT)
+    if target == "program":
+        real = ip.step
+
+        def slow(*args, **kwargs):
+            time.sleep(delay)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ip, "step", slow)
+        argv = ["run", "--program", str(PROGDIR / "parity_exists_prop_3.dyp"),
+                "--oracle", "parity-exists-deg", "--k", "3"]
+    else:
+        real = fe.ParityExistsEngine.apply
+
+        def slow(self, c):
+            time.sleep(delay)
+            return real(self, c)
+
+        monkeypatch.setattr(fe.ParityExistsEngine, "apply", slow)
+        argv = ["run", "--engine", "fo-degk", "--k", "2",
+                "--oracle", "parity-exists-deg"]
+    records = _elapsed_per_checkpoint(capsys, argv + ["--script", str(script)])
+    assert [r["change_index"] for r in records] == [2, 3, 3]
+    assert all(r["match"] for r in records)
+    assert records[0]["elapsed"] >= 2 * delay
+    assert records[1]["elapsed"] >= delay
+    assert records[2]["elapsed"] < delay
+
+
+def test_malformed_structure_files_exit_2(tmp_path, capsys):
+    for text in ("domain 3\nrel\n", "domain 3\nrel E\n",
+                 "domain 3\ndomain 4\nset E 0 1\n"):
+        path = tmp_path / "bad.str"
+        path.write_text(text)
+        rc = main(["oracle", "--query", "parity-exists-deg", "--k", "2",
+                   "--structure", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2, text
+        assert err.startswith("error: ") and "Traceback" not in err, text
+
+
+def test_construct_script_on_an_empty_domain_exits_2(capsys):
+    assert main(["construct", "script", "--n", "0"]) == 2
+    assert "non-empty domain" in capsys.readouterr().err

@@ -110,3 +110,82 @@ def test_engines_never_call_the_oracle(monkeypatch):
         eng2.apply(c)
         eng2.answer()
     assert calls["n"] == 0
+
+
+def _lockstep(n, k, length, seed):
+    """An engine driven by `apply`, one by `apply_reference` and one by
+    both at random, compared after every change of a seeded stream."""
+    make = (lambda: fe.fo_logn_init(n)) if k is None else \
+        (lambda: fe.fo_degk_init(n, k))
+    fast, ref, mixed = make(), make(), make()
+    rng = random.Random(f"lockstep:{n}:{k}:{seed}")
+    changes = random_effective_changes(n, (("E", 2), ("R", 1)), length, rng)
+    for t, c in enumerate(changes):
+        fast.apply(c)
+        ref.apply_reference(c)
+        (mixed.apply if rng.random() < 0.5 else mixed.apply_reference)(c)
+        for eng in (ref, mixed):
+            assert eng.answer() == fast.answer(), (t, c)
+            assert eng.par == fast.par, (t, c)
+            assert eng.store_pairs() == fast.store_pairs(), (t, c)
+        for eng in (fast, ref):
+            bad = oc.audit_fo_state(eng)
+            assert not bad, (t, c, [str(b) for b in bad[:5]])
+    return changes
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_apply_matches_apply_reference_degk(k):
+    loops = 0
+    for seed in range(3):
+        changes = _lockstep(6, k, 80, seed)
+        loops += sum(c.relation == "E" and c.args[0] == c.args[1]
+                     for c in changes)
+    assert loops > 0
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_apply_matches_apply_reference_logn(n):
+    _lockstep(n, None, 60, 0)
+
+
+def test_parity_table_keeps_only_odd_entries():
+    eng = fe.fo_degk_init(4, 2)
+    for c in [Change("ins", "E", (0, 1)), Change("ins", "E", (0, 2)),
+              Change("ins", "R", (0,))]:
+        eng.apply(c)
+    # nodes 1 and 2 both agree with {0}: the count is even, so no entry
+    assert eng.par == {}
+    assert eng.answer() is False
+    eng.apply(Change("del", "E", (0, 2)))
+    assert eng.par == {1 << 0: True}
+    assert eng.answer() is True
+
+
+@pytest.mark.parametrize("kind,k", [("fo-degk", k) for k in range(6)]
+                         + [("fo-logn", None)])
+def test_apply_toggles_at_most_2_pow_k_per_touched_node(kind, k):
+    """One change toggles at most 2·2^k·(1 + outdeg(v)) table entries."""
+    n = 16
+    eng = fe.fo_logn_init(n) if kind == "fo-logn" else fe.fo_degk_init(n, k)
+    toggles = {"n": 0}
+    toggle = eng._toggle
+
+    def counted(c_mask):
+        toggles["n"] += 1
+        toggle(c_mask)
+
+    eng._toggle = counted
+    changes = random_effective_changes(n, (("E", 2), ("R", 1)), 400,
+                                       random.Random(f"work:{kind}:{k}"),
+                                       p_delete=0.3)
+    most = 0
+    for c in changes:
+        v = c.args[0]
+        bound = 2 * 2 ** eng.k * (1 + eng.out_mask[v].bit_count())
+        toggles["n"] = 0
+        eng.apply(c)
+        assert toggles["n"] <= bound, (c, toggles["n"], bound)
+        most = max(most, toggles["n"])
+    assert not oc.audit_fo_state(eng)
+    assert most > 0 or eng.k == 0
