@@ -14,8 +14,9 @@ from .formulas import (atom, classify, evaluate, free_variables, parse_formula,
                        pretty)
 from .interpreter import (DynamicProgram, ProgramState, UpdateRule,
                           format_program, init_state, make_program,
-                          parse_program, run, step, validate)
-from .oracle import QueryId, audit_aux, covered_set, eval_query, n_exists_forall
+                          parse_program, step, validate)
+from .oracle import QueryId, covered_set, eval_query, n_exists_forall
+from .driver import drive
 
 __version__ = "0.1.0"
 
@@ -25,7 +26,7 @@ __all__ = [
     "format_structure", "is_effective", "parse_script", "parse_structure",
     "atom", "classify", "evaluate", "free_variables", "parse_formula",
     "pretty", "DynamicProgram", "ProgramState", "UpdateRule",
-    "format_program", "init_state", "make_program", "parse_program", "run",
-    "step", "validate", "QueryId", "audit_aux", "covered_set", "eval_query",
-    "n_exists_forall", "__version__",
+    "format_program", "init_state", "make_program", "parse_program", "step",
+    "validate", "QueryId", "covered_set", "eval_query", "n_exists_forall",
+    "drive", "__version__",
 ]

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import random
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import constructions as cx
@@ -26,9 +25,10 @@ from . import interpreter as ip
 from . import oracle as oc
 from . import programs as pg
 from . import symcircuit as sc
-from .structures import (Change, Checkpoint, DynLabError, Structure,
-                         apply_change, format_structure, format_script,
-                         parse_script, parse_structure)
+from .driver import ProgramRun, drive
+from .structures import (Checkpoint, DynLabError, Structure, apply_change,
+                         format_structure, format_script, parse_script,
+                         parse_structure)
 
 DEFAULT_SEED = 1729
 
@@ -62,187 +62,49 @@ def _seed(args) -> int:
 
 # ------------------------------------------------------------------ run
 
-@dataclass
-class CheckpointRecord:
-    index: int            # checkpoint ordinal
-    change_index: int     # changes applied so far
-    program_answer: object
-    oracle_answer: object
-    match: bool
-    elapsed: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "checkpoint": self.index, "change_index": self.change_index,
-            "program": _jsonable(self.program_answer),
-            "oracle": _jsonable(self.oracle_answer), "match": self.match,
-            "elapsed": round(self.elapsed, 6)})
-
-
-def _jsonable(v):
-    if isinstance(v, (bool, type(None))):
-        return v
-    if isinstance(v, frozenset):
-        return sorted(list(t) for t in v)
-    return v
-
-
-@dataclass
-class RunReport:
-    records: list[CheckpointRecord] = field(default_factory=list)
-    skipped: int = 0
-
-    @property
-    def mismatches(self) -> list[CheckpointRecord]:
-        return [r for r in self.records if not r.match]
-
-    def emit(self, out=None, as_json: bool = False) -> None:
-        if out is None:
-            out = sys.stdout
-        for r in self.records:
-            if as_json:
-                print(r.to_json(), file=out)
-            else:
-                status = "ok" if r.match else "MISMATCH"
-                print(f"checkpoint {r.index} @change {r.change_index}: "
-                      f"program={r.program_answer} oracle={r.oracle_answer} "
-                      f"[{status}]", file=out)
-        print(f"{len(self.records)} checkpoints, "
-              f"{len(self.mismatches)} mismatches, "
-              f"{self.skipped} skipped changes", file=out)
-
-
-def _drive_program(program, script, query, mode="skip",
-                   audit: bool = False) -> RunReport:
-    state = ip.init_state(program, script.domain_size)
-    shadow = state.input
-    report = RunReport()
-    applied = checkpoint = 0
-    t0 = time.perf_counter()          # start of the current segment
-    for entry in script.entries:
-        if isinstance(entry, Checkpoint):
-            got = state.answer()
-            want = oc.eval_query(query, shadow) if query else got
-            t1 = time.perf_counter()
-            report.records.append(CheckpointRecord(
-                checkpoint, applied, got, want, got == want, t1 - t0))
-            checkpoint += 1
-            t0 = t1
-            continue
-        before = state
-        state = ip.step(state, entry, mode=mode)
-        if state is before and program.requires_effective:
-            report.skipped += 1
-        shadow = apply_change(shadow, entry)
-        applied += 1
-        if audit:
-            bad = oc.audit_aux(state)
-            if bad:
-                raise DynLabError(
-                    f"audit failed after change {applied}: {bad[0]}")
-    return report
-
-
-def _drive_engine(engine, script, bound, audit: bool = False) -> RunReport:
-    shadow = engine.graph_structure()
-    report = RunReport()
-    applied = checkpoint = 0
-    query = oc.QueryId("parity_exists_deg", bound)
-    t0 = time.perf_counter()          # start of the current segment
-    for entry in script.entries:
-        if isinstance(entry, Checkpoint):
-            got = engine.answer()
-            want = oc.eval_query(query, shadow)
-            t1 = time.perf_counter()
-            report.records.append(CheckpointRecord(
-                checkpoint, applied, got, want, got == want, t1 - t0))
-            checkpoint += 1
-            t0 = t1
-            continue
-        engine.apply(entry)
-        shadow = apply_change(shadow, entry)
-        applied += 1
-        if audit:
-            bad = oc.audit_aux(engine)
-            if bad:
-                raise DynLabError(
-                    f"audit failed after change {applied}: {bad[0]}")
-    return report
+def _engine_oracle(engine: fe.ParityExistsEngine):
+    return partial(oc.eval_query, oc.QueryId("parity_exists_deg", engine.k))
 
 
 def cmd_run(args) -> int:
     script = parse_script(Path(args.script).read_text())
     query = QUERY_NAMES[args.oracle](args) if args.oracle else None
+    n = script.domain_size
     if args.engine:
-        n = script.domain_size
-        if args.engine == "fo-degk":
-            engine = fe.fo_degk_init(n, _need_k(args))
-        elif args.engine == "fo-logn":
-            engine = fe.fo_logn_init(n)
-        else:
-            raise DynLabError(f"unknown engine {args.engine!r}")
-        report = _drive_engine(engine, script, engine.k, audit=args.audit)
+        target = fe.fo_logn_init(n) if args.engine == "fo-logn" else \
+            fe.fo_degk_init(n, _need_k(args))
+        oracle = _engine_oracle(target)
     else:
         if not args.program:
             raise DynLabError("run needs --program or --engine")
         program = ip.parse_program(Path(args.program).read_text(),
                                    name=Path(args.program).stem)
-        report = _drive_program(program, script, query, mode=args.mode,
-                                audit=args.audit)
+        target = ProgramRun(program, n, args.mode)
+        oracle = partial(oc.eval_query, query) if query else None
+    report = drive(target, script, oracle, audit_every=int(args.audit))
     report.emit(as_json=args.json)
     return 1 if report.mismatches else 0
 
 
 # ----------------------------------------------------------------- fuzz
 
-def _fuzz_program(name: str, n: int, length: int, seeds: list[int],
-                  audit: bool) -> list[str]:
+def _fuzz_target(name: str, n: int, k: int | None):
+    """(script profile, fresh-target factory, oracle) for a catalog
+    program or an engine."""
+    if name in ("fo-degk", "fo-logn"):
+        def make():
+            return fe.fo_logn_init(n) if name == "fo-logn" else \
+                fe.fo_degk_init(n, 3 if k is None else k)
+        return cx.PROFILES["default"], make, _engine_oracle(make())
     entry = pg.catalog_entry(name)
     program = entry.build()
     if "U" in program.input_schema:
-        base = cx.PROFILES["set"]
+        profile = cx.PROFILES["set"]
     elif "R" in program.input_schema:
-        base = cx.PROFILES["default"]
+        profile = cx.PROFILES["default"]
     else:
-        base = cx.PROFILES["edges"]
-    if length is not None:
-        base = cx.ScriptProfile(relations=base.relations, weights=base.weights,
-                                p_delete=base.p_delete, length=length,
-                                checkpoint_every=base.checkpoint_every)
-    failures = []
-    for seed in seeds:
-        script = cx.random_script(n, base, seed)
-        try:
-            report = _drive_program(program, script, entry.query,
-                                    audit=audit)
-        except DynLabError as exc:
-            failures.append(f"seed {seed}: {exc}")
-            continue
-        if report.mismatches:
-            r = report.mismatches[0]
-            failures.append(f"seed {seed}: first divergence at checkpoint "
-                            f"{r.index} (change {r.change_index})")
-    return failures
-
-
-def _fuzz_engine(kind: str, n: int, k: int | None, length: int,
-                 seeds: list[int], audit: bool) -> list[str]:
-    failures = []
-    for seed in seeds:
-        script = cx.random_script(n, cx.ScriptProfile(length=length or 120),
-                                  seed)
-        engine = fe.fo_logn_init(n) if kind == "fo-logn" else \
-            fe.fo_degk_init(n, k if k is not None else 3)
-        try:
-            report = _drive_engine(engine, script, engine.k, audit=audit)
-        except DynLabError as exc:
-            failures.append(f"seed {seed}: {exc}")
-            continue
-        if report.mismatches:
-            r = report.mismatches[0]
-            failures.append(f"seed {seed}: first divergence at checkpoint "
-                            f"{r.index}")
-    return failures
+        profile = cx.PROFILES["edges"]
+    return profile, lambda: ProgramRun(program, n), entry.oracle
 
 
 def _fuzz_sym(seeds: list[int], flips: int) -> list[str]:
@@ -257,7 +119,7 @@ def _fuzz_sym(seeds: list[int], flips: int) -> list[str]:
         circuit = sc.make_circuit(m, fanin, gates, h)
         assignment = [rng.random() < 0.5 for _ in range(m)]
         state = sc.sym_init(circuit, assignment)
-        for t in range(flips or 1000):
+        for t in range(flips):
             x = rng.randrange(m)
             sc.sym_flip(state, x)
             assignment[x] = not assignment[x]
@@ -268,19 +130,34 @@ def _fuzz_sym(seeds: list[int], flips: int) -> list[str]:
 
 
 def cmd_fuzz(args) -> int:
+    if args.seeds < 1:
+        raise DynLabError(f"--seeds must be at least 1, not {args.seeds}")
+    if args.length is not None and args.length < 1:
+        raise DynLabError(f"--length must be at least 1, not {args.length}")
     base = _seed(args)
     seeds = [base + i for i in range(args.seeds)]
     target = args.target
     if target in TARGET_ALIASES:
         target = TARGET_ALIASES[target](args.k)
     if target == "sym":
-        failures = _fuzz_sym(seeds, args.length)
-    elif target in ("fo-degk", "fo-logn"):
-        failures = _fuzz_engine(target, args.n, args.k, args.length, seeds,
-                                audit=args.audit)
+        failures = _fuzz_sym(seeds, args.length or 1000)
     else:
-        failures = _fuzz_program(target, args.n, args.length, seeds,
-                                 audit=args.audit)
+        failures = []
+        profile, make, oracle = _fuzz_target(target, args.n, args.k)
+        if args.length is not None:
+            profile = replace(profile, length=args.length)
+        for seed in seeds:
+            script = cx.random_script(args.n, profile, seed)
+            try:
+                report = drive(make(), script, oracle,
+                               audit_every=int(args.audit))
+            except DynLabError as exc:
+                failures.append(f"seed {seed}: {exc}")
+                continue
+            if report.mismatches:
+                r = report.mismatches[0]
+                failures.append(f"seed {seed}: first divergence at checkpoint "
+                                f"{r.index} (change {r.change_index})")
     for f in failures:
         print(f)
     print(f"{len(seeds)} seeds, {len(failures)} failures")

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .oracle import QueryId, n_exists
 from .structures import (Change, ChangeScript, CHECKPOINT, Checkpoint,
-                         Structure, ValidationError, apply_change,
-                         coloured_graph, graph_edges, is_effective)
+                         Structure, ValidationError, coloured_graph,
+                         graph_edges)
 
 
 # ---------------------------------------------------------- lower bound
@@ -298,6 +298,39 @@ PROFILES = {
 }
 
 
+def random_changes(n: int, relations, length: int, rng: random.Random,
+                   weights=None, p_delete: float = 0.45) -> list[Change]:
+    """`length` seeded effective changes to the (name, arity) relations,
+    empty at the start: each relation drawn uniformly, or by `weights`;
+    a delete with probability `p_delete`, or when the relation is full."""
+    if n < 1:
+        raise ValidationError(f"a random change stream needs a non-empty "
+                              f"domain, not n={n}")
+    names = [r for r, _ in relations]
+    arity = dict(relations)
+    present = {r: set() for r in names}
+    out = []
+    for _ in range(length):
+        if weights is None:
+            rel = rng.choice(names)
+        else:
+            rel, = rng.choices(names, weights=weights)
+        tuples = present[rel]
+        if tuples and (rng.random() < p_delete
+                       or len(tuples) == n ** arity[rel]):
+            args = rng.choice(sorted(tuples))
+            tuples.discard(args)
+            out.append(Change("del", rel, args))
+        else:
+            while True:
+                args = tuple(rng.randrange(n) for _ in range(arity[rel]))
+                if args not in tuples:
+                    break
+            tuples.add(args)
+            out.append(Change("ins", rel, args))
+    return out
+
+
 def random_script(n: int, profile="default", seed: int = 0) -> ChangeScript:
     """Seeded effective-change sequence with periodic checkpoints."""
     if isinstance(profile, str):
@@ -306,36 +339,12 @@ def random_script(n: int, profile="default", seed: int = 0) -> ChangeScript:
         except KeyError:
             raise ValidationError(f"unknown profile {profile!r}; "
                                   f"have {sorted(PROFILES)}") from None
-    if n < 1:
-        raise ValidationError(f"a random script needs a non-empty domain, "
-                              f"not n={n}")
-    rng = random.Random(seed)
-    schema = dict(profile.relations)
-    cur = Structure.make(n, schema)
+    changes = random_changes(n, profile.relations, profile.length,
+                             random.Random(seed), profile.weights,
+                             profile.p_delete)
     entries: list[Change | Checkpoint] = []
-    emitted = 0
-    while emitted < profile.length:
-        rel, = rng.choices([r for r, _ in profile.relations],
-                           weights=profile.weights)
-        arity = schema[rel]
-        present = cur.tuples(rel)
-        total = n ** arity
-        want_delete = present and (rng.random() < profile.p_delete
-                                   or len(present) == total)
-        if want_delete:
-            args = rng.choice(sorted(present))
-            c = Change("del", rel, args)
-        else:
-            while True:
-                args = tuple(rng.randrange(n) for _ in range(arity))
-                if args not in present:
-                    break
-            c = Change("ins", rel, args)
-        if not is_effective(cur, c):
-            continue
-        cur = apply_change(cur, c)
+    for emitted, c in enumerate(changes, start=1):
         entries.append(c)
-        emitted += 1
         if profile.checkpoint_every and emitted % profile.checkpoint_every == 0:
             entries.append(CHECKPOINT)
-    return ChangeScript(n, dict(schema), tuple(entries))
+    return ChangeScript(n, dict(profile.relations), tuple(entries))

@@ -32,6 +32,7 @@ bitmasks of in- and out-neighbours.
 
 from __future__ import annotations
 
+from . import oracle
 from .structures import (Change, DELETE, INSERT, Structure, ValidationError,
                          coloured_graph)
 
@@ -90,6 +91,11 @@ class ParityExistsEngine:
     def graph_structure(self) -> Structure:
         return coloured_graph(self.n, self.edges(), self.coloured())
 
+    @property
+    def input(self) -> Structure:
+        """The graph as a structure: the input the changes act on."""
+        return self.graph_structure()
+
     def store_pairs(self) -> set[tuple[int, int]]:
         """The paper's relation P: the (w, imask) whose node set C agrees
         with w and has an odd agreeing set."""
@@ -98,6 +104,9 @@ class ParityExistsEngine:
 
     def answer(self) -> bool:
         return self.ans
+
+    def audit(self) -> list:
+        return oracle.audit_fo_state(self)
 
     # ------------------------------------------------------- local tests
 
@@ -152,24 +161,27 @@ class ParityExistsEngine:
         if c.op not in (INSERT, DELETE):
             raise ValidationError(f"unknown change op {c.op!r}")
 
-    def apply(self, c: Change) -> "ParityExistsEngine":
+    def apply(self, c: Change) -> bool:
+        """Apply one change; True when it was skipped as non-effective."""
         return self._route(c, self._apply_colour, self._apply_edge)
 
-    def apply_reference(self, c: Change) -> "ParityExistsEngine":
+    def apply_reference(self, c: Change) -> bool:
         """`apply` by the paper's literal parallel update."""
         return self._route(c, self._reference_colour, self._reference_edge)
 
-    def _route(self, c: Change, colour, edge) -> "ParityExistsEngine":
+    def _route(self, c: Change, colour, edge) -> bool:
         self._validate(c)
         if c.relation == "R":
             (v,) = c.args
-            if (c.op == INSERT) != bool(self.r_mask >> v & 1):
+            effective = (c.op == INSERT) != bool(self.r_mask >> v & 1)
+            if effective:
                 colour(v)
         else:
             v, w = c.args
-            if (c.op == INSERT) != bool(self.in_mask[w] >> v & 1):
+            effective = (c.op == INSERT) != bool(self.in_mask[w] >> v & 1)
+            if effective:
                 edge(v, w)
-        return self                      # a non-effective change is a no-op
+        return not effective
 
     def _toggle(self, c_mask: int) -> None:
         """Add or remove one node in A(C): flip the parity of C."""

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import formulas as fm
 from .bulk_eval import array_to_relation, bulk_eval, relation_to_array
-from .structures import (CHECKPOINT, Change, ChangeScript, Checkpoint,
-                         DynLabError, ScriptSyntaxError, Structure,
+from .structures import (Change, DynLabError, ScriptSyntaxError, Structure,
                          ValidationError, apply_change, is_effective)
 
 log = logging.getLogger(__name__)
@@ -253,30 +252,6 @@ def step_reference(state: ProgramState, c: Change, mode: str = "skip") -> Progra
         new_aux[target] = relation_to_array(hits, arity, state.n)
     return ProgramState(p, apply_change(state.input, c), new_aux,
                         state.builtin_arrays)
-
-
-@dataclass
-class RunTrace:
-    answers: list
-    aux_snapshots: list[Structure] | None = None
-    skipped: int = 0
-
-
-def run(p: DynamicProgram, script: ChangeScript, mode: str = "skip",
-        trace_aux: bool = False, stepper=step) -> RunTrace:
-    state = init_state(p, script.domain_size)
-    trace = RunTrace(answers=[], aux_snapshots=[] if trace_aux else None)
-    for entry in script.entries:
-        if isinstance(entry, Checkpoint):
-            trace.answers.append(state.answer())
-            if trace_aux:
-                trace.aux_snapshots.append(state.aux_structure())
-        else:
-            before = state
-            state = stepper(state, entry, mode)
-            if state is before:
-                trace.skipped += 1
-    return trace
 
 
 # ---------------------------------------------------------------- file format

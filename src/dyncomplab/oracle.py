@@ -163,19 +163,6 @@ class Discrepancy:
         return f"{self.relation}: {self.kind} {self.detail}"
 
 
-def audit_aux(state) -> list[Discrepancy]:
-    """Compare a state's auxiliary relations against their intended
-    definitions.  Dispatches on the state kind."""
-    from . import fo_engines, programs  # deferred: avoid import cycles
-
-    if isinstance(state, fo_engines.ParityExistsEngine):
-        return audit_fo_state(state)
-    program = getattr(state, "program", None)
-    if program is None:
-        raise OracleError(f"unknown state kind {type(state).__name__}")
-    return programs.audit_program_state(state)
-
-
 def audit_fo_state(engine) -> list[Discrepancy]:
     """Definitional recomputation of the engine's P-store and answer flag."""
     out: list[Discrepancy] = []

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable
 
 from .formulas import (FALSE, Formula, TRUE, atom, conj, disj, eq, neg, neq,
                        xor_chain)
 from .interpreter import DynamicProgram, ProgramState, UpdateRule, make_program
 from .oracle import (Discrepancy, QueryId, audit_list_family, eval_query,
-                     in_neighbours, total_degree)
+                     in_neighbours, indegree_buckets, n_exists_forall,
+                     total_degree)
 from .structures import Structure, ValidationError, graph_coloured
 
 EDGE_OPS = (("ins", "E"), ("del", "E"))
@@ -537,32 +539,45 @@ def parity_exists_deg_k_prop_program(k: int) -> DynamicProgram:
 class ProgramCatalogEntry:
     name: str
     build: Callable[[], DynamicProgram]
-    query: QueryId | None
+    oracle: Callable[[Structure], object]     # input -> answer, from scratch
+    # (input, aux, out): appends to out where aux breaks its definition
+    audit: Callable[[Structure, Structure, list[Discrepancy]], None]
     class_claim: str
     arity_claim: int
 
 
-def catalog() -> list[ProgramCatalogEntry]:
+def _in_degree_exactly(k: int, s: Structure) -> frozenset[tuple[int]]:
+    """degree_rel_k's answer: the nodes of in-degree exactly k."""
+    return frozenset((w,) for w in indegree_buckets(s, k)[k])
+
+
+@cache
+def catalog() -> tuple[ProgramCatalogEntry, ...]:
     entries = [
-        ProgramCatalogEntry("parity", parity_program, QueryId("parity"),
-                            "DynProp", 0)]
+        ProgramCatalogEntry("parity", parity_program,
+                            partial(eval_query, QueryId("parity")),
+                            _audit_parity, "DynProp", 0)]
     for k in range(1, 5):
         entries.append(ProgramCatalogEntry(
             f"size_{k}", lambda k=k: size_k_program(k),
-            QueryId("size_k", k), "DynProp", 2))
+            partial(eval_query, QueryId("size_k", k)),
+            partial(_audit_size, k), "DynProp", 2))
     for k in range(1, 4):
         entries.append(ProgramCatalogEntry(
             f"degree_rel_{k}", lambda k=k: degree_k_relation_program(k),
-            None, "DynProp", 3))
+            partial(_in_degree_exactly, k), partial(_audit_degree_rel, k),
+            "DynProp", 3))
     entries.append(ProgramCatalogEntry(
         "parity_degree_div3", parity_degree_div3_program,
-        QueryId("parity_degree_div3"), "DynProp", 3))
+        partial(eval_query, QueryId("parity_degree_div3")),
+        _audit_parity_degree_div3, "DynProp", 3))
     for k in (3, 4):
         entries.append(ProgramCatalogEntry(
             f"parity_exists_prop_{k}",
             lambda k=k: parity_exists_deg_k_prop_program(k),
-            QueryId("parity_exists_deg", k), "DynProp", max(3, k)))
-    return entries
+            partial(eval_query, QueryId("parity_exists_deg", k)),
+            partial(_audit_parity_exists_prop, k), "DynProp", max(3, k)))
+    return tuple(entries)
 
 
 def catalog_entry(name: str) -> ProgramCatalogEntry:
@@ -611,92 +626,94 @@ def _audit_list_program(aux: Structure, fam: ListFamily, members_of,
 
 
 def audit_program_state(state: ProgramState) -> list[Discrepancy]:
-    """Definitional recomputation of every auxiliary relation."""
-    name = state.program.name
-    inp = state.input
-    aux = state.aux_structure()
+    """Definitional recomputation of every auxiliary relation, by the
+    audit of the program's catalog entry."""
     out: list[Discrepancy] = []
+    entry = catalog_entry(state.program.name)
+    entry.audit(state.input, state.aux_structure(), out)
+    return out
 
-    def check_flag(rel: str, want: bool):
-        got = aux.has(rel, ())
-        if got != want:
-            out.append(Discrepancy(rel, "missing" if want else "spurious", ()))
 
-    if name == "parity":
-        check_flag("P", eval_query(QueryId("parity"), inp))
-        return out
+def _check_flag(aux: Structure, rel: str, want: bool,
+                out: list[Discrepancy]) -> None:
+    if aux.has(rel, ()) != want:
+        out.append(Discrepancy(rel, "missing" if want else "spurious", ()))
 
-    if name.startswith("size_"):
-        k = int(name.split("_")[1])
-        members = {u for (u,) in inp.tuples("U")}
-        names = {"list": [f"List_{i}" for i in range(1, k + 2)],
-                 "first": [f"First_{i}" for i in range(1, k + 2)],
-                 "last": [f"Last_{i}" for i in range(1, k + 2)]}
-        audit_list_family(aux, members, names, out)
-        for i in range(0, k + 1):
-            check_flag(f"Is_{i}", len(members) == i)
-        check_flag("Is_gt", len(members) > k)
-        return out
 
-    if name.startswith("degree_rel_"):
-        k = int(name.rsplit("_", 1)[1])
-        fam = ListFamily("", k + 1, tuple(f"N_{i}" for i in range(1, k + 2)),
-                         "N_gt")
-        _audit_list_program(aux, fam, lambda w: in_neighbours(inp, w), out)
-        return out
+def _audit_parity(inp: Structure, aux: Structure,
+                  out: list[Discrepancy]) -> None:
+    _check_flag(aux, "P", eval_query(QueryId("parity"), inp), out)
 
-    if name == "parity_degree_div3":
-        out_fam = ListFamily("Out", 1, ("OutOne",), "OutMany")
-        in_fam = ListFamily("In", 1, ("InOne",), "InMany")
-        edges = inp.tuples("E")
-        _audit_list_program(aux, out_fam,
-                            lambda v: {b for (a, b) in edges if a == v}, out)
-        _audit_list_program(aux, in_fam,
-                            lambda w: {a for (a, b) in edges if b == w}, out)
-        for x in range(inp.n):
-            d = total_degree(inp, x)
-            for i in range(3):
-                want = d > 0 and d % 3 == i
-                if want != aux.has(f"M_{i}", (x,)):
-                    out.append(Discrepancy(f"M_{i}",
-                                           "missing" if want else "spurious",
-                                           (x,)))
-        check_flag("P", eval_query(QueryId("parity_degree_div3"), inp))
-        return out
 
-    if name.startswith("parity_exists_prop_"):
-        k = int(name.rsplit("_", 1)[1])
-        nfam = ListFamily("N", k + 1, tuple(f"N_{i}" for i in range(1, k + 2)),
-                          "N_gt")
-        cfam = ListFamily("C", k + 1,
-                          tuple(f"Nc_{i}" for i in range(1, k + 2)), "Nc_gt")
-        coloured = graph_coloured(inp)
-        _audit_list_program(aux, nfam, lambda w: in_neighbours(inp, w), out)
-        _audit_list_program(aux, cfam,
-                            lambda w: in_neighbours(inp, w) & coloured, out)
-        for x in range(inp.n):
-            want = 1 <= len(in_neighbours(inp, x)) <= k
-            if want != aux.has("Active", (x,)):
-                out.append(Discrepancy("Active",
-                                       "missing" if want else "spurious", (x,)))
-        from .oracle import n_exists_forall
-        uncoloured = set(range(inp.n)) - coloured
-        for l in range(0, k + 1):
-            for m in range(0, k + 1):
-                if not 1 <= l + m <= k:
-                    continue
-                rel = _p_name(l, m)
-                want = set()
-                for a in itertools.permutations(sorted(coloured), l):
-                    for b in itertools.permutations(sorted(uncoloured), m):
-                        if len(n_exists_forall(inp, a, b, k)) % 2 == 1:
-                            want.add(a + b)
-                got = set(aux.tuples(rel))
-                for t in got - want:
-                    out.append(Discrepancy(rel, "spurious", t))
-                for t in want - got:
-                    out.append(Discrepancy(rel, "missing", t))
-        check_flag("Ans", eval_query(QueryId("parity_exists_deg", k), inp))
-        return out
+def _audit_size(k: int, inp: Structure, aux: Structure,
+                out: list[Discrepancy]) -> None:
+    members = {u for (u,) in inp.tuples("U")}
+    names = {"list": [f"List_{i}" for i in range(1, k + 2)],
+             "first": [f"First_{i}" for i in range(1, k + 2)],
+             "last": [f"Last_{i}" for i in range(1, k + 2)]}
+    audit_list_family(aux, members, names, out)
+    for i in range(0, k + 1):
+        _check_flag(aux, f"Is_{i}", len(members) == i, out)
+    _check_flag(aux, "Is_gt", len(members) > k, out)
 
-    raise ValidationError(f"no audit available for program {name!r}")
+
+def _audit_degree_rel(k: int, inp: Structure, aux: Structure,
+                      out: list[Discrepancy]) -> None:
+    fam = ListFamily("", k + 1, tuple(f"N_{i}" for i in range(1, k + 2)),
+                     "N_gt")
+    _audit_list_program(aux, fam, lambda w: in_neighbours(inp, w), out)
+
+
+def _audit_parity_degree_div3(inp: Structure, aux: Structure,
+                              out: list[Discrepancy]) -> None:
+    out_fam = ListFamily("Out", 1, ("OutOne",), "OutMany")
+    in_fam = ListFamily("In", 1, ("InOne",), "InMany")
+    edges = inp.tuples("E")
+    _audit_list_program(aux, out_fam,
+                        lambda v: {b for (a, b) in edges if a == v}, out)
+    _audit_list_program(aux, in_fam,
+                        lambda w: {a for (a, b) in edges if b == w}, out)
+    for x in range(inp.n):
+        d = total_degree(inp, x)
+        for i in range(3):
+            want = d > 0 and d % 3 == i
+            if want != aux.has(f"M_{i}", (x,)):
+                out.append(Discrepancy(f"M_{i}",
+                                       "missing" if want else "spurious",
+                                       (x,)))
+    _check_flag(aux, "P", eval_query(QueryId("parity_degree_div3"), inp), out)
+
+
+def _audit_parity_exists_prop(k: int, inp: Structure, aux: Structure,
+                              out: list[Discrepancy]) -> None:
+    nfam = ListFamily("N", k + 1, tuple(f"N_{i}" for i in range(1, k + 2)),
+                      "N_gt")
+    cfam = ListFamily("C", k + 1,
+                      tuple(f"Nc_{i}" for i in range(1, k + 2)), "Nc_gt")
+    coloured = graph_coloured(inp)
+    _audit_list_program(aux, nfam, lambda w: in_neighbours(inp, w), out)
+    _audit_list_program(aux, cfam,
+                        lambda w: in_neighbours(inp, w) & coloured, out)
+    for x in range(inp.n):
+        want = 1 <= len(in_neighbours(inp, x)) <= k
+        if want != aux.has("Active", (x,)):
+            out.append(Discrepancy("Active",
+                                   "missing" if want else "spurious", (x,)))
+    uncoloured = set(range(inp.n)) - coloured
+    for l in range(0, k + 1):
+        for m in range(0, k + 1):
+            if not 1 <= l + m <= k:
+                continue
+            rel = _p_name(l, m)
+            want = set()
+            for a in itertools.permutations(sorted(coloured), l):
+                for b in itertools.permutations(sorted(uncoloured), m):
+                    if len(n_exists_forall(inp, a, b, k)) % 2 == 1:
+                        want.add(a + b)
+            got = set(aux.tuples(rel))
+            for t in got - want:
+                out.append(Discrepancy(rel, "spurious", t))
+            for t in want - got:
+                out.append(Discrepancy(rel, "missing", t))
+    _check_flag(aux, "Ans", eval_query(QueryId("parity_exists_deg", k), inp),
+                out)

@@ -183,6 +183,28 @@ class ChangeScript:
         return sum(1 for e in self.entries if isinstance(e, Checkpoint))
 
 
+def _header_line(parts: list[str], lineno: int, domain: int | None,
+                 declared: dict[str, int]) -> int | None:
+    """Read a `domain <n>` or `rel <Name>/<arity>` line of a script or a
+    structure file into `declared`; returns the domain size."""
+    if parts[0] == "domain":
+        if domain is not None:
+            raise ScriptSyntaxError("duplicate domain line", lineno)
+        if len(parts) != 2 or not parts[1].isdigit():
+            raise ScriptSyntaxError("expected: domain <n>", lineno)
+        return int(parts[1])
+    if len(parts) != 2 or "/" not in parts[1]:
+        raise ScriptSyntaxError("expected: rel <Name>/<arity>", lineno)
+    name, _, ar = parts[1].partition("/")
+    if not name or not ar.isdigit():
+        raise ScriptSyntaxError("expected: rel <Name>/<arity>", lineno)
+    if name in declared and declared[name] != int(ar):
+        raise ArityMismatchError(
+            f"line {lineno}: relation {name} redeclared with arity {ar}")
+    declared[name] = int(ar)
+    return domain
+
+
 def parse_script(text: str, schema: Mapping[str, int] | None = None) -> ChangeScript:
     """Parse the line-based script grammar.
 
@@ -198,22 +220,8 @@ def parse_script(text: str, schema: Mapping[str, int] | None = None) -> ChangeSc
             continue
         parts = line.split()
         kw = parts[0]
-        if kw == "domain":
-            if domain is not None:
-                raise ScriptSyntaxError("duplicate domain line", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ScriptSyntaxError("expected: domain <n>", lineno)
-            domain = int(parts[1])
-        elif kw == "rel":
-            if len(parts) != 2 or "/" not in parts[1]:
-                raise ScriptSyntaxError("expected: rel <Name>/<arity>", lineno)
-            name, _, ar = parts[1].partition("/")
-            if not name or not ar.isdigit():
-                raise ScriptSyntaxError("expected: rel <Name>/<arity>", lineno)
-            if name in declared and declared[name] != int(ar):
-                raise ArityMismatchError(
-                    f"line {lineno}: relation {name} redeclared with arity {ar}")
-            declared[name] = int(ar)
+        if kw in ("domain", "rel"):
+            domain = _header_line(parts, lineno, domain, declared)
         elif kw in (INSERT, DELETE):
             if domain is None:
                 raise ScriptSyntaxError("domain must be declared before changes", lineno)
@@ -268,19 +276,8 @@ def parse_structure(text: str) -> Structure:
             continue
         parts = line.split()
         kw = parts[0]
-        if kw == "domain":
-            if n is not None:
-                raise ScriptSyntaxError("duplicate domain line", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ScriptSyntaxError("expected: domain <n>", lineno)
-            n = int(parts[1])
-        elif kw == "rel":
-            if len(parts) != 2 or "/" not in parts[1]:
-                raise ScriptSyntaxError("expected: rel <Name>/<arity>", lineno)
-            name, _, ar = parts[1].partition("/")
-            if not name or not ar.isdigit():
-                raise ScriptSyntaxError("expected: rel <Name>/<arity>", lineno)
-            schema[name] = int(ar)
+        if kw in ("domain", "rel"):
+            n = _header_line(parts, lineno, n, schema)
         elif kw == "set":
             if n is None:
                 raise ScriptSyntaxError("domain must come first", lineno)

@@ -1,75 +1,27 @@
-"""Shared drivers and generators for the test suite."""
+"""Shared helpers for the test suite."""
 
 from __future__ import annotations
 
-import random
-
-from dyncomplab import constructions as cx
-from dyncomplab import oracle as oc
-from dyncomplab import programs as pg
-from dyncomplab.interpreter import init_state, step
-from dyncomplab.structures import Change, apply_change
-
-
-def random_effective_changes(n, relations, length, rng, p_delete=0.45):
-    """Effective-only change stream over the given schema."""
-    cur = {rel: set() for rel, _ in relations}
-    arity = dict(relations)
-    out = []
-    while len(out) < length:
-        rel = rng.choice([r for r, _ in relations])
-        present = cur[rel]
-        total = n ** arity[rel]
-        if present and (rng.random() < p_delete or len(present) == total):
-            args = rng.choice(sorted(present))
-            present.discard(args)
-            out.append(Change("del", rel, args))
-        elif len(present) < total:
-            while True:
-                args = tuple(rng.randrange(n) for _ in range(arity[rel]))
-                if args not in present:
-                    break
-            present.add(args)
-            out.append(Change("ins", rel, args))
-    return out
-
-
-def drive_program(prog, n, changes, query=None, audit_every=0,
-                  check_every=1):
-    """Step a program through the changes, comparing the answer to the
-    oracle and optionally auditing the full auxiliary state."""
-    state = init_state(prog, n)
-    shadow = state.input
-    for t, c in enumerate(changes):
-        state = step(state, c)
-        shadow = apply_change(shadow, c)
-        if query is not None and t % check_every == 0:
-            got = state.answer()
-            want = oc.eval_query(query, shadow)
-            assert got == want, (prog.name, t, c, got, want)
-        if audit_every and t % audit_every == 0:
-            bad = pg.audit_program_state(state)
-            assert not bad, (prog.name, t, c, [str(b) for b in bad[:5]])
-    return state
-
-
-def drive_engine(engine, changes, audit_every=0):
-    shadow = engine.graph_structure()
-    query = oc.QueryId("parity_exists_deg", engine.k)
-    for t, c in enumerate(changes):
-        engine.apply(c)
-        shadow = apply_change(shadow, c)
-        got, want = engine.answer(), oc.eval_query(query, shadow)
-        assert got == want, (t, c, got, want)
-        if audit_every and t % audit_every == 0:
-            bad = oc.audit_fo_state(engine)
-            assert not bad, (t, c, [str(b) for b in bad[:5]])
-    return engine
-
+from dyncomplab.driver import drive
+from dyncomplab.structures import CHECKPOINT, ChangeScript
 
 GRAPH_RELS = (("E", 2), ("R", 1))
-SET_RELS = (("U", 1),)
 
 
 def rels_for(prog):
     return tuple(sorted(prog.input_schema.items()))
+
+
+def drive_checked(target, n, changes, oracle=None, audit_every=0,
+                  check_every=1):
+    """Drive the changes through the target with a checkpoint after every
+    `check_every`-th change and after the last; every checkpoint must
+    match the oracle."""
+    entries = []
+    for t, c in enumerate(changes, start=1):
+        entries.append(c)
+        if t % check_every == 0 or t == len(changes):
+            entries.append(CHECKPOINT)
+    report = drive(target, ChangeScript(n, {}, tuple(entries)), oracle,
+                   audit_every)
+    assert not report.mismatches, report.mismatches[0]

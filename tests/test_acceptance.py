@@ -11,6 +11,7 @@ import itertools
 import random
 import sys
 import types
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from dyncomplab import fo_engines as fe
 from dyncomplab import oracle as oc
 from dyncomplab import programs as pg
 from dyncomplab import symcircuit as sc
+from dyncomplab.driver import ProgramRun
 from dyncomplab.formulas import classify, evaluate, parse_formula, pretty
 from dyncomplab.formulas import Exists, Forall, Not, Xor
-from dyncomplab.interpreter import init_state, max_aux_arity, step
-from dyncomplab.structures import Change, apply_change, graph_edges
-from helpers import random_effective_changes, rels_for
+from dyncomplab.interpreter import max_aux_arity
+from dyncomplab.structures import apply_change
+from helpers import GRAPH_RELS, drive_checked, rels_for
 from test_formulas import full_assignment, random_formula, random_structure
 
 
@@ -53,29 +55,15 @@ def _run_params(name, seed):
     return rng, n, length
 
 
-def _oracle_answer(name, shadow):
-    entry = _ENTRIES[name]
-    if entry.query is not None:
-        return oc.eval_query(entry.query, shadow)
-    k = int(name.rsplit("_", 1)[1])          # degree_rel_k answers a relation
-    return {(w,) for w in oc.indegree_buckets(shadow, k)[k]}
-
-
-def _differential_run(name, seed, check_every=4, audit_every=0):
+def _program_changes(name, seed):
     rng, n, length = _run_params(name, seed)
-    prog = _PROGS[name]
-    changes = random_effective_changes(n, rels_for(prog), length, rng)
-    state = init_state(prog, n)
-    shadow = state.input
-    for t, c in enumerate(changes, start=1):
-        state = step(state, c)
-        shadow = apply_change(shadow, c)
-        if t % check_every == 0 or t == length:
-            got, want = state.answer(), _oracle_answer(name, shadow)
-            assert got == want, (name, seed, t, c, got, want)
-        if audit_every and t % audit_every == 0:
-            bad = pg.audit_program_state(state)
-            assert not bad, (name, seed, t, [str(b) for b in bad[:3]])
+    return n, cx.random_changes(n, rels_for(_PROGS[name]), length, rng)
+
+
+def _differential_run(name, seed, audit_every=0):
+    n, changes = _program_changes(name, seed)
+    drive_checked(ProgramRun(_PROGS[name], n), n, changes,
+                  _ENTRIES[name].oracle, audit_every, check_every=4)
 
 
 def test_criterion_1_program_differential():
@@ -101,28 +89,26 @@ def test_criterion_2_program_audits():
 _ENGINE_CONFIGS = [("fo-degk", k) for k in range(1, 6)] + [("fo-logn", None)]
 
 
-def _engine_run(kind, k, seed, audit_every=0):
+def _engine_changes(kind, k, seed):
     rng = random.Random(f"{kind}:{k}:{seed}")
     if kind == "fo-degk":
         n = rng.randint(4, 12)
+    else:
+        n = 2 + seed % 15                    # spread over n in 2..16
+    length = rng.randint(8, 48)
+    return n, cx.random_changes(n, GRAPH_RELS, length, rng)
+
+
+def _engine_run(kind, k, seed, audit_every=0):
+    n, changes = _engine_changes(kind, k, seed)
+    if kind == "fo-degk":
         eng = fe.fo_degk_init(n, k)
         query = oc.QueryId("parity_exists_deg", k)
     else:
-        n = 2 + seed % 15                    # spread over n in 2..16
         eng = fe.fo_logn_init(n)
         query = oc.QueryId("parity_exists_deg_logn")
-    length = rng.randint(8, 48)
-    changes = random_effective_changes(n, (("E", 2), ("R", 1)), length, rng)
-    shadow = eng.graph_structure()
-    for t, c in enumerate(changes, start=1):
-        eng.apply(c)
-        shadow = apply_change(shadow, c)
-        if t % 4 == 0 or t == length:
-            assert eng.answer() == oc.eval_query(query, shadow), \
-                (kind, k, seed, t, c)
-        if audit_every and t % audit_every == 0:
-            bad = oc.audit_fo_state(eng)
-            assert not bad, (kind, k, seed, t, [str(b) for b in bad[:3]])
+    drive_checked(eng, n, changes, partial(oc.eval_query, query), audit_every,
+                  check_every=4)
     assert not oc.audit_fo_state(eng)
 
 
@@ -144,10 +130,8 @@ def _assert_engines_local():
         for kind, k in _ENGINE_CONFIGS:
             eng = (fe.fo_degk_init(8, k) if kind == "fo-degk"
                    else fe.fo_logn_init(8))
-            for c in random_effective_changes(
-                    8, (("E", 2), ("R", 1)), 60, random.Random(kind)):
-                eng.apply(c)
-                eng.answer()
+            drive_checked(eng, 8, cx.random_changes(8, GRAPH_RELS, 60,
+                                                    random.Random(kind)))
     finally:
         for name, fn in saved.items():
             setattr(oc, name, fn)
@@ -318,8 +302,8 @@ def test_criterion_7_structural_claims():
 
         # the bounded-degree engine keeps one unary node set per index mask
         eng = fe.fo_degk_init(8, 3)
-        for c in random_effective_changes(8, (("E", 2), ("R", 1)), 60,
-                                          random.Random("struct")):
+        for c in cx.random_changes(8, GRAPH_RELS, 60,
+                                   random.Random("struct")):
             eng.apply(c)
         per_mask = {}
         for w, imask in eng.store_pairs():

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import time
 from pathlib import Path
 
@@ -221,3 +223,49 @@ def test_malformed_structure_files_exit_2(tmp_path, capsys):
 def test_construct_script_on_an_empty_domain_exits_2(capsys):
     assert main(["construct", "script", "--n", "0"]) == 2
     assert "non-empty domain" in capsys.readouterr().err
+
+
+def test_fuzz_checks_degree_rel_answers_without_audit(monkeypatch, capsys):
+    """A degree_rel program whose insertions never update N_1 fails fuzz
+    on the oracle alone."""
+    entry = pg.catalog_entry("degree_rel_1")
+    text = format_program(entry.build())
+    broken_text = re.sub(r"(on ins E\(v, w\) update N_1\(z\) := ).*",
+                         r"\1N_1(z)", text)
+    assert broken_text != text
+    broken = ip.parse_program(broken_text, name="degree_rel_1")
+    monkeypatch.setattr(pg, "catalog_entry", lambda name: dataclasses.replace(
+        entry, build=lambda: broken))
+    assert main(["fuzz", "--target", "degree_rel_1", "--seeds", "3",
+                 "--n", "5"]) == 1
+    assert "3 seeds, 3 failures" in capsys.readouterr().out
+
+
+def test_structure_rel_redeclared_with_another_arity_exits_2(tmp_path,
+                                                             capsys):
+    path = tmp_path / "bad.str"
+    path.write_text("domain 3\nrel E/2\nrel E/1\nset E 0\n")
+    rc = main(["oracle", "--query", "parity-exists-deg", "--k", "2",
+               "--structure", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "redeclared" in err
+
+
+@pytest.mark.parametrize("target", ["parity", "fo-degk", "sym"])
+@pytest.mark.parametrize("flag,value", [("--length", "0"), ("--length", "-3"),
+                                        ("--seeds", "0")])
+def test_fuzz_rejects_non_positive_length_and_seeds(target, flag, value,
+                                                    capsys):
+    assert main(["fuzz", "--target", target, "--n", "4", flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_engine_counts_skipped_changes(tmp_path, capsys):
+    script = tmp_path / "twice.chg"
+    script.write_text("domain 3\nins E 0 1\nins E 0 1\nins R 0\nquery\n")
+    assert main(["run", "--engine", "fo-degk", "--k", "1",
+                 "--script", str(script)]) == 0
+    assert "1 checkpoints, 0 mismatches, 1 skipped changes" in \
+        capsys.readouterr().out

@@ -1,11 +1,13 @@
 import random
+from functools import partial
 
 import pytest
 
+from dyncomplab import constructions as cx
 from dyncomplab import fo_engines as fe
 from dyncomplab import oracle as oc
 from dyncomplab.structures import Change, DynLabError
-from helpers import drive_engine, random_effective_changes
+from helpers import GRAPH_RELS, drive_checked
 
 
 def test_index_set_examples():
@@ -31,26 +33,17 @@ def test_indexed_in_neighbours():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_degk_engine_tracks_query(k):
-    eng = fe.fo_degk_init(8, k)
-    changes = random_effective_changes(8, (("E", 2), ("R", 1)), 120,
-                                       random.Random(k * 3))
-    drive_engine(eng, changes, audit_every=12)
+    changes = cx.random_changes(8, GRAPH_RELS, 120, random.Random(k * 3))
+    oracle = partial(oc.eval_query, oc.QueryId("parity_exists_deg", k))
+    drive_checked(fe.fo_degk_init(8, k), 8, changes, oracle, audit_every=12)
 
 
 def test_logn_engine_tracks_query():
     eng = fe.fo_logn_init(8)
     assert eng.d == 3
-    changes = random_effective_changes(8, (("E", 2), ("R", 1)), 120,
-                                       random.Random(17))
-    shadow = eng.graph_structure()
-    from dyncomplab.structures import apply_change
-    q = oc.QueryId("parity_exists_deg_logn")
-    for t, c in enumerate(changes):
-        eng.apply(c)
-        shadow = apply_change(shadow, c)
-        assert eng.answer() == oc.eval_query(q, shadow), (t, c)
-        if t % 15 == 0:
-            assert not oc.audit_fo_state(eng)
+    changes = cx.random_changes(8, GRAPH_RELS, 120, random.Random(17))
+    oracle = partial(oc.eval_query, oc.QueryId("parity_exists_deg_logn"))
+    drive_checked(eng, 8, changes, oracle, audit_every=15)
 
 
 def test_logn_single_element_domain():
@@ -99,16 +92,10 @@ def test_engines_never_call_the_oracle(monkeypatch):
     for name in ("eval_query", "n_exists", "covered_set", "indegree",
                  "in_neighbours", "out_neighbours", "total_degree"):
         monkeypatch.setattr(oc, name, bump)
-    eng = fe.fo_degk_init(6, 2)
-    for c in random_effective_changes(6, (("E", 2), ("R", 1)), 40,
-                                      random.Random(2)):
-        eng.apply(c)
-        eng.answer()
-    eng2 = fe.fo_logn_init(4)
-    for c in random_effective_changes(4, (("E", 2), ("R", 1)), 30,
-                                      random.Random(3)):
-        eng2.apply(c)
-        eng2.answer()
+    drive_checked(fe.fo_degk_init(6, 2), 6,
+                  cx.random_changes(6, GRAPH_RELS, 40, random.Random(2)))
+    drive_checked(fe.fo_logn_init(4), 4,
+                  cx.random_changes(4, GRAPH_RELS, 30, random.Random(3)))
     assert calls["n"] == 0
 
 
@@ -119,7 +106,7 @@ def _lockstep(n, k, length, seed):
         (lambda: fe.fo_degk_init(n, k))
     fast, ref, mixed = make(), make(), make()
     rng = random.Random(f"lockstep:{n}:{k}:{seed}")
-    changes = random_effective_changes(n, (("E", 2), ("R", 1)), length, rng)
+    changes = cx.random_changes(n, GRAPH_RELS, length, rng)
     for t, c in enumerate(changes):
         fast.apply(c)
         ref.apply_reference(c)
@@ -176,9 +163,9 @@ def test_apply_toggles_at_most_2_pow_k_per_touched_node(kind, k):
         toggle(c_mask)
 
     eng._toggle = counted
-    changes = random_effective_changes(n, (("E", 2), ("R", 1)), 400,
-                                       random.Random(f"work:{kind}:{k}"),
-                                       p_delete=0.3)
+    changes = cx.random_changes(n, GRAPH_RELS, 400,
+                                random.Random(f"work:{kind}:{k}"),
+                                p_delete=0.3)
     most = 0
     for c in changes:
         v = c.args[0]

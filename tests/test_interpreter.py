@@ -3,15 +3,17 @@ import random
 import numpy as np
 import pytest
 
+from dyncomplab import constructions as cx
 from dyncomplab import programs as pg
+from dyncomplab.driver import ProgramRun, drive
 from dyncomplab.formulas import atom, conj, disj, neg, parse_formula
 from dyncomplab.interpreter import (DynamicProgram, NonEffectiveChangeError,
                                     ProgramError, UpdateRule, format_program,
                                     init_state, make_program, max_aux_arity,
-                                    parse_program, run, step, step_reference,
+                                    parse_program, step, step_reference,
                                     validate)
 from dyncomplab.structures import Change, CHECKPOINT, ChangeScript
-from helpers import random_effective_changes, rels_for
+from helpers import rels_for
 
 
 def _swap_program():
@@ -70,15 +72,17 @@ def test_run_collects_checkpoint_answers():
         Change("ins", "U", (0,)), CHECKPOINT,
         Change("ins", "U", (1,)), CHECKPOINT,
         Change("del", "U", (0,)), CHECKPOINT))
-    trace = run(p, script)
-    assert trace.answers == [True, False, True]
+    report = drive(ProgramRun(p, 4), script)
+    assert [r.program_answer for r in report.records] == [True, False, True]
 
 
 def test_run_is_deterministic():
     p = pg.parity_degree_div3_program()
-    changes = random_effective_changes(5, rels_for(p), 60, random.Random(3))
+    changes = cx.random_changes(5, rels_for(p), 60, random.Random(3))
     script = ChangeScript(5, dict(p.input_schema), tuple(changes) + (CHECKPOINT,))
-    assert run(p, script).answers == run(p, script).answers
+    first, second = (drive(ProgramRun(p, 5), script) for _ in range(2))
+    assert [r.program_answer for r in first.records] == \
+        [r.program_answer for r in second.records]
 
 
 @pytest.mark.parametrize("builder,n", [
@@ -97,7 +101,7 @@ def test_step_matches_reference(builder, n):
     rng = random.Random(9)
     fast = init_state(prog, n)
     slow = init_state(prog, n)
-    for c in random_effective_changes(n, rels_for(prog), 30, rng):
+    for c in cx.random_changes(n, rels_for(prog), 30, rng):
         fast = step(fast, c)
         slow = step_reference(slow, c)
         for name in prog.aux_schema:
@@ -146,7 +150,7 @@ def test_step_results_share_no_buffer():
     prog = pg.parity_exists_deg_k_prop_program(3)
     n = 4
     states = [init_state(prog, n)]
-    for c in random_effective_changes(n, rels_for(prog), 12, random.Random(5)):
+    for c in cx.random_changes(n, rels_for(prog), 12, random.Random(5)):
         states.append(step(states[-1], c))
     arrays = [a for st in states for a in st.aux_arrays.values()]
     for i, a in enumerate(arrays):

@@ -3,12 +3,23 @@ from pathlib import Path
 
 import pytest
 
+from dyncomplab import constructions as cx
 from dyncomplab import oracle as oc
 from dyncomplab import programs as pg
+from dyncomplab.driver import ProgramRun
 from dyncomplab.interpreter import (format_program, init_state, parse_program,
                                     step, validate)
 from dyncomplab.structures import Change, DynLabError
-from helpers import drive_program, random_effective_changes, rels_for
+from helpers import drive_checked, rels_for
+
+
+def _check_program(name, n, length, rng, audit_every):
+    """Run a catalog program over a seeded stream, checking every answer
+    against the entry's oracle."""
+    entry = pg.catalog_entry(name)
+    prog = entry.build()
+    changes = cx.random_changes(n, rels_for(prog), length, rng)
+    drive_checked(ProgramRun(prog, n), n, changes, entry.oracle, audit_every)
 
 
 @pytest.mark.parametrize("entry", pg.catalog(), ids=lambda e: e.name)
@@ -32,19 +43,12 @@ def test_prop_program_needs_k_at_least_3():
 
 
 def test_parity_program_run():
-    drive_program(pg.parity_program(), 6,
-                  random_effective_changes(6, (("U", 1),), 80,
-                                           random.Random(0)),
-                  query=oc.QueryId("parity"), audit_every=10)
+    _check_program("parity", 6, 80, random.Random(0), audit_every=10)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_size_k_program_run(k):
-    prog = pg.size_k_program(k)
-    drive_program(prog, 5,
-                  random_effective_changes(5, rels_for(prog), 90,
-                                           random.Random(k)),
-                  query=oc.QueryId("size_k", k), audit_every=9)
+    _check_program(f"size_{k}", 5, 90, random.Random(k), audit_every=9)
 
 
 def test_size_k_skips_non_effective():
@@ -57,31 +61,19 @@ def test_size_k_skips_non_effective():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_degree_relation_program(k):
-    prog = pg.degree_k_relation_program(k)
-    n = 5
-    changes = random_effective_changes(n, rels_for(prog), 70,
-                                       random.Random(7 + k))
-    st = drive_program(prog, n, changes, audit_every=10)
-    answer = st.answer()
-    buckets = oc.indegree_buckets(st.input, k)
-    assert {(w,) for w in buckets[k]} == answer
+    _check_program(f"degree_rel_{k}", 5, 70, random.Random(7 + k),
+                   audit_every=10)
 
 
 def test_parity_degree_div3_program():
-    prog = pg.parity_degree_div3_program()
-    drive_program(prog, 5,
-                  random_effective_changes(5, rels_for(prog), 110,
-                                           random.Random(11)),
-                  query=oc.QueryId("parity_degree_div3"), audit_every=11)
+    _check_program("parity_degree_div3", 5, 110, random.Random(11),
+                   audit_every=11)
 
 
 @pytest.mark.parametrize("k,n", [(3, 5), (4, 6)])
 def test_parity_exists_prop_program(k, n):
-    prog = pg.parity_exists_deg_k_prop_program(k)
-    drive_program(prog, n,
-                  random_effective_changes(n, rels_for(prog), 60,
-                                           random.Random(k * 13)),
-                  query=oc.QueryId("parity_exists_deg", k), audit_every=15)
+    _check_program(f"parity_exists_prop_{k}", n, 60, random.Random(k * 13),
+                   audit_every=15)
 
 
 def test_self_loops_in_degree_programs():
