@@ -73,7 +73,15 @@ def cmd_run(args) -> int:
     if args.engine:
         target = fe.fo_logn_init(n) if args.engine == "fo-logn" else \
             fe.fo_degk_init(n, _need_k(args))
-        oracle = _engine_oracle(target)
+        own = oc.QueryId("parity_exists_deg", target.k)
+        allowed, choices = {own}, f"parity-exists-deg with --k {target.k}"
+        if args.engine == "fo-logn":
+            allowed.add(oc.QueryId("parity_exists_deg_logn"))
+            choices += " or parity-exists-deg-logn"
+        if query is not None and query not in allowed:
+            raise DynLabError(f"--oracle {args.oracle} is not the query "
+                              f"{args.engine} maintains; use {choices}")
+        oracle = partial(oc.eval_query, query or own)
     else:
         if not args.program:
             raise DynLabError("run needs --program or --engine")
@@ -256,7 +264,10 @@ def cmd_sym(args) -> int:
     circuit = sc.parse_circuit(Path(args.circuit).read_text())
     assignment = [False] * circuit.m
     state = sc.sym_init(circuit, assignment)
-    flips = [int(x) for x in args.flips.split()] if args.flips else []
+    try:
+        flips = [int(x) for x in args.flips.split()]
+    except ValueError as exc:
+        raise DynLabError(f"--flips takes input indices: {exc}") from None
     bad = 0
     for i, x in enumerate(flips):
         sc.sym_flip(state, x)

@@ -406,12 +406,6 @@ def parse_formula(text: str, schema: Mapping[str, int] | None = None) -> Formula
 _PREC = {Or: 1, Xor: 2, And: 3, Not: 4}
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, (Exists, Forall)):
-        return 0
-    return _PREC.get(type(f), 5)
-
-
 def _pp_term(t: Term) -> str:
     return t.name if isinstance(t, Var) else str(t.value)
 

@@ -18,7 +18,8 @@ import numpy as np
 from . import formulas as fm
 from .bulk_eval import array_to_relation, bulk_eval, relation_to_array
 from .structures import (Change, DynLabError, ScriptSyntaxError, Structure,
-                         ValidationError, apply_change, is_effective)
+                         ValidationError, apply_change, check_fits,
+                         is_effective)
 
 log = logging.getLogger(__name__)
 
@@ -54,9 +55,6 @@ class DynamicProgram:
     requires_effective: bool = False
     builtins: tuple[str, ...] = ()
     class_claim: str = "DynProp"
-
-    def rule_for(self, op: str, relation: str, target: str) -> UpdateRule:
-        return self.rules[(op, relation, target)]
 
     def builtin_schema(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -184,6 +182,10 @@ class ProgramState:
 def init_state(p: DynamicProgram, n: int) -> ProgramState:
     if n < 0:
         raise ValidationError("domain size must be non-negative")
+    arities = {**p.aux_schema, **p.builtin_schema()}
+    check_fits(f"the auxiliary and built-in relations of {p.name} at n={n}",
+               len(arities), n ** max(arities.values(), default=0),
+               lambda: {name: n ** a for name, a in arities.items()})
     input_structure = Structure.make(n, dict(p.input_schema))
     aux_arrays = {}
     for name, arity in p.aux_schema.items():

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 INSERT = "ins"
 DELETE = "del"
@@ -27,6 +28,38 @@ class ArityMismatchError(ValidationError):
 
 class ElementRangeError(ValidationError):
     pass
+
+
+class ResourceError(DynLabError):
+    pass
+
+
+def _physical_memory() -> float:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: no bound
+        return float("inf")
+
+
+PHYSICAL_MEMORY = _physical_memory()
+
+
+def check_fits(what: str, count: int, largest: int,
+               sizes: Callable[[], Mapping[str, int]]) -> None:
+    """Raise ResourceError, naming the largest part, when the parts'
+    byte sizes together exceed physical memory; call before allocating.
+    count parts of at most `largest` bytes each bound the total, so the
+    exact sizes are computed only when that bound does not fit."""
+    if count * largest <= PHYSICAL_MEMORY:
+        return
+    parts = sizes()
+    need = sum(parts.values())
+    if need > PHYSICAL_MEMORY:
+        name = max(parts, key=parts.__getitem__)
+        raise ResourceError(
+            f"{what} would need {need:,} bytes, more than the "
+            f"{PHYSICAL_MEMORY:,} bytes of physical memory; the largest part "
+            f"is {name} at {parts[name]:,} bytes")
 
 
 class ScriptSyntaxError(DynLabError):
@@ -99,15 +132,6 @@ class Structure:
 
     def schema(self) -> dict[str, int]:
         return {name: ar for name, (ar, _) in self.relations.items()}
-
-    def with_relation(self, name: str, arity: int,
-                      tuples: Iterable[tuple[int, ...]]) -> "Structure":
-        tuples = frozenset(tuple(t) for t in tuples)
-        for t in tuples:
-            _check_tuple(name, arity, t, self.n)
-        rels = dict(self.relations)
-        rels[name] = (arity, tuples)
-        return Structure(self.n, rels)
 
     def merged(self, other: "Structure") -> "Structure":
         """Combine relation maps (disjoint names) over the same domain."""

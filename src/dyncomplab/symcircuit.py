@@ -4,8 +4,13 @@ A circuit is a list of and-gates over input bits plus a symmetric output
 function given as a lookup table over the number of activated gates.
 The state keeps, for every subset A of some gate's input set, the count
 of gates that would be activated if the inputs in A were ignored and
-that contain all of A; a single bit flip updates every counter with one
-addition, and the output is a table lookup on the A = ∅ counter.
+that contain all of A; the output is a table lookup on the A = ∅ counter.
+
+The counters live in one int64 array indexed by subset ids.  A flip of
+input x adds (or subtracts) counter A to counter A∖{x} for every tracked
+A containing x, as one vectorised index update: x is in every A and in
+no A∖{x}, so no counter read in a flip is written in it, and A ↦ A∖{x}
+is injective on the sets containing x, so no counter is written twice.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .structures import DynLabError, ValidationError
+import numpy as np
+
+from .structures import DynLabError, ValidationError, check_fits
 
 
 class CircuitError(DynLabError):
@@ -46,59 +53,83 @@ def make_circuit(m: int, fanin: int, gates, h) -> SymCircuit:
     return SymCircuit(m, fanin, gates, h)
 
 
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _submasks(mask: int):
+    """Every submask of mask, mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
 @dataclass
 class SymState:
     circuit: SymCircuit
     assignment: list[bool]
-    counters: dict[frozenset[int], int]
-    # per input x: (A, A ∪ {x}) pairs with both subsets tracked
-    affected: dict[int, list[tuple[frozenset[int], frozenset[int]]]] = \
-        field(repr=False, default_factory=dict)
+    masks: list[int]                        # subset id -> bitmask of A
+    values: np.ndarray                      # subset id -> counter (int64)
+    # per input x: (id(A∖{x}), id(A)) rows, shape (pairs, 2)
+    affected: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
+
+    @property
+    def counters(self) -> dict[frozenset[int], int]:
+        """The counters keyed by subset, as a fresh dict: writing to it
+        changes no state."""
+        return {_members(mask): int(v) for mask, v in zip(self.masks, self.values)}
 
     @property
     def activated(self) -> int:
-        return self.counters.get(frozenset(), 0)
-
-
-def _tracked_subsets(c: SymCircuit) -> set[frozenset[int]]:
-    out: set[frozenset[int]] = set()
-    for g in c.gates:
-        members = sorted(g)
-        for r in range(len(members) + 1):
-            out.update(map(frozenset, itertools.combinations(members, r)))
-    return out
+        return int(self.values[0]) if self.masks else 0
 
 
 def sym_init(c: SymCircuit, assignment) -> SymState:
-    """Count, for every tracked A, the gates containing A whose inputs
-    outside A are all set (brute force; flips afterwards are cheap)."""
+    """Give every tracked subset an id (the empty set gets 0) and count,
+    for each, the gates containing it whose inputs outside it are all set."""
     assignment = [bool(b) for b in assignment]
     if len(assignment) != c.m:
         raise CircuitError(f"assignment must have {c.m} bits")
-    counters = {a: 0 for a in _tracked_subsets(c)}
-    for g in c.gates:
-        off = frozenset(i for i in g if not assignment[i])
-        rest = sorted(g - off)
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                counters[off | frozenset(extra)] += 1
-    affected: dict[int, list] = {x: [] for x in range(c.m)}
-    for a in counters:
-        for x in a:
-            smaller = a - {x}
-            if smaller in counters:
-                affected[x].append((smaller, a))
-    return SymState(c, assignment, counters, affected)
+    # 8 bytes for the counter of each subset of each distinct gate
+    check_fits("the symmetric-circuit counters", len(c.gates),
+               8 << max(map(len, c.gates), default=0),
+               lambda: {f"subsets of gate {sorted(g)}": 8 << len(g)
+                        for g in set(c.gates)})
+    gates = [sum(1 << i for i in g) for g in c.gates]
+    ids: dict[int, int] = {0: 0} if gates else {}
+    for g in dict.fromkeys(gates):
+        for sub in _submasks(g):
+            ids.setdefault(sub, len(ids))
+    on = sum(1 << i for i, b in enumerate(assignment) if b)
+    hits = [ids[(g & ~on) | extra] for g in gates for extra in _submasks(g & on)]
+    values = np.bincount(np.array(hits, dtype=np.intp), minlength=len(ids)) \
+        .astype(np.int64)
+    rows: dict[int, list[tuple[int, int]]] = {x: [] for x in range(c.m)}
+    for mask, i in ids.items():
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rows[low.bit_length() - 1].append((ids[mask ^ low], i))
+            rest ^= low
+    # column-major, so that the two columns a flip reads are contiguous
+    affected = {x: np.asfortranarray(np.array(r, dtype=np.intp).reshape(-1, 2))
+                for x, r in rows.items()}
+    return SymState(c, assignment, list(ids), values, affected)
 
 
 def sym_flip(state: SymState, x: int) -> SymState:
-    """Toggle input bit x, updating every counter in place."""
+    """Toggle input bit x, updating every affected counter in one step."""
     if not 0 <= x < state.circuit.m:
         raise ValidationError(f"input index {x} out of range")
-    delta = -1 if state.assignment[x] else 1
-    counters = state.counters
-    for smaller, larger in state.affected.get(x, ()):
-        counters[smaller] += delta * counters[larger]
+    small, large = state.affected[x].T
+    values = state.values
+    if state.assignment[x]:
+        values[small] -= values[large]
+    else:
+        values[small] += values[large]
     state.assignment[x] = not state.assignment[x]
     return state
 
@@ -116,9 +147,29 @@ def sym_eval_direct(c: SymCircuit, assignment) -> bool:
     return c.h[activated]
 
 
+def _tracked_subsets(c: SymCircuit) -> set[frozenset[int]]:
+    out: set[frozenset[int]] = set()
+    for g in c.gates:
+        members = sorted(g)
+        for r in range(len(members) + 1):
+            out.update(map(frozenset, itertools.combinations(members, r)))
+    return out
+
+
 def counters_reference(c: SymCircuit, assignment) -> dict[frozenset[int], int]:
-    """Brute-force counter values (used by the audit tests)."""
-    return sym_init(c, assignment).counters
+    """Brute-force counter values over frozensets, sharing no code with
+    sym_init (used by the audit tests)."""
+    assignment = [bool(b) for b in assignment]
+    if len(assignment) != c.m:
+        raise CircuitError(f"assignment must have {c.m} bits")
+    counters = {a: 0 for a in _tracked_subsets(c)}
+    for g in c.gates:
+        off = frozenset(i for i in g if not assignment[i])
+        rest = sorted(g - off)
+        for r in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, r):
+                counters[off | frozenset(extra)] += 1
+    return counters
 
 
 # ------------------------------------------------------------ file format

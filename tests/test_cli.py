@@ -269,3 +269,51 @@ def test_run_engine_counts_skipped_changes(tmp_path, capsys):
                  "--script", str(script)]) == 0
     assert "1 checkpoints, 0 mismatches, 1 skipped changes" in \
         capsys.readouterr().out
+
+
+def test_run_refuses_a_domain_beyond_physical_memory(tmp_path, capsys):
+    script = tmp_path / "huge.chg"
+    script.write_text("domain 100000\nrel E/2\nins E 0 1\nquery\n")
+    assert main(["run", "--program", str(PROGDIR / "parity_exists_prop_4.dyp"),
+                 "--script", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "physical memory" in err
+
+
+@pytest.mark.parametrize("flips", ["0 a", "0 1.5"])
+def test_sym_rejects_malformed_flips(tmp_path, capsys, flips):
+    path = tmp_path / "c.sym"
+    path.write_text(sc.format_circuit(sc.make_circuit(
+        2, 2, [frozenset({0, 1})], [False, True])))
+    assert main(["sym", "--circuit", str(path), "--flips", flips]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_run_engine_rejects_an_oracle_it_does_not_maintain(graph_script,
+                                                           capsys):
+    for engine, oracle in [(["fo-degk", "--k", "1"], "parity"),
+                           (["fo-degk", "--k", "1"], "parity-exists"),
+                           (["fo-degk", "--k", "1"], "parity-exists-deg-logn"),
+                           (["fo-logn", "--k", "1"], "parity-exists-deg")]:
+        rc = main(["run", "--engine", *engine, "--script", str(graph_script),
+                   "--oracle", oracle])
+        err = capsys.readouterr().err
+        assert rc == 2, (engine, oracle)
+        assert "is not the query" in err
+
+
+def test_run_engine_honours_its_own_oracle(graph_script, monkeypatch):
+    from dyncomplab import oracle as oc
+    asked = []
+    real = oc.eval_query
+    monkeypatch.setattr(oc, "eval_query",
+                        lambda q, s: asked.append(q) or real(q, s))
+    for engine, oracle in [(["fo-degk", "--k", "1"], "parity-exists-deg"),
+                           (["fo-logn"], "parity-exists-deg-logn"),
+                           (["fo-logn", "--k", "2"], "parity-exists-deg")]:
+        asked.clear()
+        assert main(["run", "--engine", *engine, "--script", str(graph_script),
+                     "--oracle", oracle]) == 0, (engine, oracle)
+        assert asked and all(q.kind == oracle.replace("-", "_")
+                             for q in asked), (engine, oracle)

@@ -184,3 +184,18 @@ def test_relation_name_containing_update_round_trips():
     st = step(st, Change("ins", "Lastupdate", (2,)))
     assert st.answer() is True
     assert np.array_equal(st.aux_arrays["updateCount"], [False, False, True])
+
+
+def test_init_state_refuses_arrays_beyond_physical_memory(monkeypatch):
+    from dyncomplab import interpreter as ip
+    from dyncomplab.structures import DynLabError
+
+    def no_allocation(*args):
+        raise AssertionError("allocated before the size check")
+
+    program = pg.catalog_entry("parity_exists_prop_4").build()
+    monkeypatch.setattr(ip, "relation_to_array", no_allocation)
+    monkeypatch.setattr(ip.fm, "materialise_builtins", no_allocation)
+    with pytest.raises(DynLabError, match=r"n=100000 .*largest part is \w+ "
+                                          r"at 100(,000){6} bytes"):
+        init_state(program, 10**5)

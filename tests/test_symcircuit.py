@@ -84,3 +84,57 @@ def test_flip_out_of_range():
         sc.sym_flip(st, -1)
     with pytest.raises(DynLabError):
         sc.sym_flip(st, 3)
+
+
+def _differential_circuits(rng):
+    """Seeded circuits with zero gates, m = 1, repeated gates and fan-in
+    1..6 among them."""
+    yield sc.make_circuit(3, 2, [], [True])
+    yield sc.make_circuit(1, 1, [frozenset({0})] * 3, [False, True, False, True])
+    for _ in range(40):
+        m = rng.randint(1, 12)
+        fanin = rng.randint(1, 6)
+        gates = [frozenset(rng.sample(range(m), rng.randint(1, min(fanin, m))))
+                 for _ in range(rng.randint(0, 12))]
+        gates += rng.sample(gates, min(len(gates), rng.randint(0, 3)))
+        yield sc.make_circuit(m, fanin, gates,
+                              [rng.random() < 0.5 for _ in range(len(gates) + 1)])
+
+
+def test_flips_match_the_frozenset_reference():
+    rng = random.Random(41)
+    for circ in _differential_circuits(rng):
+        st = sc.sym_init(circ, [rng.random() < 0.5 for _ in range(circ.m)])
+        subsets = set(sc.counters_reference(circ, st.assignment))
+        for x in range(circ.m):
+            assert len(st.affected[x]) == sum(
+                1 for a in subsets if x in a and a - {x} in subsets), (circ, x)
+        for f in range(80):
+            sc.sym_flip(st, rng.randrange(circ.m))
+            assert st.activated == sum(
+                all(st.assignment[i] for i in g) for g in circ.gates), (circ, f)
+            if f % 7 == 0:
+                assert st.counters == sc.counters_reference(circ, st.assignment)
+
+
+def test_counters_is_a_copy():
+    st = sc.sym_init(_majority3(), [True] * 3)
+    view = st.counters
+    view[frozenset()] = 99
+    assert st.activated == 2 and st.counters[frozenset()] == 2
+
+
+def test_init_refuses_subsets_beyond_physical_memory(monkeypatch):
+    from dyncomplab import structures
+    from dyncomplab.structures import DynLabError
+    big = sc.make_circuit(60, 60, [frozenset(range(60))], [False, True])
+    with monkeypatch.context() as patch:
+        patch.setattr(sc, "_submasks", None)   # enumerating would fail
+        with pytest.raises(DynLabError, match=r"gate \[0, 1, 2"):
+            sc.sym_init(big, [False] * 60)
+    # 8 bytes per subset: 64 and 32 for the two gates, 96 together
+    monkeypatch.setattr(structures, "PHYSICAL_MEMORY", 95)
+    with pytest.raises(DynLabError, match=r"need 96 bytes.*gate \[0, 1, 2\]"):
+        sc.sym_init(_majority3(), [False] * 3)
+    monkeypatch.setattr(structures, "PHYSICAL_MEMORY", 96)
+    assert sc.sym_init(_majority3(), [False] * 3).activated == 0
