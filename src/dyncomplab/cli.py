@@ -62,8 +62,8 @@ def _seed(args) -> int:
 
 # ------------------------------------------------------------------ run
 
-def _engine_oracle(engine: fe.ParityExistsEngine):
-    return partial(oc.eval_query, oc.QueryId("parity_exists_deg", engine.k))
+def _engine_query(engine: fe.ParityExistsEngine) -> oc.QueryId:
+    return oc.QueryId("parity_exists_deg", engine.k)
 
 
 def cmd_run(args) -> int:
@@ -73,7 +73,7 @@ def cmd_run(args) -> int:
     if args.engine:
         target = fe.fo_logn_init(n) if args.engine == "fo-logn" else \
             fe.fo_degk_init(n, _need_k(args))
-        own = oc.QueryId("parity_exists_deg", target.k)
+        own = _engine_query(target)
         allowed, choices = {own}, f"parity-exists-deg with --k {target.k}"
         if args.engine == "fo-logn":
             allowed.add(oc.QueryId("parity_exists_deg_logn"))
@@ -103,7 +103,8 @@ def _fuzz_target(name: str, n: int, k: int | None):
         def make():
             return fe.fo_logn_init(n) if name == "fo-logn" else \
                 fe.fo_degk_init(n, 3 if k is None else k)
-        return cx.PROFILES["default"], make, _engine_oracle(make())
+        return cx.PROFILES["default"], make, \
+            partial(oc.eval_query, _engine_query(make()))
     entry = pg.catalog_entry(name)
     program = entry.build()
     if "U" in program.input_schema:

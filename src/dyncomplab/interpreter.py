@@ -184,8 +184,7 @@ def init_state(p: DynamicProgram, n: int) -> ProgramState:
         raise ValidationError("domain size must be non-negative")
     arities = {**p.aux_schema, **p.builtin_schema()}
     check_fits(f"the auxiliary and built-in relations of {p.name} at n={n}",
-               len(arities), n ** max(arities.values(), default=0),
-               lambda: {name: n ** a for name, a in arities.items()})
+               {name: n ** a for name, a in arities.items()})
     input_structure = Structure.make(n, dict(p.input_schema))
     aux_arrays = {}
     for name, arity in p.aux_schema.items():

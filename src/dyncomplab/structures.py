@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 INSERT = "ins"
 DELETE = "del"
@@ -30,10 +30,6 @@ class ElementRangeError(ValidationError):
     pass
 
 
-class ResourceError(DynLabError):
-    pass
-
-
 def _physical_memory() -> float:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -44,22 +40,16 @@ def _physical_memory() -> float:
 PHYSICAL_MEMORY = _physical_memory()
 
 
-def check_fits(what: str, count: int, largest: int,
-               sizes: Callable[[], Mapping[str, int]]) -> None:
-    """Raise ResourceError, naming the largest part, when the parts'
-    byte sizes together exceed physical memory; call before allocating.
-    count parts of at most `largest` bytes each bound the total, so the
-    exact sizes are computed only when that bound does not fit."""
-    if count * largest <= PHYSICAL_MEMORY:
-        return
-    parts = sizes()
-    need = sum(parts.values())
+def check_fits(what: str, sizes: Mapping[str, int]) -> None:
+    """Raise DynLabError, naming the largest part, when the parts' byte
+    sizes together exceed physical memory; call before allocating."""
+    need = sum(sizes.values())
     if need > PHYSICAL_MEMORY:
-        name = max(parts, key=parts.__getitem__)
-        raise ResourceError(
+        name = max(sizes, key=sizes.__getitem__)
+        raise DynLabError(
             f"{what} would need {need:,} bytes, more than the "
             f"{PHYSICAL_MEMORY:,} bytes of physical memory; the largest part "
-            f"is {name} at {parts[name]:,} bytes")
+            f"is {name} at {sizes[name]:,} bytes")
 
 
 class ScriptSyntaxError(DynLabError):

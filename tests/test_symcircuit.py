@@ -132,9 +132,43 @@ def test_init_refuses_subsets_beyond_physical_memory(monkeypatch):
         patch.setattr(sc, "_submasks", None)   # enumerating would fail
         with pytest.raises(DynLabError, match=r"gate \[0, 1, 2"):
             sc.sym_init(big, [False] * 60)
-    # 8 bytes per subset: 64 and 32 for the two gates, 96 together
-    monkeypatch.setattr(structures, "PHYSICAL_MEMORY", 95)
-    with pytest.raises(DynLabError, match=r"need 96 bytes.*gate \[0, 1, 2\]"):
+    need = sum(sc.footprint(_majority3()).values())
+    monkeypatch.setattr(structures, "PHYSICAL_MEMORY", need - 1)
+    with pytest.raises(DynLabError,
+                       match=rf"need {need:,} bytes.*gate \[0, 1, 2\]"):
         sc.sym_init(_majority3(), [False] * 3)
-    monkeypatch.setattr(structures, "PHYSICAL_MEMORY", 96)
+    monkeypatch.setattr(structures, "PHYSICAL_MEMORY", need)
     assert sc.sym_init(_majority3(), [False] * 3).activated == 0
+
+
+def test_init_counts_the_affected_rows_not_only_the_counters(monkeypatch):
+    from dyncomplab import structures
+    from dyncomplab.structures import DynLabError
+    k = 10
+    wide = sc.make_circuit(k, k, [frozenset(range(k))], [False, True])
+    # room for the 2^k int64 counters and the index arrays of the inputs,
+    # but not for the k·2^(k-1) rows of two intp ids
+    monkeypatch.setattr(structures, "PHYSICAL_MEMORY",
+                        8 * 2 ** k + 16 * k * 2 ** (k - 1) - 1)
+    with pytest.raises(DynLabError, match=r"largest part is gate \[0, 1"):
+        sc.sym_init(wide, [True] * k)
+
+
+@pytest.mark.parametrize("m, gates", [
+    (12, [range(12)]),
+    (1000, [range(988, 1000)]),
+    (1000, [range(i, 1000, 250) for i in range(250)]),
+    (20, [range(8)] * 50 + [range(4, 14), range(10, 20)]),
+], ids=["one-gate", "high-inputs", "many-gates", "repeated-overlapping"])
+def test_footprint_bounds_what_init_allocates(m, gates):
+    import tracemalloc
+    circ = sc.make_circuit(m, 12, gates, [False] * (len(gates) + 1))
+    assignment = [i % 3 != 0 for i in range(m)]
+    tracemalloc.start()
+    try:
+        st = sc.sym_init(circ, assignment)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= sum(sc.footprint(circ).values())
+    assert st.counters == sc.counters_reference(circ, assignment)
