@@ -16,7 +16,6 @@ is injective on the sets containing x, so no counter is written twice.
 from __future__ import annotations
 
 import itertools
-import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -56,10 +55,6 @@ def make_circuit(m: int, fanin: int, gates, h) -> SymCircuit:
     return SymCircuit(m, fanin, gates, h)
 
 
-def _members(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _submasks(mask: int):
     """Every submask of mask, mask itself first and 0 last."""
     sub = mask
@@ -74,7 +69,7 @@ def _submasks(mask: int):
 class SymState:
     circuit: SymCircuit
     assignment: list[bool]
-    masks: list[int]                        # subset id -> bitmask of A
+    subsets: list[tuple[int, ...]]          # subset id -> sorted inputs of A
     values: np.ndarray                      # subset id -> counter (int64)
     # per input x: (id(A∖{x}), id(A)) rows, shape (pairs, 2)
     affected: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
@@ -83,67 +78,76 @@ class SymState:
     def counters(self) -> dict[frozenset[int], int]:
         """The counters keyed by subset, as a fresh dict: writing to it
         changes no state."""
-        return {_members(mask): int(v) for mask, v in zip(self.masks, self.values)}
+        return {frozenset(a): int(v) for a, v in zip(self.subsets, self.values)}
 
     @property
     def activated(self) -> int:
-        return int(self.values[0]) if self.masks else 0
+        return int(self.values[0]) if self.subsets else 0
 
 
-# Peak bytes sym_init allocates per input (its row buffer and its empty
-# or filled affected array), per tracked subset besides its bitmask key
-# (the id-table entry, the mask list slot, the counter and its staging)
-# and per (A∖{x}, A) pair (the staged and the final affected row).
-# Measured with tracemalloc on single gates of 4..18 inputs among up to
-# 1000, where the peaks were about 320, 50 and 37 bytes, and rounded up.
-_INPUT_BYTES, _SUBSET_BYTES, _PAIR_BYTES = 384, 96, 48
+# Peak bytes sym_init allocates in all (small fixed tables), per input
+# (its row buffer and its affected array), per tracked subset (its
+# id-table entry and key, its counter, its slots in the per-gate tables)
+# and per (A∖{x}, A) pair (a key slot, the staged and the final affected
+# row).  Fitted to tracemalloc peaks on single gates of 1..16 inputs
+# among up to 1000 (about 8 KiB, 320, 134 and 42 bytes) and rounded up;
+# the bound stayed at least 1.15 times every measured peak.
+_FIXED_BYTES, _INPUT_BYTES, _SUBSET_BYTES, _PAIR_BYTES = 16384, 384, 160, 48
 
 
-def _gate_bytes(g: frozenset[int]) -> int:
+def _gate_bytes(k: int) -> int:
     """Bytes sym_init allocates at most for the 2^k subsets and k·2^(k-1)
-    pairs of one distinct gate of k inputs; a bitmask key grows with the
-    gate's highest input."""
-    k = len(g)
-    subset = _SUBSET_BYTES + sys.getsizeof(1 << max(g))
-    return (2 * subset + k * _PAIR_BYTES) << (k - 1)
+    pairs of one distinct gate of k inputs."""
+    return (2 * _SUBSET_BYTES + k * _PAIR_BYTES) << (k - 1)
 
 
 def footprint(c: SymCircuit) -> dict[str, int]:
     """An upper bound on the bytes sym_init allocates for c, by part:
-    the inputs, then each distinct gate (gates that share subsets need
-    less)."""
-    return {f"the index arrays of {c.m} inputs": _INPUT_BYTES * c.m,
-            **{f"gate {sorted(g)}": _gate_bytes(g) for g in dict.fromkeys(c.gates)}}
+    the inputs, then the distinct gates of each fan-in (gates that share
+    subsets need less)."""
+    sizes = Counter(map(len, set(c.gates)))
+    return {f"the fixed tables and the index arrays of {c.m} inputs":
+            _FIXED_BYTES + _INPUT_BYTES * c.m,
+            **{f"{count} distinct gate(s) of {k} inputs":
+               count * _gate_bytes(k) for k, count in sorted(sizes.items())}}
 
 
 def sym_init(c: SymCircuit, assignment) -> SymState:
     """Give every tracked subset an id (the empty set gets 0) and count,
-    for each, the gates containing it whose inputs outside it are all set."""
+    for each, the gates containing it whose inputs outside it are all set.
+    A subset is keyed by the sorted tuple of its inputs, so a key's size
+    does not grow with m, and enumerated per gate as a bitmask r over the
+    gate's sorted inputs."""
     assignment = [bool(b) for b in assignment]
     if len(assignment) != c.m:
         raise CircuitError(f"assignment must have {c.m} bits")
     check_fits("the symmetric-circuit counters", footprint(c))
-    gates = Counter(sum(1 << i for i in g) for g in c.gates)
-    ids: dict[int, int] = {0: 0} if gates else {}
-    for g in gates:
-        for sub in _submasks(g):
-            ids.setdefault(sub, len(ids))
-    on = sum(1 << i for i, b in enumerate(assignment) if b)
+    gates = Counter(tuple(sorted(g)) for g in c.gates)
+    ids: dict[tuple[int, ...], int] = {(): 0} if gates else {}
     counts = [0] * len(ids)
-    for g, k in gates.items():
-        for extra in _submasks(g & on):
-            counts[ids[(g & ~on) | extra]] += k
-    values = np.array(counts, dtype=np.int64)
     # rows staged flat in typed arrays, with no Python object per pair
     rows = {x: array("q") for x in range(c.m)}
-    for mask, i in ids.items():
-        rest = mask
-        while rest:
-            low = rest & -rest
-            r = rows[low.bit_length() - 1]
-            r.append(ids[mask ^ low])
-            r.append(i)
-            rest ^= low
+    for members, copies in gates.items():
+        full = (1 << len(members)) - 1
+        keys = [()] * (full + 1)            # r -> key of its subset
+        local = [0] * (full + 1)            # r -> id of its subset
+        for r in range(1, full + 1):
+            low = r & -r
+            keys[r] = key = (members[low.bit_length() - 1],) + keys[r ^ low]
+            i = local[r] = ids.setdefault(key, len(ids))
+            if i == len(counts):            # a new subset: add its rows
+                counts.append(0)
+                rest = r
+                while rest:
+                    bit = rest & -rest
+                    row = rows[members[bit.bit_length() - 1]]
+                    row.append(local[r ^ bit])
+                    row.append(i)
+                    rest ^= bit
+        on = sum(1 << j for j, x in enumerate(members) if assignment[x])
+        for extra in _submasks(on):
+            counts[local[(full & ~on) | extra]] += copies
+    values = np.array(counts, dtype=np.int64)
     # column-major, so that the two columns a flip reads are contiguous
     affected = {x: np.frombuffer(r, dtype=np.int64).reshape(-1, 2)
                 .astype(np.intp, order="F") for x, r in rows.items()}

@@ -130,12 +130,11 @@ def test_init_refuses_subsets_beyond_physical_memory(monkeypatch):
     big = sc.make_circuit(60, 60, [frozenset(range(60))], [False, True])
     with monkeypatch.context() as patch:
         patch.setattr(sc, "_submasks", None)   # enumerating would fail
-        with pytest.raises(DynLabError, match=r"gate \[0, 1, 2"):
+        with pytest.raises(DynLabError, match=r"1 distinct gate\(s\) of 60 "):
             sc.sym_init(big, [False] * 60)
     need = sum(sc.footprint(_majority3()).values())
     monkeypatch.setattr(structures, "PHYSICAL_MEMORY", need - 1)
-    with pytest.raises(DynLabError,
-                       match=rf"need {need:,} bytes.*gate \[0, 1, 2\]"):
+    with pytest.raises(DynLabError, match=rf"need {need:,} bytes"):
         sc.sym_init(_majority3(), [False] * 3)
     monkeypatch.setattr(structures, "PHYSICAL_MEMORY", need)
     assert sc.sym_init(_majority3(), [False] * 3).activated == 0
@@ -150,7 +149,7 @@ def test_init_counts_the_affected_rows_not_only_the_counters(monkeypatch):
     # but not for the k·2^(k-1) rows of two intp ids
     monkeypatch.setattr(structures, "PHYSICAL_MEMORY",
                         8 * 2 ** k + 16 * k * 2 ** (k - 1) - 1)
-    with pytest.raises(DynLabError, match=r"largest part is gate \[0, 1"):
+    with pytest.raises(DynLabError, match=r"largest part is 1 distinct gate"):
         sc.sym_init(wide, [True] * k)
 
 
