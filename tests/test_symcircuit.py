@@ -129,7 +129,7 @@ def test_init_refuses_subsets_beyond_physical_memory(monkeypatch):
     from dyncomplab.structures import DynLabError
     big = sc.make_circuit(60, 60, [frozenset(range(60))], [False, True])
     with monkeypatch.context() as patch:
-        patch.setattr(sc, "_submasks", None)   # enumerating would fail
+        patch.setattr(sc, "array", None)   # staging any row would fail
         with pytest.raises(DynLabError, match=r"1 distinct gate\(s\) of 60 "):
             sc.sym_init(big, [False] * 60)
     need = sum(sc.footprint(_majority3()).values())
@@ -145,8 +145,8 @@ def test_init_counts_the_affected_rows_not_only_the_counters(monkeypatch):
     from dyncomplab.structures import DynLabError
     k = 10
     wide = sc.make_circuit(k, k, [frozenset(range(k))], [False, True])
-    # room for the 2^k int64 counters and the index arrays of the inputs,
-    # but not for the k·2^(k-1) rows of two intp ids
+    # one byte short of the 2^k int64 counters plus the k·2^(k-1) final
+    # rows of two intp ids: a check of the counters alone would pass
     monkeypatch.setattr(structures, "PHYSICAL_MEMORY",
                         8 * 2 ** k + 16 * k * 2 ** (k - 1) - 1)
     with pytest.raises(DynLabError, match=r"largest part is 1 distinct gate"):
