@@ -22,6 +22,12 @@ The lowering
   such a disjunct (`!(x = t) & OLD | x = t & NEW`) as the formula with
   x = t false, overwritten on the slice x = t by the formula with x
   bound to t: the slice has one axis less;
+- does not split on a disjunct with an equality already known false
+  (one that an outer split refuted): that disjunct is false there;
+- writes a slice into the base itself when the base is an array the
+  kernel made and reads no more (an operation's result or an earlier
+  split's), so a rule makes at most one full-shape copy however many
+  splits it nests;
 - frees every named intermediate after its last use.
 
 Kernels hold no program names: relation and parameter names are bound
@@ -249,6 +255,8 @@ class _Lowering:
         self.uses: dict[int, int] = {}
         self._count(f)
         self.temps = 0
+        # temporary -> the temporaries whose array its value may be
+        self.aliases: dict[str, set[str]] = {}
         self.need_arange = self.need_eye = False
 
     # -- analysis: structural ids, free variables and uses, each node once
@@ -366,14 +374,33 @@ class _Lowering:
             self.param_local[name] = f"p{len(self.param_local)}"
         return self.param_local[name]
 
-    def _temp(self) -> str:
+    def _temp(self, code: str = "") -> str:
+        """A new temporary, assigned `code` (a value it may alias)."""
         self.temps += 1
-        return f"t{self.temps}"
+        t = f"t{self.temps}"
+        self.aliases[t] = {t} | self._may_be(code)
+        return t
+
+    def _may_be(self, code: str) -> set[str]:
+        """The temporaries whose array the value of `code` may be."""
+        return set().union(*(self.aliases.get(t, {t})
+                             for t in _TEMP.findall(code)))
+
+    def _owned(self, v: _Val, read: set[str], block: _Block) -> bool:
+        """Whether v's array, if the kernel made it, may be written in
+        place: it may be no temporary in `read` (those read later) and
+        none a memo entry holds."""
+        held = set(read)
+        b = block
+        while b is not None:
+            held |= {m.code for m in b.memo.values()}
+            b = b.parent
+        return not self._may_be(v.code) & held
 
     def named(self, v: _Val, block: _Block) -> _Val:
         if v.const is not None or v.code.isidentifier():
             return v
-        t = self._temp()
+        t = self._temp(v.code)
         block.stmts.append(("assign", t, v.code))
         return _Val(t, v.array, None, v.may)
 
@@ -439,20 +466,25 @@ class _Lowering:
             return where
         return (kind, where)
 
-    def _implied(self, f: Formula, ctx) -> list[tuple[str, tuple]]:
+    def _equalities(self, f: Formula, ctx) -> list[tuple[str, tuple]]:
         """Equalities `x = t` that hold wherever the conjunction f does,
         x bound to an axis and t to no axis: (x, t resolved)."""
         if isinstance(f, And):
-            return self._implied(f.left, ctx) + self._implied(f.right, ctx)
+            return self._equalities(f.left, ctx) + self._equalities(f.right, ctx)
         if not isinstance(f, Eq):
             return []
         for a, b in ((f.left, f.right), (f.right, f.left)):
             if isinstance(a, Var) and ctx[a.name][0] == "axis":
                 other = self._term(b, ctx)
-                if other[0] != "axis" and \
-                        (ctx[a.name][1], other) not in ctx.get(_NE, ()):
+                if other[0] != "axis":
                     return [(a.name, other)]
         return []
+
+    def _implied(self, f: Formula, ctx) -> list[tuple[str, tuple]]:
+        """The equalities of f not already known false here."""
+        ne = ctx.get(_NE, ())
+        return [(x, t) for x, t in self._equalities(f, ctx)
+                if (ctx[x][1], t) not in ne]
 
     def _split(self, f: Formula, name: str, term: tuple, ctx, depth: int,
                scope: tuple, block: _Block) -> _Val:
@@ -477,13 +509,21 @@ class _Lowering:
             guard = f"k{at[1:]}"
         if off.const is not None and on.const == off.const:
             return off
-        t = self._temp()
         index = ", ".join([":"] * axis + [f"{at}:{at} + 1"])
         # length n on the axes a name is bound to, 1 on those bound away
         live = {b[1] for k, b in ctx.items() if k != _NE and b[0] == "axis"}
         shape = "(" + "".join("n, " if a in live else "1, "
                               for a in range(depth)) + ")"
-        block.stmts.append(("assign", t, f"_copy({off.code}, {shape})"))
+        read = set(_TEMP.findall(on.code)).union(*map(_reads, branch.stmts))
+        # a base the kernel made and nothing else reads is written in
+        # place (_take copies it only if it is a view, a constant or too
+        # small), so nested splits make one copy in all
+        if off.const is None and self._owned(off, read, block):
+            t = self._temp(off.code)
+            block.stmts.append(("assign", t, f"_take({off.code}, {shape})"))
+        else:
+            t = self._temp()
+            block.stmts.append(("assign", t, f"_copy({off.code}, {shape})"))
         block.stmts.append(("if", guard, branch.stmts + [
             ("store", f"{t}[{index}]", on.code)], [], None))
         return _Val(t, True)
@@ -567,12 +607,15 @@ class _Lowering:
         if self._is_array(first, ctx) and not self._is_array(second, ctx):
             first, second = second, first
         # a split copies the formula, so only the rule's own disjunction
-        # is split, and the slice part is not split again
+        # is split, and the slice part is not split again; a disjunct with
+        # an equality known false here is false here, and a split on its
+        # other equalities would only write the base's own values back
         if not is_and and array and f is self.f and _NO_SPLIT not in ctx:
+            ne = ctx.get(_NE, ())
             for d in _disjuncts(f):
-                implied = self._implied(d, ctx)
-                if implied:
-                    return self._split(f, *implied[0], ctx, depth, scope, block)
+                eqs = self._equalities(d, ctx)
+                if eqs and all((ctx[x][1], t) not in ne for x, t in eqs):
+                    return self._split(f, *eqs[0], ctx, depth, scope, block)
         # where `first` holds and implies x = t, `second` is lowered with
         # x bound to t: one axis less to compute
         implied = self._implied(first, ctx) if is_and else []
@@ -631,7 +674,7 @@ class _Lowering:
         if branch is block or not branch.stmts:
             return self.val(f"({code} if {test} else {otherwise.code})", array,
                             block, may, nest)
-        t = self._temp()
+        t = self._temp(f"{code} {otherwise.code}")
         block.stmts.append(("if", test, branch.stmts + [("assign", t, code)],
                             [("assign", t, otherwise.code)], t))
         return _Val(t, array, None, frozenset(may))

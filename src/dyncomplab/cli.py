@@ -53,6 +53,18 @@ def _need_k(args) -> int:
     return args.k
 
 
+def _read(path: str, flag: str) -> str:
+    """The text of the file a flag names.  A missing, unreadable or
+    non-UTF-8 file is a DynLabError, not a traceback."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DynLabError(f"{flag} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DynLabError(f"{flag} {path}: not UTF-8 text "
+                          f"(byte {exc.start})") from None
+
+
 def _seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -67,7 +79,7 @@ def _engine_query(engine: fe.ParityExistsEngine) -> oc.QueryId:
 
 
 def cmd_run(args) -> int:
-    script = parse_script(Path(args.script).read_text())
+    script = parse_script(_read(args.script, "--script"))
     query = QUERY_NAMES[args.oracle](args) if args.oracle else None
     n = script.domain_size
     if args.engine:
@@ -85,7 +97,7 @@ def cmd_run(args) -> int:
     else:
         if not args.program:
             raise DynLabError("run needs --program or --engine")
-        program = ip.parse_program(Path(args.program).read_text(),
+        program = ip.parse_program(_read(args.program, "--program"),
                                    name=Path(args.program).stem)
         target = ProgramRun(program, n, args.mode)
         oracle = partial(oc.eval_query, query) if query else None
@@ -178,12 +190,12 @@ def cmd_fuzz(args) -> int:
 def cmd_oracle(args) -> int:
     query = QUERY_NAMES[args.query](args)
     if args.structure:
-        s = parse_structure(Path(args.structure).read_text())
+        s = parse_structure(_read(args.structure, "--structure"))
         print(oc.eval_query(query, s))
         return 0
     if not args.script:
         raise DynLabError("oracle needs --structure or --script")
-    script = parse_script(Path(args.script).read_text())
+    script = parse_script(_read(args.script, "--script"))
     schema = {"E": 2, "R": 1, "U": 1}
     schema.update(script.declared)
     cur = Structure.make(script.domain_size, schema)
@@ -226,6 +238,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify_constructions(args) -> int:
+    # below these, only the fig4 collection would be checked
+    for flag, value, least in (("--n-max", args.n_max, 2),
+                               ("--k-max", args.k_max, 0),
+                               ("--samples", args.samples, 1)):
+        if value < least:
+            raise DynLabError(f"{flag} must be at least {least}, not {value}")
     rng = random.Random(_seed(args))
     bad = 0
     fig4 = cx.figure_fixture("fig4")
@@ -262,7 +280,7 @@ def cmd_verify_constructions(args) -> int:
 # ------------------------------------------------------------------ sym
 
 def cmd_sym(args) -> int:
-    circuit = sc.parse_circuit(Path(args.circuit).read_text())
+    circuit = sc.parse_circuit(_read(args.circuit, "--circuit"))
     assignment = [False] * circuit.m
     state = sc.sym_init(circuit, assignment)
     try:
@@ -288,7 +306,7 @@ def cmd_sym(args) -> int:
 # ------------------------------------------------------- validate / fmt
 
 def cmd_validate(args) -> int:
-    text = Path(args.program).read_text()
+    text = _read(args.program, "--program")
     try:
         program = ip.parse_program(text, name=Path(args.program).stem)
     except DynLabError as exc:
@@ -304,7 +322,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    program = ip.parse_program(Path(args.program).read_text(),
+    program = ip.parse_program(_read(args.program, "--program"),
                                name=Path(args.program).stem)
     sys.stdout.write(ip.format_program(program))
     return 0

@@ -317,3 +317,43 @@ def test_run_engine_honours_its_own_oracle(graph_script, monkeypatch):
                      "--oracle", oracle]) == 0, (engine, oracle)
         assert asked and all(q.kind == oracle.replace("-", "_")
                              for q in asked), (engine, oracle)
+
+
+def _bad_file(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "absent"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "latin1"
+    path.write_bytes("domain 3\n# café\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("command,flag", [
+    ("run", "--program"), ("run", "--script"), ("validate", "--program"),
+    ("fmt", "--program"), ("oracle", "--script"), ("oracle", "--structure"),
+    ("sym", "--circuit")])
+def test_an_unreadable_file_exits_2(tmp_path, capsys, command, flag, kind):
+    script = _script_file(tmp_path, "graph")
+    good = {"--program": str(PROGDIR / "parity.dyp"), "--script": str(script)}
+    args = {"run": ["--program", "--script"], "validate": ["--program"],
+            "fmt": ["--program"], "oracle": [flag], "sym": [flag]}[command]
+    bad = str(_bad_file(tmp_path, kind))
+    argv = [command] + [a for f in args for a in (f, bad if f == flag
+                                                  else good[f])]
+    if command == "oracle":
+        argv += ["--query", "parity"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {bad}: "), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [("--n-max", "1"), ("--n-max", "-1"),
+                                        ("--k-max", "-1"), ("--samples", "0")])
+def test_verify_constructions_rejects_checking_nothing(flag, value, capsys):
+    assert main(["verify-constructions", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {flag} must be at least ")
+    assert "violations" not in out

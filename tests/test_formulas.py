@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyncomplab.bulk_eval import array_to_relation, bulk_eval, relation_to_array
+from dyncomplab.bulk_eval import (_Lowering, array_to_relation, bulk_eval,
+                                  relation_to_array)
 from dyncomplab.formulas import (And, Atom, Const, Eq, Exists, FALSE, Forall,
                                  FormulaError, Not, Or, TRUE, Var, Xor, atom,
                                  classify, conj, disj, eq, evaluate,
@@ -38,15 +40,44 @@ def random_formula(rng, depth=3):
     return op(rng.choice(VARS), random_formula(rng, depth - 1))
 
 
-def random_structure(rng, n):
+def random_structure(rng, n, schema=SCHEMA):
     contents = {}
-    for rel, ar in SCHEMA.items():
+    for rel, ar in schema.items():
         tuples = []
         for t in __import__("itertools").product(range(n), repeat=ar):
             if rng.random() < 0.4:
                 tuples.append(t)
         contents[rel] = tuples
-    return Structure.make(n, SCHEMA, contents)
+    return Structure.make(n, schema, contents)
+
+
+SPLIT_SCHEMA = {**SCHEMA, "T": 3}
+
+
+def split_rule(rng, frees, params):
+    """`!(x = p) & A | x = p & y = q & B | ...`: a rule body whose
+    disjuncts bind free variables to parameters or constants, the shape
+    bulk_eval lowers to a base plus slice writes."""
+    names = list(frees) + list(params)
+
+    def value():
+        return rng.choice(list(params)) if params and rng.random() < 0.8 \
+            else rng.randrange(5)
+
+    def body():
+        t = atom("T", *(rng.choice(names) if rng.random() < 0.8
+                        else rng.randrange(4) for _ in range(3)))
+        f = random_formula(rng, 2)
+        return rng.choice([t, f, conj([t, f]), disj([neg(t), f])])
+
+    parts = []
+    for _ in range(rng.randrange(1, 4)):
+        bound = rng.sample(frees, rng.randrange(1, len(frees) + 1))
+        parts.append(conj([eq(x, value()) for x in bound] + [body()]))
+    off = rng.sample(frees, rng.randrange(len(frees) + 1))
+    parts.insert(rng.randrange(len(parts) + 1),
+                 conj([neg(eq(x, value())) for x in off] + [body()]))
+    return disj(parts)
 
 
 def full_assignment(rng, n):
@@ -192,6 +223,37 @@ def test_bulk_eval_matches_evaluate():
                           ({"u": 3}, ("y", "x")), ({"y": 2, "u": 0}, ("x",)),
                           ({}, ("u", "x", "y")), ({"u": 1}, ("x", "y"))]:
         _check_bulk(f, s, params, frees)
+    # rules lowered to a base plus slice writes: nested splits on two and
+    # three axes, disjuncts refuted by an outer split, p = q, parameters
+    # >= n, n = 0 and n = 1
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randrange(0, 5)
+        names = list(VARS)
+        rng.shuffle(names)
+        k = rng.randrange(1, 4)
+        frees, rest = tuple(names[:k]), names[k:] + ["p", "q"]
+        params = {v: rng.randrange(n + 2) for v in rest}
+        if rng.random() < 0.3:
+            params["q"] = params["p"]
+        _check_bulk(split_rule(rng, frees, params), random_structure(
+            rng, n, SPLIT_SCHEMA), params, frees)
+    split = [
+        "!(x = p) & T(x, y, z) | x = p & y = q & E(y, z) | "
+        "y = q & z = p & U(x) | z = 1 & T(z, x, y)",
+        "T(x, y, z) | x = p & y = q & U(z) | y = q & E(x, z) | x = p & R(y)",
+        "!(x = p) & !(y = q) & T(x, y, z) | x = p & T(q, y, z) | "
+        "y = q & T(x, p, z)",
+        "E(x, y) | x = p & y = p & U(x) | y = 6 & R(x)",
+    ]
+    for text in split:
+        f = parse_formula(text)
+        frees = ("x", "y", "z") if "z" in text else ("y", "x")
+        for n in (0, 1, 3):
+            for params in ({"p": 1, "q": 2}, {"p": 2, "q": 2},
+                           {"p": 0, "q": 5}, {"p": 7, "q": 7}):
+                _check_bulk(f, random_structure(rng, n, SPLIT_SCHEMA), params,
+                            frees)
 
 
 def test_bulk_eval_of_a_deep_formula():
@@ -199,6 +261,15 @@ def test_bulk_eval_of_a_deep_formula():
               for i in range(900)])
     s = Structure.make(3, SCHEMA, {"U": [(0,), (2,)], "E": [(2, 1)]})
     _check_bulk(f, s, {"u": 1}, ("x",))
+
+
+def test_a_disjunct_refuted_by_an_outer_split_is_not_split_on():
+    """Where z != w the second disjunct is false, so the lowering splits
+    on z = w only: a split on y = v there would copy the base and write
+    its own values back."""
+    f = parse_formula("T(z, x, y) | z = w & E(z, x) & y = v")
+    source = _Lowering(f, ("w", "v"), ("z", "x", "y")).source()
+    assert len(re.findall(r"^ +t\d+\[.*\] = ", source, re.M)) == 1, source
 
 
 def _check_bulk(f, s, params, frees):

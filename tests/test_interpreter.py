@@ -158,6 +158,51 @@ def test_step_results_share_no_buffer():
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
+@pytest.mark.parametrize("name", [e.name for e in pg.catalog()])
+def test_step_copies_each_aux_relation_at_most_once(name, monkeypatch):
+    """A rule's kernel makes at most one full-shape copy (a `_copy`, or
+    a `_take` that had to copy) for every (op, input relation), however
+    many slices the change writes."""
+    from dyncomplab import bulk_eval as be
+    from dyncomplab import interpreter as ip
+
+    copies = {"n": 0}
+    copy, take, evaluate = be._NAMESPACE["_copy"], be._NAMESPACE["_take"], \
+        ip.bulk_eval
+
+    def counted_copy(a, shape):
+        copies["n"] += 1
+        return copy(a, shape)
+
+    def counted_take(a, shape):
+        out = take(a, shape)
+        copies["n"] += out is not a
+        return out
+
+    seen = {}
+
+    def per_rule(f, rels, n, params, frees):
+        copies["n"] = 0
+        out = evaluate(f, rels, n, params, frees)
+        seen[id(f)] = max(seen.get(id(f), 0), copies["n"])
+        return out
+
+    monkeypatch.setitem(be._NAMESPACE, "_copy", counted_copy)
+    monkeypatch.setitem(be._NAMESPACE, "_take", counted_take)
+    monkeypatch.setattr(ip, "bulk_eval", per_rule)
+    prog = pg.catalog_entry(name).build()
+    n = 8
+    st = init_state(prog, n)
+    played = set()
+    for c in cx.random_changes(n, rels_for(prog), 40,
+                               random.Random(f"copies:{name}")):
+        st = step(st, c)
+        played.add((c.op, c.relation))
+    assert played == {(op, r) for op in ("ins", "del") for r in prog.input_schema}
+    for key, rule in prog.rules.items():
+        assert seen[id(rule.body)] <= 1, (key, seen[id(rule.body)])
+
+
 def test_validate_rejects_input_aux_name_clash():
     text = ("input U/1\naux U/1\naux A/0\nanswer A\n"
             "on ins U(u) update A() := A()\non del U(u) update A() := A()\n"
