@@ -65,6 +65,15 @@ def _read(path: str, flag: str) -> str:
                           f"(byte {exc.start})") from None
 
 
+def _write(path: str, text: str, flag: str) -> None:
+    """Write the file a flag names.  A directory, a missing parent or an
+    unwritable file is a DynLabError, not a traceback."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DynLabError(f"{flag} {path}: {exc.strerror or exc}") from None
+
+
 def _seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -213,8 +222,13 @@ def _parse_collection(n: int, k: int, text: str) -> cx.Collection:
     members = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
-        if chunk:
+        if not chunk:
+            continue
+        try:
             members.append({int(x) for x in chunk.split(",")})
+        except ValueError:
+            raise DynLabError(f"--collection member {chunk!r} is not a "
+                              f"comma-separated list of integers") from None
     return cx.make_collection(n, k, members)
 
 
@@ -231,7 +245,7 @@ def cmd_construct(args) -> int:
     else:
         raise DynLabError(f"unknown construct target {args.what!r}")
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text, "-o")
     else:
         sys.stdout.write(text)
     return 0

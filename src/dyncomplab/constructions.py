@@ -78,14 +78,10 @@ class LowerBoundCheck:
         return self.ok
 
 
-def verify_lower_bound_property(col: Collection, graph=None) -> LowerBoundCheck:
+def verify_lower_bound_property(col: Collection) -> LowerBoundCheck:
     """For every (k+1)-subset B: the union of the p_B-neighbourhoods has
     odd size exactly when B belongs to the collection."""
-    if graph is None:
-        graph, p_map, _ = lower_bound_graph(col)
-    else:
-        graph, p_map, _ = graph if isinstance(graph, tuple) else \
-            (graph, {i: i - 1 for i in range(1, col.n + 1)}, None)
+    graph, p_map, _ = lower_bound_graph(col)
     indeg = {w: 0 for w in range(graph.n)}
     for (_, w) in graph_edges(graph):
         indeg[w] += 1

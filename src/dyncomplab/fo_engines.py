@@ -32,9 +32,9 @@ bitmasks of in- and out-neighbours.
 
 from __future__ import annotations
 
-from . import oracle
+from . import oracle, structures
 from .structures import (Change, DELETE, INSERT, Structure, ValidationError,
-                         coloured_graph)
+                         check_fits, coloured_graph)
 
 
 def index_set_of(v: int, n: int) -> frozenset[int]:
@@ -72,6 +72,12 @@ class ParityExistsEngine:
             raise ValidationError("domain size must be non-negative")
         if k < 0:
             raise ValidationError("degree bound must be non-negative")
+        # in_mask and out_mask take 8 bytes a slot each; the sum is compared
+        # here first, as building check_fits' report on every set-up would
+        # cost a fifth of an engine's set-up time
+        if 16 * n > structures.PHYSICAL_MEMORY:
+            check_fits(f"the neighbour masks of an engine at n={n}",
+                       {"in_mask": 8 * n, "out_mask": 8 * n})
         self.n = n
         self.k = k
         self.in_mask = [0] * n

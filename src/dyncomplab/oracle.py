@@ -1,8 +1,11 @@
 """From-scratch evaluation of the maintained queries, plus state audits.
 
-Deliberately naive: every function rescans the structure.  Nothing here is
-shared with the interpreter or the procedural engines, so differential
-tests stay meaningful.
+Deliberately naive: every query function rescans the structure.  An audit
+computes from the input the tuples each auxiliary relation should hold and
+hands them to `diff`, the one place that turns expected against actual
+tuples into `spurious`/`missing` discrepancies.  Nothing here is shared
+with the interpreter, the compiled kernels or the procedural engines, so
+differential tests stay meaningful.
 """
 
 from __future__ import annotations
@@ -107,17 +110,7 @@ def n_exists_forall(s: Structure, a: Iterable[int], b: Iterable[int],
         raise OracleError("B must be uncoloured")
     if a & b:
         raise OracleError("A and B must be disjoint")
-    out = set()
-    for w in range(s.n):
-        nbrs = in_neighbours(s, w)
-        if len(nbrs) > k:
-            continue
-        if not (a | b) <= nbrs:
-            continue
-        if (nbrs & coloured) - a:
-            continue
-        out.add(w)
-    return out
+    return ncorunc(s, a | b, k)     # B holds no coloured node
 
 
 def ncorunc(s: Structure, c: Iterable[int], k: int) -> set[int]:
@@ -163,6 +156,15 @@ class Discrepancy:
         return f"{self.relation}: {self.kind} {self.detail}"
 
 
+def diff(rel: str, want: set, got: Iterable[tuple],
+         out: list[Discrepancy]) -> None:
+    """Append a `spurious` discrepancy for each tuple of `got` outside
+    `want` and a `missing` one for each tuple of `want` outside `got`."""
+    got = set(got)
+    out.extend(Discrepancy(rel, "spurious", t) for t in sorted(got - want))
+    out.extend(Discrepancy(rel, "missing", t) for t in sorted(want - got))
+
+
 def audit_fo_state(engine) -> list[Discrepancy]:
     """Definitional recomputation of the engine's P-store and answer flag."""
     out: list[Discrepancy] = []
@@ -180,86 +182,88 @@ def audit_fo_state(engine) -> list[Discrepancy]:
                 continue
             if len(ncorunc(s, c, k)) % 2 == 1:
                 expected.add((w, imask))
-    actual = engine.store_pairs()
-    for pair in actual - expected:
-        out.append(Discrepancy("P", "spurious", pair))
-    for pair in expected - actual:
-        out.append(Discrepancy("P", "missing", pair))
+    diff("P", expected, engine.store_pairs(), out)
     want_ans = len(covered_set(s, k)) % 2 == 1
     if engine.answer() != want_ans:
         out.append(Discrepancy("Ans", "structure", (engine.answer(), want_ans)))
     return out
 
 
-def audit_list_family(aux: Structure, members: set[int], names: dict,
-                      out: list[Discrepancy], owner: int | None = None) -> None:
-    """Check list relations represent SOME insertion order of `members`.
+class _Unordered(Exception):
+    """An owner's level-1 rows spell no order of its members; args are
+    the names key of the faulty relation and the fault's detail."""
 
-    names: {"list": [List_1..List_L], "first": [...], "last": [...]}; when
-    owner is given the relations carry a leading owner column.
-    """
-    def rows(name, arity_tail):
-        picked = []
-        for t in aux.tuples(name):
-            if owner is None:
-                picked.append(t)
-            elif t[0] == owner:
-                picked.append(t[1:])
-        return picked
 
-    def flag(name, kind, *detail):
-        tag = name if owner is None else f"{name}[{owner}]"
-        out.append(Discrepancy(tag, kind, tuple(detail)))
-
-    list_names = names["list"]
-    first_names = names["first"]
-    last_names = names["last"]
-    level1 = rows(list_names[0], 2)
-    succ: dict[int, int] = {}
-    for (x, y) in level1:
-        if x in succ:
-            flag(list_names[0], "structure", "duplicate successor", x)
-            return
-        succ[x] = y
-    firsts = [t[0] for t in rows(first_names[0], 1)]
-    if not members:
-        if level1 or firsts or any(rows(nm, 1) for nm in first_names + last_names):
-            flag(list_names[0], "structure", "nonempty relations for empty set")
-        return
-    if len(firsts) != 1:
-        flag(first_names[0], "structure", "expected exactly one head", tuple(firsts))
-        return
-    order = [firsts[0]]
+def _list_order(succ: dict[int, int], heads: list[int], members: set[int],
+                duplicate: int | None) -> list[int]:
+    """The order the level-1 rows spell out from the one head; `duplicate`
+    is a node with two successors, if any."""
+    if duplicate is not None:
+        raise _Unordered("list", "duplicate successor", duplicate)
+    if len(heads) != 1:
+        raise _Unordered("first", "expected exactly one head",
+                         tuple(sorted(heads)))
+    order, seen = [heads[0]], {heads[0]}
     while order[-1] in succ:
         nxt = succ[order[-1]]
-        if nxt in order:
-            flag(list_names[0], "structure", "cycle", nxt)
-            return
+        if nxt in seen:
+            raise _Unordered("list", "cycle", nxt)
         order.append(nxt)
-    if set(order) != members or len(order) != len(members):
-        flag(list_names[0], "structure", "order does not cover members",
-             tuple(order), tuple(sorted(members)))
-        return
-    pos = {v: i for i, v in enumerate(order)}
-    m = len(order)
-    for lvl, name in enumerate(list_names, start=1):
-        want = {(order[i], order[i + lvl]) for i in range(m - lvl)}
-        got = set(rows(name, 2))
-        for t in got - want:
-            flag(name, "spurious", t)
-        for t in want - got:
-            flag(name, "missing", t)
-    for lvl, name in enumerate(first_names, start=1):
-        want = {(order[lvl - 1],)} if lvl <= m else set()
-        got = {tuple(t) for t in rows(name, 1)}
-        for t in got - want:
-            flag(name, "spurious", t)
-        for t in want - got:
-            flag(name, "missing", t)
-    for lvl, name in enumerate(last_names, start=1):
-        want = {(order[m - lvl],)} if lvl <= m else set()
-        got = {tuple(t) for t in rows(name, 1)}
-        for t in got - want:
-            flag(name, "spurious", t)
-        for t in want - got:
-            flag(name, "missing", t)
+        seen.add(nxt)
+    if seen != members:
+        raise _Unordered("list", "order does not cover members", tuple(order),
+                         tuple(sorted(members)))
+    return order
+
+
+def audit_list_family(aux: Structure, members: dict[tuple, set[int]],
+                      names: dict, out: list[Discrepancy]) -> None:
+    """Check that each owner's list relations represent SOME insertion
+    order of its members.
+
+    members maps each owner, the tuple of leading columns (`()` for a
+    list with no owner column), to its member set; names maps "list",
+    "first" and "last" to the relation names of levels 1..L.  An owner
+    whose level-1 rows spell no order of its members gets one `structure`
+    discrepancy and no diff; every other row is diffed against the
+    tuples its owner's order defines, none for an empty list.
+    """
+    width = aux.arity(names["list"][0]) - 2
+    succ: dict[tuple, dict[int, int]] = {}
+    duplicated: dict[tuple, int] = {}
+    for t in aux.tuples(names["list"][0]):
+        owner, (x, y) = t[:width], t[width:]
+        row = succ.setdefault(owner, {})
+        if x in row:
+            duplicated[owner] = x
+        row[x] = y
+    heads: dict[tuple, list[int]] = {}
+    for t in aux.tuples(names["first"][0]):
+        heads.setdefault(t[:width], []).append(t[width])
+    want = {nm: set() for key in ("list", "first", "last")
+            for nm in names[key]}
+    broken = set()
+    for owner, elems in members.items():
+        if not elems:
+            continue
+        try:
+            order = _list_order(succ.get(owner, {}), heads.get(owner, []),
+                                elems, duplicated.get(owner))
+        except _Unordered as fault:
+            key, *detail = fault.args
+            tag = names[key][0] + (f"{list(owner)}" if owner else "")
+            out.append(Discrepancy(tag, "structure", tuple(detail)))
+            broken.add(owner)
+            continue
+        m = len(order)
+        for lvl, nm in enumerate(names["list"], start=1):
+            want[nm].update(owner + (order[i], order[i + lvl])
+                            for i in range(m - lvl))
+        for lvl, (first, last) in enumerate(zip(names["first"],
+                                                names["last"]), start=1):
+            if lvl <= m:
+                want[first].add(owner + (order[lvl - 1],))
+                want[last].add(owner + (order[m - lvl],))
+    for nm, tuples in want.items():
+        diff(nm, tuples, (t for t in aux.tuples(nm)
+                          if t[:width] not in broken), out)

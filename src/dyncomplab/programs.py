@@ -21,13 +21,10 @@ from typing import Callable
 from .formulas import (FALSE, Formula, TRUE, atom, conj, disj, eq, neg, neq,
                        xor_chain)
 from .interpreter import DynamicProgram, ProgramState, UpdateRule, make_program
-from .oracle import (Discrepancy, QueryId, audit_list_family, eval_query,
-                     in_neighbours, indegree_buckets, n_exists_forall,
-                     total_degree)
+from .oracle import (Discrepancy, QueryId, audit_list_family, diff,
+                     eval_query, in_neighbours, indegree_buckets,
+                     n_exists_forall, out_neighbours, total_degree)
 from .structures import Structure, ValidationError, graph_coloured
-
-EDGE_OPS = (("ins", "E"), ("del", "E"))
-COLOUR_OPS = (("ins", "R"), ("del", "R"))
 
 
 # ---------------------------------------------------------------- parity
@@ -55,9 +52,8 @@ def size_k_program(k: int) -> DynamicProgram:
     if k < 1:
         raise ValidationError("size_k needs k >= 1")
     levels = k + 1
-    lname = [f"List_{i}" for i in range(1, levels + 1)]
-    fname = [f"First_{i}" for i in range(1, levels + 1)]
-    tname = [f"Last_{i}" for i in range(1, levels + 1)]
+    names = _list_names("", levels)
+    lname, fname, tname = names["list"], names["first"], names["last"]
     iname = [f"Is_{i}" for i in range(0, k + 1)]
     aux = {**{nm: 2 for nm in lname},
            **{nm: 1 for nm in fname + tname},
@@ -118,6 +114,13 @@ def size_k_program(k: int) -> DynamicProgram:
 
 
 # -------------------------------------------------- per-node list machinery
+
+def _list_names(prefix: str, levels: int) -> dict[str, list[str]]:
+    """The list, first and last relation names of levels 1..levels."""
+    return {key: [f"{prefix}{stem}_{i}" for i in range(1, levels + 1)]
+            for key, stem in (("list", "List"), ("first", "First"),
+                              ("last", "Last"))}
+
 
 @dataclass(frozen=True)
 class ListFamily:
@@ -264,13 +267,28 @@ class ListFamily:
         return rules
 
 
+def _count_family(prefix: str, flag: str, k: int) -> ListFamily:
+    """In-neighbour lists with exact-count flags <flag>_1..<flag>_{k+1} and
+    overflow flag <flag>_gt (degree_rel_k and parity_exists_prop_k)."""
+    return ListFamily(prefix, k + 1,
+                      tuple(f"{flag}_{i}" for i in range(1, k + 2)),
+                      f"{flag}_gt")
+
+
+def _div3_families() -> tuple[ListFamily, ListFamily]:
+    """parity_degree_div3's out- and in-neighbour lists, each with a
+    one-element flag and a many-elements flag."""
+    return (ListFamily("Out", 1, ("OutOne",), "OutMany"),
+            ListFamily("In", 1, ("InOne",), "InMany"))
+
+
 # ---------------------------------------------------------------- degree_rel
 
 def degree_k_relation_program(k: int) -> DynamicProgram:
     """Exact in-degree classes N_1..N_{k+1} from per-node in-neighbour lists."""
     if k < 1:
         raise ValidationError("degree_k_relation needs k >= 1")
-    fam = ListFamily("", k + 1, tuple(f"N_{i}" for i in range(1, k + 2)), "N_gt")
+    fam = _count_family("", "N", k)
     v, w = "v", "w"
     owner_is_w = eq(fam.owner, w)
     rules = []
@@ -289,8 +307,7 @@ def parity_degree_div3_program() -> DynamicProgram:
     "degree hit zero" test on deletion needs per-node emptiness tracking,
     provided by one out-edge and one in-edge list per node.
     """
-    out_fam = ListFamily("Out", 1, ("OutOne",), "OutMany")
-    in_fam = ListFamily("In", 1, ("InOne",), "InMany")
+    out_fam, in_fam = _div3_families()
     v, w, x = "v", "w", "x"
     m0, m1, m2 = (lambda t: atom("M_0", t)), (lambda t: atom("M_1", t)), \
         (lambda t: atom("M_2", t))
@@ -363,6 +380,12 @@ def parity_degree_div3_program() -> DynamicProgram:
 
 # ------------------------------------------- covered-nodes parity, bounded k
 
+def _p_pairs(k: int) -> list[tuple[int, int]]:
+    """The (l, m) with a relation P_l_m: 1 <= l + m <= k."""
+    return [(l, m) for l in range(0, k + 1) for m in range(0, k + 1)
+            if 1 <= l + m <= k]
+
+
 def _p_name(l: int, m: int) -> str:
     return f"P_{l}_{m}"
 
@@ -381,10 +404,7 @@ def parity_exists_deg_k_prop_program(k: int) -> DynamicProgram:
     if k < 3:
         raise ValidationError(
             "parity_exists_deg_k_prop needs k >= 3 (arity-3 list machinery)")
-    nfam = ListFamily("N", k + 1, tuple(f"N_{i}" for i in range(1, k + 2)),
-                      "N_gt")
-    cfam = ListFamily("C", k + 1, tuple(f"Nc_{i}" for i in range(1, k + 2)),
-                      "Nc_gt")
+    nfam, cfam = _count_family("N", "N", k), _count_family("C", "Nc", k)
     v, w = "v", "w"
     rules: list[UpdateRule] = []
 
@@ -426,9 +446,6 @@ def parity_exists_deg_k_prop_program(k: int) -> DynamicProgram:
     rules.append(UpdateRule("ins", "R", "Active", (v,), (z,), active(z)))
     rules.append(UpdateRule("del", "R", "Active", (v,), (z,), active(z)))
 
-    pairs = [(l, m) for l in range(0, k + 1) for m in range(0, k + 1)
-             if 1 <= l + m <= k]
-
     def theta(xs, ys) -> Formula:
         parts = [atom("R", xi) for xi in xs]
         parts += [neg(atom("R", yj)) for yj in ys]
@@ -436,7 +453,7 @@ def parity_exists_deg_k_prop_program(k: int) -> DynamicProgram:
         parts += [neq(a, b) for a, b in itertools.combinations(ys, 2)]
         return conj(parts)
 
-    for l, m in pairs:
+    for l, m in _p_pairs(k):
         xs = [f"x{i}" for i in range(1, l + 1)]
         ys = [f"y{i}" for i in range(1, m + 1)]
         frees = tuple(xs + ys)
@@ -527,7 +544,7 @@ def parity_exists_deg_k_prop_program(k: int) -> DynamicProgram:
               conj([atom("R", v), nc_count(1, w), active(w)])])])))
 
     aux = {**nfam.schema(), **cfam.schema(), "Active": 1, "Ans": 0}
-    for l, m in pairs:
+    for l, m in _p_pairs(k):
         aux[_p_name(l, m)] = l + m
     return make_program(f"parity_exists_prop_{k}", {"E": 2, "R": 1}, aux,
                         rules, {}, "Ans", requires_effective=True)
@@ -603,28 +620,6 @@ def write_program_files(directory) -> list[str]:
 
 # ---------------------------------------------------------------- audits
 
-def _audit_list_program(aux: Structure, fam: ListFamily, members_of,
-                        out: list[Discrepancy]) -> None:
-    names = {"list": [fam.list_name(i) for i in range(1, fam.levels + 1)],
-             "first": [fam.first_name(i) for i in range(1, fam.levels + 1)],
-             "last": [fam.last_name(i) for i in range(1, fam.levels + 1)]}
-    for owner in range(aux.n):
-        members = members_of(owner)
-        audit_list_family(aux, members, names, out, owner=owner)
-        size = len(members)
-        for i in range(1, fam.K + 1):
-            want = size == i
-            got = aux.has(fam.count_names[i - 1], (owner,))
-            if want != got:
-                out.append(Discrepancy(fam.count_names[i - 1],
-                                       "missing" if want else "spurious",
-                                       (owner,)))
-        want = size > fam.K
-        if want != aux.has(fam.gt_name, (owner,)):
-            out.append(Discrepancy(fam.gt_name,
-                                   "missing" if want else "spurious", (owner,)))
-
-
 def audit_program_state(state: ProgramState) -> list[Discrepancy]:
     """Definitional recomputation of every auxiliary relation, by the
     audit of the program's catalog entry."""
@@ -634,10 +629,23 @@ def audit_program_state(state: ProgramState) -> list[Discrepancy]:
     return out
 
 
+def _audit_list_program(aux: Structure, fam: ListFamily,
+                        members: dict[int, set[int]],
+                        out: list[Discrepancy]) -> None:
+    """fam's lists and count flags against each owner node's members."""
+    audit_list_family(aux, {(z,): elems for z, elems in members.items()},
+                      _list_names(fam.prefix, fam.levels), out)
+    for i, nm in enumerate(fam.count_names, start=1):
+        diff(nm, {(z,) for z, elems in members.items() if len(elems) == i},
+             aux.tuples(nm), out)
+    diff(fam.gt_name,
+         {(z,) for z, elems in members.items() if len(elems) > fam.K},
+         aux.tuples(fam.gt_name), out)
+
+
 def _check_flag(aux: Structure, rel: str, want: bool,
                 out: list[Discrepancy]) -> None:
-    if aux.has(rel, ()) != want:
-        out.append(Discrepancy(rel, "missing" if want else "spurious", ()))
+    diff(rel, {()} if want else set(), aux.tuples(rel), out)
 
 
 def _audit_parity(inp: Structure, aux: Structure,
@@ -648,10 +656,7 @@ def _audit_parity(inp: Structure, aux: Structure,
 def _audit_size(k: int, inp: Structure, aux: Structure,
                 out: list[Discrepancy]) -> None:
     members = {u for (u,) in inp.tuples("U")}
-    names = {"list": [f"List_{i}" for i in range(1, k + 2)],
-             "first": [f"First_{i}" for i in range(1, k + 2)],
-             "last": [f"Last_{i}" for i in range(1, k + 2)]}
-    audit_list_family(aux, members, names, out)
+    audit_list_family(aux, {(): members}, _list_names("", k + 1), out)
     for i in range(0, k + 1):
         _check_flag(aux, f"Is_{i}", len(members) == i, out)
     _check_flag(aux, "Is_gt", len(members) > k, out)
@@ -659,61 +664,39 @@ def _audit_size(k: int, inp: Structure, aux: Structure,
 
 def _audit_degree_rel(k: int, inp: Structure, aux: Structure,
                       out: list[Discrepancy]) -> None:
-    fam = ListFamily("", k + 1, tuple(f"N_{i}" for i in range(1, k + 2)),
-                     "N_gt")
-    _audit_list_program(aux, fam, lambda w: in_neighbours(inp, w), out)
+    _audit_list_program(aux, _count_family("", "N", k),
+                        {w: in_neighbours(inp, w) for w in range(inp.n)}, out)
 
 
 def _audit_parity_degree_div3(inp: Structure, aux: Structure,
                               out: list[Discrepancy]) -> None:
-    out_fam = ListFamily("Out", 1, ("OutOne",), "OutMany")
-    in_fam = ListFamily("In", 1, ("InOne",), "InMany")
-    edges = inp.tuples("E")
+    out_fam, in_fam = _div3_families()
     _audit_list_program(aux, out_fam,
-                        lambda v: {b for (a, b) in edges if a == v}, out)
+                        {v: out_neighbours(inp, v) for v in range(inp.n)}, out)
     _audit_list_program(aux, in_fam,
-                        lambda w: {a for (a, b) in edges if b == w}, out)
-    for x in range(inp.n):
-        d = total_degree(inp, x)
-        for i in range(3):
-            want = d > 0 and d % 3 == i
-            if want != aux.has(f"M_{i}", (x,)):
-                out.append(Discrepancy(f"M_{i}",
-                                       "missing" if want else "spurious",
-                                       (x,)))
+                        {w: in_neighbours(inp, w) for w in range(inp.n)}, out)
+    degree = {x: total_degree(inp, x) for x in range(inp.n)}
+    for i in range(3):
+        diff(f"M_{i}", {(x,) for x, d in degree.items() if d > 0 and d % 3 == i},
+             aux.tuples(f"M_{i}"), out)
     _check_flag(aux, "P", eval_query(QueryId("parity_degree_div3"), inp), out)
 
 
 def _audit_parity_exists_prop(k: int, inp: Structure, aux: Structure,
                               out: list[Discrepancy]) -> None:
-    nfam = ListFamily("N", k + 1, tuple(f"N_{i}" for i in range(1, k + 2)),
-                      "N_gt")
-    cfam = ListFamily("C", k + 1,
-                      tuple(f"Nc_{i}" for i in range(1, k + 2)), "Nc_gt")
+    nfam, cfam = _count_family("N", "N", k), _count_family("C", "Nc", k)
     coloured = graph_coloured(inp)
-    _audit_list_program(aux, nfam, lambda w: in_neighbours(inp, w), out)
+    ins = {w: in_neighbours(inp, w) for w in range(inp.n)}
+    _audit_list_program(aux, nfam, ins, out)
     _audit_list_program(aux, cfam,
-                        lambda w: in_neighbours(inp, w) & coloured, out)
-    for x in range(inp.n):
-        want = 1 <= len(in_neighbours(inp, x)) <= k
-        if want != aux.has("Active", (x,)):
-            out.append(Discrepancy("Active",
-                                   "missing" if want else "spurious", (x,)))
-    uncoloured = set(range(inp.n)) - coloured
-    for l in range(0, k + 1):
-        for m in range(0, k + 1):
-            if not 1 <= l + m <= k:
-                continue
-            rel = _p_name(l, m)
-            want = set()
-            for a in itertools.permutations(sorted(coloured), l):
-                for b in itertools.permutations(sorted(uncoloured), m):
-                    if len(n_exists_forall(inp, a, b, k)) % 2 == 1:
-                        want.add(a + b)
-            got = set(aux.tuples(rel))
-            for t in got - want:
-                out.append(Discrepancy(rel, "spurious", t))
-            for t in want - got:
-                out.append(Discrepancy(rel, "missing", t))
+                        {w: vs & coloured for w, vs in ins.items()}, out)
+    diff("Active", {(x,) for x, vs in ins.items() if 1 <= len(vs) <= k},
+         aux.tuples("Active"), out)
+    uncoloured = sorted(set(range(inp.n)) - coloured)
+    for l, m in _p_pairs(k):
+        want = {a + b for a in itertools.permutations(sorted(coloured), l)
+                for b in itertools.permutations(uncoloured, m)
+                if len(n_exists_forall(inp, a, b, k)) % 2 == 1}
+        diff(_p_name(l, m), want, aux.tuples(_p_name(l, m)), out)
     _check_flag(aux, "Ans", eval_query(QueryId("parity_exists_deg", k), inp),
                 out)

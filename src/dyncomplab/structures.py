@@ -269,11 +269,10 @@ def parse_script(text: str, schema: Mapping[str, int] | None = None) -> ChangeSc
     return ChangeScript(domain, declared, tuple(entries))
 
 
-def format_script(script: ChangeScript, declare: bool = True) -> str:
+def format_script(script: ChangeScript) -> str:
     lines = [f"domain {script.domain_size}"]
-    if declare:
-        for name in sorted(script.declared):
-            lines.append(f"rel {name}/{script.declared[name]}")
+    for name in sorted(script.declared):
+        lines.append(f"rel {name}/{script.declared[name]}")
     for e in script.entries:
         lines.append("query" if isinstance(e, Checkpoint) else str(e))
     return "\n".join(lines) + "\n"

@@ -225,6 +225,34 @@ def test_construct_script_on_an_empty_domain_exits_2(capsys):
     assert "non-empty domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_construct_to_an_unwritable_path_exits_2(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "absent" / "s.chg"
+    assert main(["construct", "script", "--n", "4", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: -o {out}: ") and "Traceback" not in err
+
+
+def test_construct_rejects_a_non_integer_collection_member(capsys):
+    assert main(["construct", "lower-bound", "--n", "4", "--k", "2",
+                 "--collection", "1,2,x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --collection member '1,2,x' ")
+
+
+def test_run_engine_refuses_a_domain_beyond_physical_memory(
+        tmp_path, capsys, monkeypatch):
+    from dyncomplab import structures
+    script = tmp_path / "g.chg"
+    script.write_text("domain 6\nrel E/2\nrel R/1\nins E 0 1\nquery\n")
+    monkeypatch.setattr(structures, "PHYSICAL_MEMORY", 2 * 8 * 6 - 1)
+    assert main(["run", "--engine", "fo-logn", "--script", str(script)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "physical memory" in err
+    monkeypatch.setattr(structures, "PHYSICAL_MEMORY", 2 * 8 * 6)
+    assert main(["run", "--engine", "fo-logn", "--script", str(script)]) == 0
+
+
 def test_fuzz_checks_degree_rel_answers_without_audit(monkeypatch, capsys):
     """A degree_rel program whose insertions never update N_1 fails fuzz
     on the oracle alone."""

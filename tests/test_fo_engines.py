@@ -73,6 +73,17 @@ def test_degk_p_set():
         assert 0 <= w < 6 and 0 <= imask < (1 << 2)
 
 
+def test_init_refuses_masks_beyond_physical_memory(monkeypatch):
+    from dyncomplab import structures
+    need = 2 * 8 * 5                    # in_mask and out_mask, 8 bytes a slot
+    monkeypatch.setattr(structures, "PHYSICAL_MEMORY", need - 1)
+    for init in (lambda: fe.fo_degk_init(5, 2), lambda: fe.fo_logn_init(5)):
+        with pytest.raises(DynLabError, match=rf"need {need} bytes"):
+            init()
+    monkeypatch.setattr(structures, "PHYSICAL_MEMORY", need)
+    assert fe.fo_degk_init(5, 2).answer() is False
+
+
 def test_engine_rejects_bad_changes():
     eng = fe.fo_degk_init(4, 1)
     with pytest.raises(DynLabError):

@@ -121,3 +121,19 @@ def test_audit_list_family_flags_breakage():
     assert not pg.audit_program_state(st)
     st.aux_arrays["List_1"][0, 0] ^= True        # corrupt a list edge
     assert pg.audit_program_state(st)
+
+
+def test_a_row_of_an_empty_list_at_a_higher_level_fails_the_audit():
+    from dyncomplab import programs as pg
+    from dyncomplab.interpreter import init_state
+    st = init_state(pg.size_k_program(2), 4)
+    st.aux_arrays["List_2"][0, 1] = True
+    assert [str(d) for d in pg.audit_program_state(st)] == \
+        ["List_2: spurious (0, 1)"]
+
+
+def test_diff_names_spurious_then_missing_tuples():
+    out = []
+    oc.diff("R", {(1,), (2,)}, [(2,), (3,)], out)
+    assert [(d.relation, d.kind, d.detail) for d in out] == \
+        [("R", "spurious", (3,)), ("R", "missing", (1,))]

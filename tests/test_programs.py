@@ -1,6 +1,7 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dyncomplab import constructions as cx
@@ -106,3 +107,25 @@ def test_write_program_files(tmp_path):
     for path in tmp_path.glob("*.dyp"):
         prog = parse_program(path.read_text(), name=path.stem)
         assert format_program(prog) == path.read_text()
+
+
+@pytest.mark.parametrize("entry", pg.catalog(), ids=lambda e: e.name)
+def test_every_single_cell_corruption_fails_the_audit(entry):
+    prog = entry.build()
+    n = 4 if entry.name == "parity_exists_prop_4" else 5
+    st = init_state(prog, n)
+    for c in cx.random_changes(n, rels_for(prog), 12,
+                               random.Random(f"mutate:{entry.name}")):
+        st = step(st, c)
+    assert not pg.audit_program_state(st)
+    for rel, arr in st.aux_arrays.items():
+        for cell in np.ndindex(arr.shape):
+            arr[cell] ^= True
+            assert pg.audit_program_state(st), (rel, cell)
+            arr[cell] ^= True
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("entry", pg.catalog(), ids=lambda e: e.name)
+def test_initial_state_on_a_small_domain_audits_clean(entry, n):
+    assert pg.audit_program_state(init_state(entry.build(), n)) == []
