@@ -92,8 +92,8 @@ def cmd_run(args) -> int:
     query = QUERY_NAMES[args.oracle](args) if args.oracle else None
     n = script.domain_size
     if args.engine:
-        target = fe.fo_logn_init(n) if args.engine == "fo-logn" else \
-            fe.fo_degk_init(n, _need_k(args))
+        target = fe.FoLogNState(n) if args.engine == "fo-logn" else \
+            fe.FoDegKState(n, _need_k(args))
         own = _engine_query(target)
         allowed, choices = {own}, f"parity-exists-deg with --k {target.k}"
         if args.engine == "fo-logn":
@@ -122,8 +122,8 @@ def _fuzz_target(name: str, n: int, k: int | None):
     program or an engine."""
     if name in ("fo-degk", "fo-logn"):
         def make():
-            return fe.fo_logn_init(n) if name == "fo-logn" else \
-                fe.fo_degk_init(n, 3 if k is None else k)
+            return fe.FoLogNState(n) if name == "fo-logn" else \
+                fe.FoDegKState(n, 3 if k is None else k)
         return cx.PROFILES["default"], make, \
             partial(oc.eval_query, _engine_query(make()))
     entry = pg.catalog_entry(name)

@@ -309,22 +309,10 @@ class FoLogNState(ParityExistsEngine):
             raise ValidationError("fo_logn needs a non-empty domain")
         super().__init__(n, n.bit_length() - 1)
 
-    @property
-    def d(self) -> int:
-        return self.k
-
     def p_relation(self) -> set[tuple[int, int]]:
         """(v, w) pairs with w in P indexed by the bit-set of v; the
         imask of positions equals v's own binary encoding."""
         return {(imask, w) for (w, imask) in self.store_pairs()}
-
-
-def fo_degk_init(n: int, k: int) -> FoDegKState:
-    return FoDegKState(n, k)
-
-
-def fo_logn_init(n: int) -> FoLogNState:
-    return FoLogNState(n)
 
 
 def indexed_in_neighbours(state: ParityExistsEngine, w: int,

@@ -394,11 +394,8 @@ class _Parser:
         raise FormulaError(f"expected a term, got {text!r}")
 
 
-def parse_formula(text: str, schema: Mapping[str, int] | None = None) -> Formula:
-    f = _Parser(_tokenize(text)).parse()
-    if schema is not None:
-        validate_formula(f, schema)
-    return f
+def parse_formula(text: str) -> Formula:
+    return _Parser(_tokenize(text)).parse()
 
 
 # ---------------------------------------------------------------- printing

@@ -18,8 +18,8 @@ import numpy as np
 from . import formulas as fm
 from .bulk_eval import array_to_relation, bulk_eval, relation_to_array
 from .structures import (Change, DynLabError, ScriptSyntaxError, Structure,
-                         ValidationError, apply_change, check_fits,
-                         is_effective)
+                         ValidationError, apply_change, check_fits, declare,
+                         directives, is_effective)
 
 log = logging.getLogger(__name__)
 
@@ -189,12 +189,24 @@ def init_state(p: DynamicProgram, n: int) -> ProgramState:
     aux_arrays = {}
     for name, arity in p.aux_schema.items():
         aux_arrays[name] = relation_to_array(p.init_aux.get(name, ()), arity, n)
-    builtin_arrays = {}
-    if p.builtins:
-        b = fm.materialise_builtins(n, p.builtins)
-        for name, (arity, tuples) in b.relations.items():
-            builtin_arrays[name] = relation_to_array(tuples, arity, n)
-    return ProgramState(p, input_structure, aux_arrays, builtin_arrays)
+    return ProgramState(p, input_structure, aux_arrays,
+                        _builtin_arrays(n, p.builtins))
+
+
+def _builtin_arrays(n: int, builtins: Iterable[str]) -> dict[str, np.ndarray]:
+    """The built-in relations as boolean arrays, built in place with no
+    tuple staged; fm.materialise_builtins is their tuple reference."""
+    i = np.arange(n)
+    arrays = {}
+    if "order" in builtins:
+        arrays["leq"] = i[:, None] <= i
+    if "bit" in builtins:
+        # column j >= 1 holds bit j of the row, counted from 1 at the
+        # least significant bit; column 0 and the bits past n - 1 stay 0
+        bit = arrays["bit"] = np.zeros((n, n), dtype=bool)
+        for j in range(1, max(n - 1, 0).bit_length() + 1):
+            bit[:, j] = (i >> (j - 1)) & 1
+    return arrays
 
 
 def _input_arrays(state: ProgramState) -> dict[str, np.ndarray]:
@@ -279,65 +291,66 @@ def format_program(p: DynamicProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the lines that set one value, and how many words that value has
+_SINGLE_WORDS = {"answer": 1, "requires_effective": 0}
+
+
 def parse_program(text: str, name: str = "unnamed") -> DynamicProgram:
     input_schema: dict[str, int] = {}
     aux_schema: dict[str, int] = {}
     init_aux: dict[str, list[tuple[int, ...]]] = {}
     rules: list[UpdateRule] = []
-    answer: str | None = None
-    requires_effective = False
+    single: dict[str, list[str]] = {}       # the lines of _SINGLE_WORDS
     builtins: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw = parts[0]
-        try:
-            if kw in ("input", "aux"):
-                rel, _, ar = parts[1].partition("/")
-                if not rel or not ar.isdigit():
-                    raise ScriptSyntaxError(f"expected: {kw} <Name>/<arity>", lineno)
-                (input_schema if kw == "input" else aux_schema)[rel] = int(ar)
-            elif kw == "builtin":
-                if parts[1] not in BUILTIN_SCHEMAS:
-                    raise ScriptSyntaxError(f"unknown builtin {parts[1]!r}", lineno)
-                builtins.append(parts[1])
-            elif kw == "init":
-                init_aux.setdefault(parts[1], []).append(
-                    tuple(int(x) for x in parts[2:]))
-            elif kw == "answer":
-                answer = parts[1]
-            elif kw == "requires_effective":
-                requires_effective = True
-            elif kw == "on":
-                rules.append(_parse_rule(line, lineno))
-            else:
-                raise ScriptSyntaxError(f"unknown directive {kw!r}", lineno)
-        except (IndexError, ValueError):
-            raise ScriptSyntaxError(f"malformed {kw!r} line", lineno) from None
-    if answer is None:
+    for lineno, kw, args in directives(text):
+        if kw in ("input", "aux"):
+            declare(args, lineno, input_schema if kw == "input" else aux_schema, kw)
+        elif kw == "on":
+            rules.append(_parse_rule(" ".join(args), lineno))
+        elif kw == "init":
+            try:
+                init_aux.setdefault(args[0], []).append(tuple(map(int, args[1:])))
+            except (IndexError, ValueError):
+                raise ScriptSyntaxError("expected: init <Name> <id>...", lineno) from None
+        elif kw == "builtin":
+            if len(args) != 1 or args[0] not in BUILTIN_SCHEMAS:
+                raise ScriptSyntaxError(
+                    f"expected: builtin {'|'.join(BUILTIN_SCHEMAS)}", lineno)
+            if args[0] in builtins:
+                raise ScriptSyntaxError(f"duplicate builtin {args[0]} line", lineno)
+            builtins.append(args[0])
+        elif kw in _SINGLE_WORDS:
+            if len(args) != _SINGLE_WORDS[kw]:
+                raise ScriptSyntaxError(f"{kw} takes {_SINGLE_WORDS[kw]} "
+                                        f"argument(s), got {len(args)}", lineno)
+            if kw in single:
+                raise ScriptSyntaxError(f"duplicate {kw} line", lineno)
+            single[kw] = args
+        else:
+            raise ScriptSyntaxError(f"unknown directive {kw!r}", lineno)
+    if "answer" not in single:
         raise ScriptSyntaxError("missing answer line")
     claim = "DynProp"
     for r in rules:
         if fm.classify(r.body) == "first-order":
             claim = "DynFO"
     return make_program(name, input_schema, aux_schema, rules, init_aux,
-                        answer, requires_effective, builtins, claim)
+                        single["answer"][0], "requires_effective" in single,
+                        builtins, claim)
 
 
-def _parse_rule(line: str, lineno: int) -> UpdateRule:
-    # on <op> <Rel>(<params>) update <Aux>(<frees>) := <formula>
-    head, sep, body_text = line.partition(":=")
+def _parse_rule(text: str, lineno: int) -> UpdateRule:
+    # <op> <Rel>(<params>) update <Aux>(<frees>) := <formula>, after `on`
+    head, sep, body_text = text.partition(":=")
     if not sep:
         raise ScriptSyntaxError("rule missing ':='", lineno)
-    tokens = head.split(None, 2)
-    if len(tokens) != 3 or tokens[0] != "on" or tokens[1] not in ("ins", "del"):
+    tokens = head.split(None, 1)
+    if len(tokens) != 2 or tokens[0] not in ("ins", "del"):
         raise ScriptSyntaxError("expected: on ins|del <Rel>(...) update ...", lineno)
-    op = tokens[1]
+    op = tokens[0]
     # the keyword is the first whole word "update" after the head's ")";
     # relation names may contain it
-    m = re.fullmatch(r"(.*?\))\s*update(?![\w'])(.*)", tokens[2], re.S)
+    m = re.fullmatch(r"(.*?\))\s*update(?![\w'])(.*)", tokens[1], re.S)
     if not m:
         raise ScriptSyntaxError("rule missing 'update'", lineno)
     rel_part, target_part = m.groups()

@@ -24,12 +24,12 @@ class OracleError(DynLabError):
 @dataclass(frozen=True)
 class QueryId:
     kind: str            # parity | size_k | parity_exists | parity_exists_deg
-    #                    # | parity_exists_deg_logn | parity_degree_div3 | sym_circuit
+    #                    # | parity_exists_deg_logn | parity_degree_div3
     k: int | None = None
 
     def __post_init__(self):
         kinds = {"parity", "size_k", "parity_exists", "parity_exists_deg",
-                 "parity_exists_deg_logn", "parity_degree_div3", "sym_circuit"}
+                 "parity_exists_deg_logn", "parity_degree_div3"}
         if self.kind not in kinds:
             raise ValidationError(f"unknown query kind {self.kind!r}")
         if self.kind in ("size_k", "parity_exists_deg") and (self.k is None or self.k < 0):
@@ -83,11 +83,10 @@ def eval_query(q: QueryId, s: Structure) -> bool:
         return len(covered_set(s, q.k)) % 2 == 1
     if q.kind == "parity_exists_deg_logn":
         return len(covered_set(s, floor_log2(s.n))) % 2 == 1
-    if q.kind == "parity_degree_div3":
-        hits = [v for v in range(s.n)
-                if (d := total_degree(s, v)) > 0 and d % 3 == 0]
-        return len(hits) % 2 == 1
-    raise OracleError(f"query {q.kind} is not evaluated over a structure")
+    # parity_degree_div3
+    hits = [v for v in range(s.n)
+            if (d := total_degree(s, v)) > 0 and d % 3 == 0]
+    return len(hits) % 2 == 1
 
 
 def n_exists(s: Structure, xs: Iterable[int]) -> set[int]:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping
 
 INSERT = "ins"
 DELETE = "del"
@@ -197,76 +197,80 @@ class ChangeScript:
         return sum(1 for e in self.entries if isinstance(e, Checkpoint))
 
 
-def _header_line(parts: list[str], lineno: int, domain: int | None,
-                 declared: dict[str, int]) -> int | None:
-    """Read a `domain <n>` or `rel <Name>/<arity>` line of a script or a
-    structure file into `declared`; returns the domain size."""
-    if parts[0] == "domain":
-        if domain is not None:
-            raise ScriptSyntaxError("duplicate domain line", lineno)
-        if len(parts) != 2 or not parts[1].isdigit():
-            raise ScriptSyntaxError("expected: domain <n>", lineno)
-        return int(parts[1])
-    if len(parts) != 2 or "/" not in parts[1]:
-        raise ScriptSyntaxError("expected: rel <Name>/<arity>", lineno)
-    name, _, ar = parts[1].partition("/")
+def directives(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """Yield (line number, keyword, arguments) for each line of a
+    line-oriented input file that is not blank once its `#` comment is
+    cut; the one line loop of the script, structure, program and circuit
+    parsers."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split("#", 1)[0].split()
+        if words:
+            yield lineno, words[0], words[1:]
+
+
+def declare(args: list[str], lineno: int, declared: dict[str, int],
+            kw: str) -> None:
+    """Read the one `<Name>/<arity>` argument of a `kw` line into
+    `declared`; a name redeclared with another arity is an error."""
+    name, _, ar = args[0].partition("/") if len(args) == 1 else ("", "", "")
     if not name or not ar.isdigit():
-        raise ScriptSyntaxError("expected: rel <Name>/<arity>", lineno)
-    if name in declared and declared[name] != int(ar):
+        raise ScriptSyntaxError(f"expected: {kw} <Name>/<arity>", lineno)
+    if declared.setdefault(name, int(ar)) != int(ar):
         raise ArityMismatchError(
             f"line {lineno}: relation {name} redeclared with arity {ar}")
-    declared[name] = int(ar)
-    return domain
 
 
-def parse_script(text: str, schema: Mapping[str, int] | None = None) -> ChangeScript:
-    """Parse the line-based script grammar.
-
-    `rel` declarations are optional; undeclared relation arities are inferred
-    from first use (and checked against `schema` when one is supplied).
-    """
+def _parse_entries(text: str, verbs: Mapping[str, str | None]) -> ChangeScript:
+    """Read `domain` and `rel` lines and one entry per verb line: `verbs`
+    maps each verb to its change op, or to None for a checkpoint.
+    Undeclared relation arities are inferred from first use."""
     domain: int | None = None
-    declared: dict[str, int] = dict(schema or {})
+    declared: dict[str, int] = {}
     entries: list[Change | Checkpoint] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw = parts[0]
-        if kw in ("domain", "rel"):
-            domain = _header_line(parts, lineno, domain, declared)
-        elif kw in (INSERT, DELETE):
+    for lineno, kw, args in directives(text):
+        if kw == "domain":
+            if domain is not None:
+                raise ScriptSyntaxError("duplicate domain line", lineno)
+            if len(args) != 1 or not args[0].isdigit():
+                raise ScriptSyntaxError("expected: domain <n>", lineno)
+            domain = int(args[0])
+        elif kw == "rel":
+            declare(args, lineno, declared, kw)
+        elif kw not in verbs:
+            raise ScriptSyntaxError(f"unknown directive {kw!r}", lineno)
+        elif verbs[kw] is None:
+            if args:
+                raise ScriptSyntaxError(f"{kw} takes no arguments", lineno)
+            entries.append(CHECKPOINT)
+        else:
             if domain is None:
-                raise ScriptSyntaxError("domain must be declared before changes", lineno)
-            if len(parts) < 2:
+                raise ScriptSyntaxError(
+                    f"domain must be declared before {kw} lines", lineno)
+            if not args:
                 raise ScriptSyntaxError(f"expected: {kw} <Name> <id>...", lineno)
-            name = parts[1]
+            name = args[0]
             try:
-                args = tuple(int(p) for p in parts[2:])
+                ids = tuple(int(p) for p in args[1:])
             except ValueError:
                 raise ScriptSyntaxError("ids must be decimal integers", lineno) from None
-            if name in declared:
-                if len(args) != declared[name]:
-                    raise ArityMismatchError(
-                        f"line {lineno}: {name} expects arity {declared[name]}, "
-                        f"got {len(args)}")
-            else:
-                declared[name] = len(args)
-            for v in args:
+            if declared.setdefault(name, len(ids)) != len(ids):
+                raise ArityMismatchError(
+                    f"line {lineno}: {name} expects arity {declared[name]}, "
+                    f"got {len(ids)}")
+            for v in ids:
                 if not 0 <= v < domain:
                     raise ElementRangeError(
                         f"line {lineno}: element {v} out of range [0, {domain})")
-            entries.append(Change(kw, name, args))
-        elif kw == "query":
-            if len(parts) != 1:
-                raise ScriptSyntaxError("query takes no arguments", lineno)
-            entries.append(CHECKPOINT)
-        else:
-            raise ScriptSyntaxError(f"unknown directive {kw!r}", lineno)
+            entries.append(Change(verbs[kw], name, ids))
     if domain is None:
         raise ScriptSyntaxError("missing domain line")
     return ChangeScript(domain, declared, tuple(entries))
+
+
+def parse_script(text: str) -> ChangeScript:
+    """Parse the line-based script grammar: `domain`, optional `rel`
+    declarations, `ins`/`del` changes and `query` checkpoints."""
+    return _parse_entries(text, {INSERT: INSERT, DELETE: DELETE, "query": None})
 
 
 def format_script(script: ChangeScript) -> str:
@@ -279,36 +283,13 @@ def format_script(script: ChangeScript) -> str:
 
 
 def parse_structure(text: str) -> Structure:
-    """Parse the structure file format: domain / rel / set lines."""
-    n: int | None = None
-    schema: dict[str, int] = {}
+    """Parse the structure file format: the script grammar with `set`,
+    an insertion, as its only verb."""
+    script = _parse_entries(text, {"set": INSERT})
     contents: dict[str, list[tuple[int, ...]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw = parts[0]
-        if kw in ("domain", "rel"):
-            n = _header_line(parts, lineno, n, schema)
-        elif kw == "set":
-            if n is None:
-                raise ScriptSyntaxError("domain must come first", lineno)
-            if len(parts) < 2:
-                raise ScriptSyntaxError("expected: set <Name> <id>...", lineno)
-            name = parts[1]
-            try:
-                args = tuple(int(p) for p in parts[2:])
-            except ValueError:
-                raise ScriptSyntaxError("ids must be decimal integers", lineno) from None
-            if name not in schema:
-                schema[name] = len(args)
-            contents.setdefault(name, []).append(args)
-        else:
-            raise ScriptSyntaxError(f"unknown directive {kw!r}", lineno)
-    if n is None:
-        raise ScriptSyntaxError("missing domain line")
-    return Structure.make(n, schema, contents)
+    for c in script.changes():
+        contents.setdefault(c.relation, []).append(c.args)
+    return Structure.make(script.domain_size, script.declared, contents)
 
 
 def format_structure(s: Structure) -> str:

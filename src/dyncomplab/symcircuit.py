@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structures import DynLabError, ValidationError, check_fits
+from .structures import DynLabError, ValidationError, check_fits, directives
 
 
 class CircuitError(DynLabError):
@@ -217,27 +217,26 @@ def format_circuit(c: SymCircuit) -> str:
 
 
 def parse_circuit(text: str) -> SymCircuit:
-    m = fanin = None
     gates: list[frozenset[int]] = []
-    h: tuple | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, *rest = line.split()
+    single: dict[str, list[int]] = {}       # inputs, fanin, sym
+    for lineno, kw, args in directives(text):
+        if kw not in ("inputs", "fanin", "gate", "sym"):
+            raise CircuitError(f"line {lineno}: unknown directive {kw!r}")
         try:
-            if head == "inputs":
-                (m,) = map(int, rest)
-            elif head == "fanin":
-                (fanin,) = map(int, rest)
-            elif head == "gate":
-                gates.append(frozenset(map(int, rest)))
-            elif head == "sym":
-                h = tuple(int(b) != 0 for b in rest)
-            else:
-                raise CircuitError(f"line {lineno}: unknown directive {head!r}")
+            words = [int(a) for a in args]
         except ValueError as exc:
             raise CircuitError(f"line {lineno}: {exc}") from None
-    if m is None or fanin is None or h is None:
+        if kw == "gate":
+            gates.append(frozenset(words))
+        elif kw in single:
+            raise CircuitError(f"line {lineno}: duplicate {kw} line")
+        elif kw == "sym" and not set(words) <= {0, 1}:
+            raise CircuitError(f"line {lineno}: sym values must be 0 or 1")
+        elif kw != "sym" and len(words) != 1:
+            raise CircuitError(f"line {lineno}: expected: {kw} <n>")
+        else:
+            single[kw] = words
+    if len(single) != 3:
         raise CircuitError("circuit needs inputs, fanin, and sym lines")
-    return make_circuit(m, fanin, gates, h)
+    (m,), (fanin,) = single["inputs"], single["fanin"]
+    return make_circuit(m, fanin, gates, single["sym"])

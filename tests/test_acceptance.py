@@ -102,10 +102,10 @@ def _engine_changes(kind, k, seed):
 def _engine_run(kind, k, seed, audit_every=0):
     n, changes = _engine_changes(kind, k, seed)
     if kind == "fo-degk":
-        eng = fe.fo_degk_init(n, k)
+        eng = fe.FoDegKState(n, k)
         query = oc.QueryId("parity_exists_deg", k)
     else:
-        eng = fe.fo_logn_init(n)
+        eng = fe.FoLogNState(n)
         query = oc.QueryId("parity_exists_deg_logn")
     drive_checked(eng, n, changes, partial(oc.eval_query, query), audit_every,
                   check_every=4)
@@ -128,8 +128,8 @@ def _assert_engines_local():
             setattr(oc, name, wrap(fn))
     try:
         for kind, k in _ENGINE_CONFIGS:
-            eng = (fe.fo_degk_init(8, k) if kind == "fo-degk"
-                   else fe.fo_logn_init(8))
+            eng = (fe.FoDegKState(8, k) if kind == "fo-degk"
+                   else fe.FoLogNState(8))
             drive_checked(eng, 8, cx.random_changes(8, GRAPH_RELS, 60,
                                                     random.Random(kind)))
     finally:
@@ -301,7 +301,7 @@ def test_criterion_7_structural_claims():
                 max(3, k)
 
         # the bounded-degree engine keeps one unary node set per index mask
-        eng = fe.fo_degk_init(8, 3)
+        eng = fe.FoDegKState(8, 3)
         for c in cx.random_changes(8, GRAPH_RELS, 60,
                                    random.Random("struct")):
             eng.apply(c)
@@ -312,7 +312,7 @@ def test_criterion_7_structural_claims():
         assert all(isinstance(v, set) for v in per_mask.values())
 
         # the log-degree engine stores exactly one binary relation
-        logn = fe.fo_logn_init(16)
+        logn = fe.FoLogNState(16)
         rel = logn.p_relation()
         assert all(len(t) == 2 for t in rel)
         assert all(0 <= a < 16 and 0 <= b < 16 for a, b in rel)

@@ -11,7 +11,7 @@ from dyncomplab import fo_engines as fe
 from dyncomplab import interpreter as ip
 from dyncomplab.cli import main
 from dyncomplab.interpreter import format_program
-from dyncomplab.structures import format_script
+from dyncomplab.structures import format_script, parse_script, parse_structure
 from dyncomplab import programs as pg
 from dyncomplab import symcircuit as sc
 
@@ -385,3 +385,54 @@ def test_verify_constructions_rejects_checking_nothing(flag, value, capsys):
     out, err = capsys.readouterr()
     assert err.startswith(f"error: {flag} must be at least ")
     assert "violations" not in out
+
+
+_PARITY = (PROGDIR / "parity.dyp").read_text()
+_TWO_FLAGS = "".join(
+    ["input U/1\naux P/0\naux Q/0\nanswer P\nanswer Q\n"] +
+    [f"on {op} U(a) update {t}() := {t}()\n"
+     for op in ("ins", "del") for t in "PQ"])
+
+
+_HOLES = {
+    "two_answers.dyp": (_TWO_FLAGS, "line 5: "),
+    "aux_twice.dyp": (_PARITY.replace("aux P/0", "aux P/1\naux P/0"),
+                      "line 4: "),
+    "effective_yes.dyp": (_PARITY + "requires_effective yes\n", "line 7: "),
+    "inputs_twice.sym": ("inputs 2\ninputs 3\nfanin 2\ngate 0 1\nsym 0 1\n",
+                         "line 2: "),
+    "sym_two.sym": ("inputs 2\nfanin 2\ngate 0 1\nsym 0 2\n", "line 4: "),
+    "arity.str": ("domain 3\nset E 0 1\nset E 0 1 2\n", "line 3: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOLES))
+def test_a_repeated_or_malformed_input_line_exits_2(tmp_path, capsys, name):
+    text, where = _HOLES[name]
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {".dyp": ["fmt", "--program", str(path)],
+            ".sym": ["sym", "--circuit", str(path), "--flips", "0 1", "--check"],
+            ".str": ["oracle", "--query", "parity-exists", "--structure",
+                     str(path)]}[path.suffix]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert where in err
+
+
+def test_documented_and_committed_input_files_parse():
+    parsers = {".chg": parse_script, ".str": parse_structure,
+               ".dyp": ip.parse_program, ".sym": sc.parse_circuit}
+    readme = (PROGDIR.parent / "README.md").read_text()
+    formats = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    examples = re.findall(r"\(`(\.\w+)`\).*?```\n(.*?)```", formats, re.S)
+    assert sorted(ext for ext, _ in examples) == sorted(parsers)
+    for ext, text in examples:
+        parsers[ext](text)
+    for path in sorted(PROGDIR.glob("*.dyp")):
+        ip.parse_program(path.read_text(), name=path.stem)
+    scripts = sorted((PROGDIR.parent / "examples_scripts").glob("*.chg"))
+    assert scripts
+    for path in scripts:
+        parse_script(path.read_text())

@@ -19,7 +19,7 @@ def test_index_set_examples():
 
 
 def test_indexed_in_neighbours():
-    eng = fe.fo_degk_init(6, 3)
+    eng = fe.FoDegKState(6, 3)
     for c in [Change("ins", "E", (0, 4)), Change("ins", "E", (2, 4)),
               Change("ins", "E", (5, 4))]:
         eng.apply(c)
@@ -35,19 +35,19 @@ def test_indexed_in_neighbours():
 def test_degk_engine_tracks_query(k):
     changes = cx.random_changes(8, GRAPH_RELS, 120, random.Random(k * 3))
     oracle = partial(oc.eval_query, oc.QueryId("parity_exists_deg", k))
-    drive_checked(fe.fo_degk_init(8, k), 8, changes, oracle, audit_every=12)
+    drive_checked(fe.FoDegKState(8, k), 8, changes, oracle, audit_every=12)
 
 
 def test_logn_engine_tracks_query():
-    eng = fe.fo_logn_init(8)
-    assert eng.d == 3
+    eng = fe.FoLogNState(8)
+    assert eng.k == 3
     changes = cx.random_changes(8, GRAPH_RELS, 120, random.Random(17))
     oracle = partial(oc.eval_query, oc.QueryId("parity_exists_deg_logn"))
     drive_checked(eng, 8, changes, oracle, audit_every=15)
 
 
 def test_logn_single_element_domain():
-    eng = fe.fo_logn_init(1)
+    eng = fe.FoLogNState(1)
     assert eng.answer() is False
     eng.apply(Change("ins", "R", (0,)))
     eng.apply(Change("ins", "E", (0, 0)))
@@ -56,7 +56,7 @@ def test_logn_single_element_domain():
 
 
 def test_logn_p_relation_shape():
-    eng = fe.fo_logn_init(8)
+    eng = fe.FoLogNState(8)
     rel = eng.p_relation()
     assert rel == {(v, v) for v in range(8)} or \
         all(imask < 8 for imask, _ in rel)
@@ -65,7 +65,7 @@ def test_logn_p_relation_shape():
 
 
 def test_degk_p_set():
-    eng = fe.fo_degk_init(6, 2)
+    eng = fe.FoDegKState(6, 2)
     eng.apply(Change("ins", "E", (1, 3)))
     eng.apply(Change("ins", "E", (2, 3)))
     # store pairs always carry a mask whose bits lie below k
@@ -77,15 +77,15 @@ def test_init_refuses_masks_beyond_physical_memory(monkeypatch):
     from dyncomplab import structures
     need = 2 * 8 * 5                    # in_mask and out_mask, 8 bytes a slot
     monkeypatch.setattr(structures, "PHYSICAL_MEMORY", need - 1)
-    for init in (lambda: fe.fo_degk_init(5, 2), lambda: fe.fo_logn_init(5)):
+    for init in (lambda: fe.FoDegKState(5, 2), lambda: fe.FoLogNState(5)):
         with pytest.raises(DynLabError, match=rf"need {need} bytes"):
             init()
     monkeypatch.setattr(structures, "PHYSICAL_MEMORY", need)
-    assert fe.fo_degk_init(5, 2).answer() is False
+    assert fe.FoDegKState(5, 2).answer() is False
 
 
 def test_engine_rejects_bad_changes():
-    eng = fe.fo_degk_init(4, 1)
+    eng = fe.FoDegKState(4, 1)
     with pytest.raises(DynLabError):
         eng.apply(Change("ins", "E", (0, 9)))
     with pytest.raises(DynLabError):
@@ -103,9 +103,9 @@ def test_engines_never_call_the_oracle(monkeypatch):
     for name in ("eval_query", "n_exists", "covered_set", "indegree",
                  "in_neighbours", "out_neighbours", "total_degree"):
         monkeypatch.setattr(oc, name, bump)
-    drive_checked(fe.fo_degk_init(6, 2), 6,
+    drive_checked(fe.FoDegKState(6, 2), 6,
                   cx.random_changes(6, GRAPH_RELS, 40, random.Random(2)))
-    drive_checked(fe.fo_logn_init(4), 4,
+    drive_checked(fe.FoLogNState(4), 4,
                   cx.random_changes(4, GRAPH_RELS, 30, random.Random(3)))
     assert calls["n"] == 0
 
@@ -113,8 +113,8 @@ def test_engines_never_call_the_oracle(monkeypatch):
 def _lockstep(n, k, length, seed):
     """An engine driven by `apply`, one by `apply_reference` and one by
     both at random, compared after every change of a seeded stream."""
-    make = (lambda: fe.fo_logn_init(n)) if k is None else \
-        (lambda: fe.fo_degk_init(n, k))
+    make = (lambda: fe.FoLogNState(n)) if k is None else \
+        (lambda: fe.FoDegKState(n, k))
     fast, ref, mixed = make(), make(), make()
     rng = random.Random(f"lockstep:{n}:{k}:{seed}")
     changes = cx.random_changes(n, GRAPH_RELS, length, rng)
@@ -148,7 +148,7 @@ def test_apply_matches_apply_reference_logn(n):
 
 
 def test_parity_table_keeps_only_odd_entries():
-    eng = fe.fo_degk_init(4, 2)
+    eng = fe.FoDegKState(4, 2)
     for c in [Change("ins", "E", (0, 1)), Change("ins", "E", (0, 2)),
               Change("ins", "R", (0,))]:
         eng.apply(c)
@@ -165,7 +165,7 @@ def test_parity_table_keeps_only_odd_entries():
 def test_apply_toggles_at_most_2_pow_k_per_touched_node(kind, k):
     """One change toggles at most 2·2^k·(1 + outdeg(v)) table entries."""
     n = 16
-    eng = fe.fo_logn_init(n) if kind == "fo-logn" else fe.fo_degk_init(n, k)
+    eng = fe.FoLogNState(n) if kind == "fo-logn" else fe.FoDegKState(n, k)
     toggles = {"n": 0}
     toggle = eng._toggle
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ import pytest
 from dyncomplab import constructions as cx
 from dyncomplab import programs as pg
 from dyncomplab.driver import ProgramRun, drive
-from dyncomplab.formulas import atom, conj, disj, neg, parse_formula
+from dyncomplab.bulk_eval import relation_to_array
+from dyncomplab.formulas import (atom, conj, disj, materialise_builtins, neg,
+                                 parse_formula)
 from dyncomplab.interpreter import (DynamicProgram, NonEffectiveChangeError,
                                     ProgramError, UpdateRule, format_program,
                                     init_state, make_program, max_aux_arity,
                                     parse_program, step, step_reference,
                                     validate)
-from dyncomplab.structures import Change, CHECKPOINT, ChangeScript
+from dyncomplab.structures import (Change, CHECKPOINT, ChangeScript,
+                                   ScriptSyntaxError, check_fits)
 from helpers import rels_for
 
 
@@ -244,3 +248,48 @@ def test_init_state_refuses_arrays_beyond_physical_memory(monkeypatch):
     with pytest.raises(DynLabError, match=r"n=100000 .*largest part is \w+ "
                                           r"at 100(,000){6} bytes"):
         init_state(program, 10**5)
+
+
+_BOTH_BUILTINS = ("input U/1\nbuiltin order\nbuiltin bit\naux A/0\nanswer A\n"
+                  "on ins U(u) update A() := A()\n"
+                  "on del U(u) update A() := A()\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 70])
+def test_builtin_arrays_match_their_tuple_reference(n):
+    state = init_state(parse_program(_BOTH_BUILTINS), n)
+    reference = materialise_builtins(n, ["order", "bit"])
+    assert state.builtin_arrays.keys() == reference.relations.keys()
+    for name, (arity, tuples) in reference.relations.items():
+        want = relation_to_array(tuples, arity, n)
+        got = state.builtin_arrays[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_init_state_peaks_within_twice_the_bytes_it_checks(monkeypatch):
+    from dyncomplab import interpreter as ip
+    checked = []
+
+    def recording_check_fits(what, sizes):
+        checked.append(sum(sizes.values()))
+        check_fits(what, sizes)
+
+    monkeypatch.setattr(ip, "check_fits", recording_check_fits)
+    program = parse_program(_BOTH_BUILTINS)
+    tracemalloc.start()
+    try:
+        init_state(program, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == [1 + 2 * 600 ** 2]
+    assert peak < 2 * checked[0], (peak, checked)
+
+
+@pytest.mark.parametrize("line", ["builtin order", "builtin clock",
+                                  "input U/1 extra", "answer A extra",
+                                  "requires_effective\nrequires_effective",
+                                  "init A x", "init"])
+def test_parse_program_rejects_a_repeated_or_malformed_line(line):
+    with pytest.raises(ScriptSyntaxError, match=r"line \d+: "):
+        parse_program(_BOTH_BUILTINS + line + "\n")

@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyncomplab.structures import (Change, CHECKPOINT, ChangeScript,
-                                   DynLabError, ScriptSyntaxError, Structure,
-                                   apply_change, coloured_graph, format_script,
-                                   format_structure, graph_coloured,
-                                   graph_edges, is_effective, parse_script,
-                                   parse_structure, validate_change)
+from dyncomplab.structures import (ArityMismatchError, Change, CHECKPOINT,
+                                   ChangeScript, DynLabError,
+                                   ScriptSyntaxError, Structure, apply_change,
+                                   coloured_graph, declare, directives,
+                                   format_script, format_structure,
+                                   graph_coloured, graph_edges, is_effective,
+                                   parse_script, parse_structure,
+                                   validate_change)
 
 
 def test_make_and_accessors():
@@ -101,3 +103,35 @@ def test_apply_matches_set_semantics(n, ops):
         else:
             model.discard((a, b))
         assert graph_edges(g) == frozenset(model)
+
+
+def test_directives_cut_comments_and_blank_lines():
+    text = "# header\n\ndomain 3   # size\n  ins E 0   1\n#\nquery\n"
+    assert list(directives(text)) == [(3, "domain", ["3"]),
+                                      (4, "ins", ["E", "0", "1"]),
+                                      (6, "query", [])]
+
+
+def test_declare_keeps_one_arity_per_name():
+    declared: dict[str, int] = {}
+    declare(["E/2"], 1, declared, "rel")
+    declare(["E/2"], 2, declared, "rel")
+    assert declared == {"E": 2}
+    with pytest.raises(ArityMismatchError, match="line 3: "):
+        declare(["E/1"], 3, declared, "rel")
+    for bad in ([], ["E"], ["E/x"], ["/2"], ["E/2", "extra"]):
+        with pytest.raises(ScriptSyntaxError, match="line 4: expected: aux "):
+            declare(bad, 4, declared, "aux")
+    assert declared == {"E": 2}
+
+
+@pytest.mark.parametrize("text,line", [
+    ("domain 3\nrel E/2\nset E 0 1 2\n", 3),
+    ("domain 3\nset E 0 5\n", 2),
+    ("domain 3\nset R 1\nset R x\n", 3),
+    ("domain 3\nset E 0 1\nquery\n", 3),
+    ("domain 3\nset E 0 1\nins E 1 2\n", 3),
+])
+def test_structure_errors_name_their_line(text, line):
+    with pytest.raises(DynLabError, match=f"line {line}: "):
+        parse_structure(text)

@@ -77,6 +77,18 @@ def test_parse_circuit_rejects_garbage():
         sc.parse_circuit("inputs x\n")
 
 
+@pytest.mark.parametrize("text", [
+    "inputs 3\nfanin 2\nfanin 2\nsym 1\n",
+    "inputs 3\nfanin 2 3\nsym 1\n",
+    "inputs 3\nfanin 2\nsym 1\nsym 1\n",
+    "inputs 3\nfanin 2\nsym -1\n",
+    "inputs 3\nfanin 2\ngate 0 x\nsym 1 0\n",
+])
+def test_parse_circuit_rejects_repeated_and_malformed_lines(text):
+    with pytest.raises(sc.CircuitError, match=r"^line \d: "):
+        sc.parse_circuit(text)
+
+
 def test_flip_out_of_range():
     from dyncomplab.structures import DynLabError
     st = sc.sym_init(_majority3(), [False] * 3)
