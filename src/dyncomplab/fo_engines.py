@@ -33,15 +33,9 @@ bitmasks of in- and out-neighbours.
 from __future__ import annotations
 
 from . import oracle, structures
-from .structures import (Change, DELETE, INSERT, Structure, ValidationError,
-                         check_fits, coloured_graph)
-
-
-def index_set_of(v: int, n: int) -> frozenset[int]:
-    """Positions of the 1-bits of v, least significant bit = position 1."""
-    if not 0 <= v < n:
-        raise ValidationError(f"node {v} out of range for domain {n}")
-    return frozenset(i + 1 for i in range(v.bit_length()) if v >> i & 1)
+from .structures import (GRAPH_SCHEMA, INSERT, Change, Structure,
+                         ValidationError, check_fits, check_tuple,
+                         coloured_graph)
 
 
 def _bits(mask: int):
@@ -49,19 +43,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-class IndexedNeighbours(set):
-    """Set of nodes selected by an index set; valid=False flags an
-    unusable (w, I) combination."""
-
-    valid: bool = True
-
-
-def _invalid() -> IndexedNeighbours:
-    out = IndexedNeighbours()
-    out.valid = False
-    return out
 
 
 class ParityExistsEngine:
@@ -152,20 +133,11 @@ class ParityExistsEngine:
     # ------------------------------------------------------------ update
 
     def _validate(self, c: Change) -> None:
-        if c.relation == "E":
-            want = 2
-        elif c.relation == "R":
-            want = 1
-        else:
+        arity = GRAPH_SCHEMA.get(c.relation)
+        if arity is None:
             raise ValidationError(f"engine change must touch E or R, "
                                   f"not {c.relation!r}")
-        if len(c.args) != want:
-            raise ValidationError(f"{c.relation} change needs {want} argument(s)")
-        for a in c.args:
-            if not 0 <= a < self.n:
-                raise ValidationError(f"node {a} out of range")
-        if c.op not in (INSERT, DELETE):
-            raise ValidationError(f"unknown change op {c.op!r}")
+        check_tuple(c.relation, arity, c.args, self.n)
 
     def apply(self, c: Change) -> bool:
         """Apply one change; True when it was skipped as non-effective."""
@@ -313,18 +285,3 @@ class FoLogNState(ParityExistsEngine):
         """(v, w) pairs with w in P indexed by the bit-set of v; the
         imask of positions equals v's own binary encoding."""
         return {(imask, w) for (w, imask) in self.store_pairs()}
-
-
-def indexed_in_neighbours(state: ParityExistsEngine, w: int,
-                          index_set) -> IndexedNeighbours:
-    """Nodes at the positions of index_set in w's ordered in-neighbour
-    list; an unusable combination yields an empty result flagged invalid."""
-    if not 0 <= w < state.n:
-        raise ValidationError(f"node {w} out of range")
-    idx = set(index_set)
-    in_w = state.in_mask[w]
-    d = in_w.bit_count()
-    if not idx or d == 0 or d > state.k or max(idx) > d or min(idx) < 1:
-        return _invalid()
-    nbrs = list(_bits(in_w))
-    return IndexedNeighbours(nbrs[i - 1] for i in idx)

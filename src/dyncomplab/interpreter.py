@@ -18,8 +18,8 @@ import numpy as np
 from . import formulas as fm
 from .bulk_eval import array_to_relation, bulk_eval, relation_to_array
 from .structures import (Change, DynLabError, ScriptSyntaxError, Structure,
-                         ValidationError, apply_change, check_fits, declare,
-                         directives, is_effective)
+                         ValidationError, apply_change, check_fits,
+                         check_tuple, declare, directives)
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,12 @@ class DynamicProgram:
     answer: str
     requires_effective: bool = False
     builtins: tuple[str, ...] = ()
-    class_claim: str = "DynProp"
+
+    @property
+    def class_claim(self) -> str:
+        """DynFO when some rule quantifies, otherwise DynProp."""
+        return "DynFO" if any(fm.classify(r.body) == "first-order"
+                              for r in self.rules.values()) else "DynProp"
 
     def builtin_schema(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -67,8 +72,8 @@ class DynamicProgram:
 
 
 def make_program(name, input_schema, aux_schema, rules: Iterable[UpdateRule],
-                 init_aux, answer, requires_effective=False, builtins=(),
-                 class_claim="DynProp") -> DynamicProgram:
+                 init_aux, answer, requires_effective=False,
+                 builtins=()) -> DynamicProgram:
     keyed: dict[tuple[str, str, str], UpdateRule] = {}
     for r in rules:
         key = (r.op, r.relation, r.target)
@@ -84,7 +89,6 @@ def make_program(name, input_schema, aux_schema, rules: Iterable[UpdateRule],
         answer=answer,
         requires_effective=requires_effective,
         builtins=tuple(builtins),
-        class_claim=class_claim,
     )
     problems = validate(prog)
     if problems:
@@ -93,7 +97,7 @@ def make_program(name, input_schema, aux_schema, rules: Iterable[UpdateRule],
 
 
 def validate(p: DynamicProgram) -> list[str]:
-    """Total rule coverage, arities, binding, and class-claim diagnostics."""
+    """Total rule coverage, arities and binding diagnostics."""
     out = []
     schema = p.combined_schema()
     if p.answer not in p.aux_schema:
@@ -127,8 +131,6 @@ def validate(p: DynamicProgram) -> list[str]:
         unbound = fm.free_variables(rule.body) - set(rule.params) - set(rule.frees)
         if unbound:
             out.append(f"rule {key}: unbound names {sorted(unbound)}")
-        if p.class_claim == "DynProp" and fm.classify(rule.body) != "quantifier-free":
-            out.append(f"rule {key}: not quantifier-free despite DynProp claim")
     for op in ("ins", "del"):
         for relation in p.input_schema:
             for target in p.aux_schema:
@@ -188,7 +190,10 @@ def init_state(p: DynamicProgram, n: int) -> ProgramState:
     input_structure = Structure.make(n, dict(p.input_schema))
     aux_arrays = {}
     for name, arity in p.aux_schema.items():
-        aux_arrays[name] = relation_to_array(p.init_aux.get(name, ()), arity, n)
+        tuples = p.init_aux.get(name, ())
+        for t in tuples:
+            check_tuple(name, arity, t, n)
+        aux_arrays[name] = relation_to_array(tuples, arity, n)
     return ProgramState(p, input_structure, aux_arrays,
                         _builtin_arrays(n, p.builtins))
 
@@ -216,23 +221,26 @@ def _input_arrays(state: ProgramState) -> dict[str, np.ndarray]:
     return out
 
 
-def _check_effectiveness(state: ProgramState, c: Change, mode: str) -> bool:
-    """Returns True when the step should be skipped."""
-    if not state.program.requires_effective or is_effective(state.input, c):
-        return False
+def _changed_input(state: ProgramState, c: Change, mode: str) -> Structure | None:
+    """The input after `c`, checked once; None when a `requires_effective`
+    program skips `c` as non-effective (in strict mode it raises)."""
+    p = state.program
+    if c.relation not in p.input_schema:
+        raise ValidationError(f"change targets non-input relation {c.relation!r}")
+    changed = apply_change(state.input, c)
+    if changed is not state.input or not p.requires_effective:
+        return changed
     if mode == "strict":
-        raise NonEffectiveChangeError(
-            f"{state.program.name}: non-effective change {c} rejected")
-    log.debug("%s: skipping non-effective change %s", state.program.name, c)
-    return True
+        raise NonEffectiveChangeError(f"{p.name}: non-effective change {c} rejected")
+    log.debug("%s: skipping non-effective change %s", p.name, c)
+    return None
 
 
 def step(state: ProgramState, c: Change, mode: str = "skip") -> ProgramState:
     """Advance one change (vectorised; semantics identical to step_reference)."""
     p = state.program
-    if c.relation not in p.input_schema:
-        raise ValidationError(f"change targets non-input relation {c.relation!r}")
-    if _check_effectiveness(state, c, mode):
+    changed = _changed_input(state, c, mode)
+    if changed is None:
         return state
     env = {**_input_arrays(state), **state.builtin_arrays, **state.aux_arrays}
     new_aux = {}
@@ -241,16 +249,14 @@ def step(state: ProgramState, c: Change, mode: str = "skip") -> ProgramState:
         params = dict(zip(rule.params, c.args))
         # a fresh array, shared with no other state
         new_aux[target] = bulk_eval(rule.body, env, state.n, params, rule.frees)
-    return ProgramState(p, apply_change(state.input, c), new_aux,
-                        state.builtin_arrays)
+    return ProgramState(p, changed, new_aux, state.builtin_arrays)
 
 
 def step_reference(state: ProgramState, c: Change, mode: str = "skip") -> ProgramState:
     """Naive per-tuple reference semantics (slow; used to cross-check step)."""
     p = state.program
-    if c.relation not in p.input_schema:
-        raise ValidationError(f"change targets non-input relation {c.relation!r}")
-    if _check_effectiveness(state, c, mode):
+    changed = _changed_input(state, c, mode)
+    if changed is None:
         return state
     snapshot = state.combined_structure()
     new_aux = {}
@@ -263,8 +269,7 @@ def step_reference(state: ProgramState, c: Change, mode: str = "skip") -> Progra
             if fm.evaluate(rule.body, snapshot, assignment):
                 hits.append(b)
         new_aux[target] = relation_to_array(hits, arity, state.n)
-    return ProgramState(p, apply_change(state.input, c), new_aux,
-                        state.builtin_arrays)
+    return ProgramState(p, changed, new_aux, state.builtin_arrays)
 
 
 # ---------------------------------------------------------------- file format
@@ -330,13 +335,9 @@ def parse_program(text: str, name: str = "unnamed") -> DynamicProgram:
             raise ScriptSyntaxError(f"unknown directive {kw!r}", lineno)
     if "answer" not in single:
         raise ScriptSyntaxError("missing answer line")
-    claim = "DynProp"
-    for r in rules:
-        if fm.classify(r.body) == "first-order":
-            claim = "DynFO"
     return make_program(name, input_schema, aux_schema, rules, init_aux,
                         single["answer"][0], "requires_effective" in single,
-                        builtins, claim)
+                        builtins)
 
 
 def _parse_rule(text: str, lineno: int) -> UpdateRule:

@@ -101,7 +101,7 @@ class Structure:
         for name, arity in schema.items():
             tuples = frozenset(tuple(t) for t in (contents or {}).get(name, ()))
             for t in tuples:
-                _check_tuple(name, arity, t, n)
+                check_tuple(name, arity, t, n)
             rels[name] = (arity, tuples)
         return Structure(n, rels)
 
@@ -120,9 +120,6 @@ class Structure:
     def has(self, name: str, args: tuple[int, ...]) -> bool:
         return tuple(args) in self.tuples(name)
 
-    def schema(self) -> dict[str, int]:
-        return {name: ar for name, (ar, _) in self.relations.items()}
-
     def merged(self, other: "Structure") -> "Structure":
         """Combine relation maps (disjoint names) over the same domain."""
         assert self.n == other.n
@@ -134,31 +131,30 @@ class Structure:
         return Structure(self.n, rels)
 
 
-def _check_tuple(name: str, arity: int, args: tuple[int, ...], n: int) -> None:
+def check_tuple(name: str, arity: int, args: tuple[int, ...], n: int) -> None:
+    """Raise ArityMismatchError unless `args` has `arity` elements and
+    ElementRangeError unless each lies in the domain 0..n-1: the one
+    check of every tuple that enters the workbench."""
     if len(args) != arity:
-        raise ArityMismatchError(
-            f"{name} expects arity {arity}, got tuple of length {len(args)}")
+        raise ArityMismatchError(f"{name} expects arity {arity}, got {len(args)}")
     for v in args:
         if not 0 <= v < n:
             raise ElementRangeError(f"element {v} out of range [0, {n}) in {name}")
 
 
 def validate_change(s: Structure, c: Change) -> None:
-    _check_tuple(c.relation, s.arity(c.relation), c.args, s.n)
+    check_tuple(c.relation, s.arity(c.relation), c.args, s.n)
 
 
 def apply_change(s: Structure, c: Change) -> Structure:
-    """Add/remove one tuple; identity on non-effective changes."""
+    """Add/remove one tuple; `s` itself on a non-effective change."""
     validate_change(s, c)
     arity, tuples = s.relations[c.relation]
-    if c.op == INSERT:
-        new = tuples | {c.args}
-    else:
-        new = tuples - {c.args}
-    if new == tuples:
+    if (c.args in tuples) == (c.op == INSERT):
         return s
     rels = dict(s.relations)
-    rels[c.relation] = (arity, frozenset(new))
+    rels[c.relation] = (arity, tuples | {c.args} if c.op == INSERT
+                        else tuples - {c.args})
     return Structure(s.n, rels)
 
 
@@ -168,10 +164,14 @@ def is_effective(s: Structure, c: Change) -> bool:
     return (c.op == INSERT) != present
 
 
+# a directed graph with a unary colour relation
+GRAPH_SCHEMA = {"E": 2, "R": 1}
+
+
 def coloured_graph(n: int, edges: Iterable[tuple[int, int]] = (),
                    coloured: Iterable[int] = ()) -> Structure:
     """Directed graph with a unary colour relation: relations E/2 and R/1."""
-    return Structure.make(n, {"E": 2, "R": 1},
+    return Structure.make(n, GRAPH_SCHEMA,
                           {"E": [tuple(e) for e in edges],
                            "R": [(v,) for v in coloured]})
 
@@ -253,14 +253,10 @@ def _parse_entries(text: str, verbs: Mapping[str, str | None]) -> ChangeScript:
                 ids = tuple(int(p) for p in args[1:])
             except ValueError:
                 raise ScriptSyntaxError("ids must be decimal integers", lineno) from None
-            if declared.setdefault(name, len(ids)) != len(ids):
-                raise ArityMismatchError(
-                    f"line {lineno}: {name} expects arity {declared[name]}, "
-                    f"got {len(ids)}")
-            for v in ids:
-                if not 0 <= v < domain:
-                    raise ElementRangeError(
-                        f"line {lineno}: element {v} out of range [0, {domain})")
+            try:
+                check_tuple(name, declared.setdefault(name, len(ids)), ids, domain)
+            except ValidationError as exc:
+                raise type(exc)(f"line {lineno}: {exc}") from None
             entries.append(Change(verbs[kw], name, ids))
     if domain is None:
         raise ScriptSyntaxError("missing domain line")

@@ -289,7 +289,8 @@ def test_criterion_7_structural_claims():
                       "arities match their claims"):
         for entry in pg.catalog():
             prog = _PROGS[entry.name]
-            if prog.class_claim == "DynProp":
+            assert prog.class_claim == entry.class_claim, entry.name
+            if entry.class_claim == "DynProp":
                 for rule in prog.rules.values():
                     assert classify(rule.body) == "quantifier-free", \
                         (entry.name, rule.target)
@@ -311,11 +312,17 @@ def test_criterion_7_structural_claims():
             per_mask.setdefault(imask, set()).add(w)
         assert all(isinstance(v, set) for v in per_mask.values())
 
-        # the log-degree engine stores exactly one binary relation
+        # the log-degree engine stores exactly one binary relation, whose
+        # first component encodes an index set into the second's in-list
         logn = fe.FoLogNState(16)
+        for c in cx.random_changes(16, GRAPH_RELS, 60,
+                                   random.Random("struct")):
+            logn.apply(c)
         rel = logn.p_relation()
-        assert all(len(t) == 2 for t in rel)
-        assert all(0 <= a < 16 and 0 <= b < 16 for a, b in rel)
+        assert rel and all(len(t) == 2 for t in rel)
+        for v, w in rel:
+            assert 0 <= w < 16
+            assert 1 <= v < 2 ** logn.in_mask[w].bit_count() <= 2 ** logn.k
 
 
 # ------------------------------------------------------------ logic kernel

@@ -436,3 +436,82 @@ def test_documented_and_committed_input_files_parse():
     assert scripts
     for path in scripts:
         parse_script(path.read_text())
+
+
+SCRIPTDIR = PROGDIR.parent / "examples_scripts"
+
+# |U| = 1, written with quantifiers
+_SIZE_1_FO = ("input U/1\naux A/0\nanswer A\n"
+              "on ins U(a) update A() := exists x. ((U(x) | x = a) & "
+              "forall y. ((U(y) | y = a) -> y = x))\n"
+              "on del U(a) update A() := exists x. ((U(x) & !(x = a)) & "
+              "forall y. ((U(y) & !(y = a)) -> y = x))\n")
+
+
+def test_run_a_quantified_program_file(tmp_path, capsys):
+    path = tmp_path / "size_1_fo.dyp"
+    path.write_text(_SIZE_1_FO)
+    assert main(["validate", "--program", str(path)]) == 0
+    assert "(DynFO, " in capsys.readouterr().out
+    assert main(["run", "--program", str(path),
+                 "--script", str(SCRIPTDIR / "set_demo.chg"),
+                 "--oracle", "size-k", "--k", "1"]) == 0
+    assert "24 checkpoints, 0 mismatches" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["-1", "7"])
+def test_an_init_tuple_outside_the_domain_exits_2(tmp_path, capsys, value):
+    program = tmp_path / "p.dyp"
+    program.write_text(
+        f"input U/1\naux P/1\naux A/0\ninit P {value}\nanswer A\n"
+        "on ins U(a) update A() := P(a)\non del U(a) update A() := A()\n"
+        "on ins U(a) update P(x) := P(x)\non del U(a) update P(x) := P(x)\n")
+    script = tmp_path / "s.chg"
+    script.write_text("domain 3\nins U 2\nquery\n")
+    assert main(["run", "--program", str(program),
+                 "--script", str(script)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"element {value} out of range [0, 3) in P" in err
+    assert "checkpoint" not in out
+
+
+def test_oracle_answers_each_checkpoint_of_a_replayed_script(capsys):
+    path = SCRIPTDIR / "set_demo.chg"
+    assert main(["oracle", "--query", "parity", "--script", str(path)]) == 0
+    members, want = set(), []
+    for words in map(str.split, path.read_text().splitlines()):
+        if words[:1] == ["ins"]:
+            members.add(words[2])
+        elif words[:1] == ["del"]:
+            members.discard(words[2])
+        elif words[:1] == ["query"]:
+            want.append(str(len(members) % 2 == 1))
+    assert len(want) == 24
+    assert capsys.readouterr().out.split() == want
+
+
+def test_fuzz_sym_audit_compares_every_counter(monkeypatch, capsys):
+    argv = ["fuzz", "--target", "sym", "--seeds", "2", "--seed", "5",
+            "--length", "20"]
+    assert main(argv + ["--audit"]) == 0
+    assert "2 seeds, 0 failures" in capsys.readouterr().out
+    real = sc.counters_reference
+    monkeypatch.setattr(sc, "counters_reference", lambda c, assignment: {
+        **real(c, assignment), frozenset({-1}): 0})
+    assert main(argv) == 0
+    assert "2 seeds, 0 failures" in capsys.readouterr().out
+    assert main(argv + ["--audit"]) == 1
+    out = capsys.readouterr().out
+    assert "seed 5: counters differ from their brute-force count" in out
+    assert "2 seeds, 2 failures" in out
+
+
+@pytest.mark.parametrize("flags", [["--n", "3"], ["--k", "9"],
+                                   ["--n", "3", "--k", "9"]])
+def test_fuzz_sym_refuses_size_flags(capsys, flags):
+    assert main(["fuzz", "--target", "sym", "--seeds", "2", "--audit",
+                 *flags]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: fuzz --target sym takes no --n or --k")
+    assert "seeds" not in out

@@ -6,29 +6,9 @@ import pytest
 from dyncomplab import constructions as cx
 from dyncomplab import fo_engines as fe
 from dyncomplab import oracle as oc
-from dyncomplab.structures import Change, DynLabError
+from dyncomplab.structures import (ArityMismatchError, Change, DynLabError,
+                                   ElementRangeError)
 from helpers import GRAPH_RELS, drive_checked
-
-
-def test_index_set_examples():
-    assert fe.index_set_of(5, 8) == frozenset({1, 3})
-    assert fe.index_set_of(0, 8) == frozenset()
-    assert fe.index_set_of(7, 8) == frozenset({1, 2, 3})
-    with pytest.raises(DynLabError):
-        fe.index_set_of(8, 8)
-
-
-def test_indexed_in_neighbours():
-    eng = fe.FoDegKState(6, 3)
-    for c in [Change("ins", "E", (0, 4)), Change("ins", "E", (2, 4)),
-              Change("ins", "E", (5, 4))]:
-        eng.apply(c)
-    # in(4) = {0, 2, 5} in ascending order
-    picked = fe.indexed_in_neighbours(eng, 4, frozenset({1, 3}))
-    assert picked.valid and set(picked) == {0, 5}
-    assert not fe.indexed_in_neighbours(eng, 4, frozenset()).valid
-    assert not fe.indexed_in_neighbours(eng, 4, frozenset({4})).valid
-    assert not fe.indexed_in_neighbours(eng, 1, frozenset({1})).valid
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -56,12 +36,27 @@ def test_logn_single_element_domain():
 
 
 def test_logn_p_relation_shape():
-    eng = fe.FoLogNState(8)
-    rel = eng.p_relation()
-    assert rel == {(v, v) for v in range(8)} or \
-        all(imask < 8 for imask, _ in rel)
-    # the index-mask of v's own index set is v itself
-    assert all(imask == w for imask, w in rel)
+    for n in (8, 16):
+        eng = fe.FoLogNState(n)
+        for c in cx.random_changes(n, GRAPH_RELS, 40, random.Random(n)):
+            eng.apply(c)
+        rel = eng.p_relation()
+        assert rel, n
+        # v's bits pick a non-empty index set into w's in-neighbour list,
+        # whose length is bounded by k
+        for v, w in rel:
+            assert 1 <= v < 2 ** eng.in_mask[w].bit_count() <= 2 ** eng.k, \
+                (n, v, w)
+
+
+def test_audit_reports_a_flipped_answer():
+    eng = fe.FoDegKState(6, 2)
+    for c in cx.random_changes(6, GRAPH_RELS, 30, random.Random(4)):
+        eng.apply(c)
+    assert oc.audit_fo_state(eng) == []
+    eng.ans = not eng.ans
+    assert [(d.relation, d.kind) for d in oc.audit_fo_state(eng)] == \
+        [("Ans", "structure")]
 
 
 def test_degk_p_set():
@@ -90,6 +85,20 @@ def test_engine_rejects_bad_changes():
         eng.apply(Change("ins", "E", (0, 9)))
     with pytest.raises(DynLabError):
         eng.apply(Change("ins", "Q", (0,)))
+
+
+@pytest.mark.parametrize("c,error", [
+    (Change("ins", "E", (0, 4)), ElementRangeError),
+    (Change("del", "R", (-1,)), ElementRangeError),
+    (Change("ins", "E", (0,)), ArityMismatchError),
+    (Change("ins", "R", (0, 1)), ArityMismatchError)])
+def test_engine_change_outside_its_schema_or_domain_is_rejected(c, error):
+    for eng in (fe.FoDegKState(4, 1), fe.FoLogNState(4)):
+        with pytest.raises(error):
+            eng.apply(c)
+        with pytest.raises(error):
+            eng.apply_reference(c)
+        assert eng.edges() == set() and eng.coloured() == set()
 
 
 def test_engines_never_call_the_oracle(monkeypatch):

@@ -10,11 +10,10 @@ from dyncomplab.driver import ProgramRun, drive
 from dyncomplab.bulk_eval import relation_to_array
 from dyncomplab.formulas import (atom, conj, disj, materialise_builtins, neg,
                                  parse_formula)
-from dyncomplab.interpreter import (DynamicProgram, NonEffectiveChangeError,
-                                    ProgramError, UpdateRule, format_program,
-                                    init_state, make_program, max_aux_arity,
-                                    parse_program, step, step_reference,
-                                    validate)
+from dyncomplab.interpreter import (NonEffectiveChangeError, ProgramError,
+                                    UpdateRule, format_program, init_state,
+                                    make_program, max_aux_arity,
+                                    parse_program, step, step_reference)
 from dyncomplab.structures import (Change, CHECKPOINT, ChangeScript,
                                    ScriptSyntaxError, check_fits)
 from helpers import rels_for
@@ -89,6 +88,13 @@ def test_run_is_deterministic():
         [r.program_answer for r in second.records]
 
 
+# reads both built-in relations, so a step's built-in arrays must agree
+# with the tuples step_reference merges into its snapshot
+_BUILTIN_READER = ("input U/1\nbuiltin order\nbuiltin bit\naux A/1\nanswer A\n"
+                   "on ins U(u) update A(x) := A(x) ^ leq(x, u) & !bit(u, x)\n"
+                   "on del U(u) update A(x) := A(x) & !(leq(u, x) | bit(x, u))\n")
+
+
 @pytest.mark.parametrize("builder,n", [
     (lambda: pg.size_k_program(2), 5),
     (pg.parity_degree_div3_program, 4),
@@ -99,6 +105,7 @@ def test_run_is_deterministic():
         ("parity", 4), ("size_1", 4), ("size_3", 4), ("size_4", 4),
         ("degree_rel_2", 4), ("degree_rel_3", 4),
         ("parity_exists_prop_4", 3))),
+    pytest.param(lambda: parse_program(_BUILTIN_READER), 5, id="builtins"),
 ])
 def test_step_matches_reference(builder, n):
     prog = builder()
@@ -138,14 +145,38 @@ def test_parse_program_diagnostics():
         parse_program(text)
 
 
-def test_validate_reports_quantifier_use():
+def test_a_quantified_rule_makes_the_program_dynfo():
+    assert _swap_program().class_claim == "DynProp"
     rules = [UpdateRule("ins", "U", "A", ("u",), (),
                         parse_formula("exists x. U(x)")),
              UpdateRule("del", "U", "A", ("u",), (), atom("A"))]
-    p = DynamicProgram("fo", {"U": 1}, {"A": 0},
-                       {(r.op, r.relation, r.target): r for r in rules},
-                       {}, "A", class_claim="DynProp")
-    assert any("quantifier" in d or "first-order" in d for d in validate(p))
+    assert make_program("fo", {"U": 1}, {"A": 0}, rules, {}, "A") \
+        .class_claim == "DynFO"
+
+
+@pytest.mark.parametrize("stepper", [step, step_reference])
+def test_a_requires_effective_step_checks_its_change_once(stepper,
+                                                          monkeypatch):
+    from dyncomplab import structures
+    prog = pg.catalog_entry("degree_rel_2").build()
+    assert prog.requires_effective
+    checked = []
+    check = structures.check_tuple
+
+    def counted(name, *args):
+        checked.append(name)
+        check(name, *args)
+
+    monkeypatch.setattr(structures, "check_tuple", counted)
+    st = init_state(prog, 4)
+    for c, skipped in ((Change("ins", "E", (0, 1)), False),
+                       (Change("ins", "E", (0, 1)), True),
+                       (Change("del", "E", (0, 1)), False)):
+        checked.clear()
+        before = st
+        st = stepper(st, c)
+        assert checked.count("E") == 1, (c, checked)
+        assert (st is before) == skipped, c
 
 
 def test_step_results_share_no_buffer():
