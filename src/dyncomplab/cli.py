@@ -92,6 +92,11 @@ def cmd_run(args) -> int:
     query = QUERY_NAMES[args.oracle](args) if args.oracle else None
     n = script.domain_size
     if args.engine:
+        if args.program:
+            raise DynLabError("run takes --program or --engine, not both")
+        if args.mode is not None:
+            raise DynLabError("--mode applies to --program runs: an engine "
+                              "always skips non-effective changes")
         target = fe.FoLogNState(n) if args.engine == "fo-logn" else \
             fe.FoDegKState(n, _need_k(args))
         own = _engine_query(target)
@@ -108,7 +113,7 @@ def cmd_run(args) -> int:
             raise DynLabError("run needs --program or --engine")
         program = ip.parse_program(_read(args.program, "--program"),
                                    name=Path(args.program).stem)
-        target = ProgramRun(program, n, args.mode)
+        target = ProgramRun(program, n, args.mode or "skip")
         oracle = partial(oc.eval_query, query) if query else None
     report = drive(target, script, oracle, audit_every=int(args.audit))
     report.emit(as_json=args.json)
@@ -210,6 +215,8 @@ def cmd_fuzz(args) -> int:
 
 def cmd_oracle(args) -> int:
     query = QUERY_NAMES[args.query](args)
+    if args.structure and args.script:
+        raise DynLabError("oracle takes --structure or --script, not both")
     if args.structure:
         s = parse_structure(_read(args.structure, "--structure"))
         print(oc.eval_query(query, s))
@@ -362,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--script", required=True)
     p.add_argument("--oracle", choices=sorted(QUERY_NAMES))
     p.add_argument("--k", type=int)
-    p.add_argument("--mode", choices=["skip", "strict"], default="skip")
+    p.add_argument("--mode", choices=["skip", "strict"])
     p.add_argument("--audit", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_run)

@@ -13,24 +13,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .structures import (DynLabError, Structure, ValidationError,
-                         graph_coloured, graph_edges)
+from .structures import (ArityMismatchError, DynLabError, Structure,
+                         ValidationError, graph_coloured, graph_edges)
 
 
 class OracleError(DynLabError):
     pass
 
 
+# the input relations each query kind reads, with the arity it reads them at
+QUERY_INPUTS = {
+    "parity": {"U": 1},
+    "size_k": {"U": 1},
+    "parity_exists": {"E": 2, "R": 1},
+    "parity_exists_deg": {"E": 2, "R": 1},
+    "parity_exists_deg_logn": {"E": 2, "R": 1},
+    "parity_degree_div3": {"E": 2},
+}
+
+
 @dataclass(frozen=True)
 class QueryId:
-    kind: str            # parity | size_k | parity_exists | parity_exists_deg
-    #                    # | parity_exists_deg_logn | parity_degree_div3
+    kind: str            # a key of QUERY_INPUTS
     k: int | None = None
 
     def __post_init__(self):
-        kinds = {"parity", "size_k", "parity_exists", "parity_exists_deg",
-                 "parity_exists_deg_logn", "parity_degree_div3"}
-        if self.kind not in kinds:
+        if self.kind not in QUERY_INPUTS:
             raise ValidationError(f"unknown query kind {self.kind!r}")
         if self.kind in ("size_k", "parity_exists_deg") and (self.k is None or self.k < 0):
             raise ValidationError(f"{self.kind} needs a non-negative k")
@@ -73,6 +81,10 @@ def floor_log2(n: int) -> int:
 
 
 def eval_query(q: QueryId, s: Structure) -> bool:
+    for name, arity in QUERY_INPUTS[q.kind].items():
+        if s.arity(name) != arity:
+            raise ArityMismatchError(f"query {q.kind} reads {name}/{arity}, "
+                                     f"not {name}/{s.arity(name)}")
     if q.kind == "parity":
         return len(s.tuples("U")) % 2 == 1
     if q.kind == "size_k":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
 
-from .formulas import (FALSE, Formula, TRUE, atom, conj, disj, eq, neg, neq,
+from .formulas import (FALSE, Formula, atom, conj, disj, eq, neg, neq,
                        xor_chain)
 from .interpreter import DynamicProgram, ProgramState, UpdateRule, make_program
 from .oracle import (Discrepancy, QueryId, audit_list_family, diff,
@@ -44,227 +44,173 @@ def parity_program() -> DynamicProgram:
 # ---------------------------------------------------------------- size_k
 
 def size_k_program(k: int) -> DynamicProgram:
-    """Exact-size test |U| = k over a maintained linked list.
+    """Exact-size test |U| = k over a maintained linked list of U.
 
-    Levels run to L = k+1 so that a deletion can recover the exact size
-    from the removed element's distance to both ends.
+    The list has no owner node.  Levels run to L = k+1 so that a deletion
+    can recover the exact size from the removed element's distance to both
+    ends.  The overflow flag Is_gt (|U| > k) is maintained and audited, but
+    no rule on the answer's path reads it.  It stays because deleting it
+    (2 rules and 1 relation in each of size_1..size_4) would change the
+    static counts perfbench/baseline.json pins, so the deletion waits for a
+    change to the benchmark.
     """
     if k < 1:
         raise ValidationError("size_k needs k >= 1")
-    levels = k + 1
-    names = _list_names("", levels)
-    lname, fname, tname = names["list"], names["first"], names["last"]
-    iname = [f"Is_{i}" for i in range(0, k + 1)]
-    aux = {**{nm: 2 for nm in lname},
-           **{nm: 1 for nm in fname + tname},
-           **{nm: 0 for nm in iname}, "Is_gt": 0}
-    u, x, y = "u", "x", "y"
-    rules = []
-
-    def rule(op, target, frees, body):
-        rules.append(UpdateRule(op, "U", target, (u,), frees, body))
-
-    # insertion: append u at the tail
-    for i in range(1, levels + 1):
-        rule("ins", lname[i - 1], (x, y),
-             disj([atom(lname[i - 1], x, y),
-                   conj([atom(tname[i - 1], x), eq(y, u)])]))
-        rule("ins", tname[i - 1], (x,),
-             eq(x, u) if i == 1 else atom(tname[i - 2], x))
-        rule("ins", fname[i - 1], (x,),
-             disj([atom(fname[i - 1], x),
-                   conj([eq(x, u), atom(iname[i - 1])])]))
-    rule("ins", iname[0], (), FALSE)
-    for i in range(1, k + 1):
-        rule("ins", iname[i], (), atom(iname[i - 1]))
-    rule("ins", "Is_gt", (), disj([atom("Is_gt"), atom(iname[k])]))
-
-    # deletion: splice u out; sizes are read off u's two end distances
-    for i in range(1, levels + 1):
-        keep = conj([neq(x, u)]
-                    + [neg(atom(lname[j - 1], x, u)) for j in range(1, i + 1)]
-                    + [atom(lname[i - 1], x, y)])
-        splice = disj([conj([atom(lname[j - 1], x, u), atom(lname[jj - 1], u, y)])
-                       for j in range(1, levels + 1)
-                       for jj in range(1, levels + 1) if j + jj == i + 1])
-        rule("del", lname[i - 1], (x, y), disj([keep, splice]))
-        rule("del", tname[i - 1], (x,), disj(
-            [conj([neg(atom(tname[j - 1], u)) for j in range(1, i + 1)]
-                  + [atom(tname[i - 1], x)])]
-            + [conj([atom(tname[j - 1], u), atom(lname[i - j], x, u)])
-               for j in range(1, i + 1)]))
-        rule("del", fname[i - 1], (x,), disj(
-            [conj([neg(atom(fname[j - 1], u)) for j in range(1, i + 1)]
-                  + [atom(fname[i - 1], x)])]
-            + [conj([atom(fname[j - 1], u), atom(lname[i - j], u, x)])
-               for j in range(1, i + 1)]))
-    for i in range(0, k + 1):
-        rule("del", iname[i], (), disj(
-            [conj([atom(fname[j - 1], u), atom(tname[jj - 1], u)])
-             for j in range(1, levels + 1) for jj in range(1, levels + 1)
-             if j + jj == i + 2]))
-    rule("del", "Is_gt", (), conj(
-        [atom("Is_gt")]
-        + [disj([neg(atom(fname[j - 1], u)), neg(atom(tname[jj - 1], u))])
-           for j in range(1, levels + 1) for jj in range(1, levels + 1)
-           if j + jj == k + 2]))
-
-    return make_program(f"size_{k}", {"U": 1}, aux, rules,
-                        {"Is_0": {()}}, iname[k], requires_effective=True)
+    fam = _size_family(k)
+    rules = (fam.append_rules("ins", "U", ("u",), None, "u")
+             + fam.remove_rules("del", "U", ("u",), None, "u"))
+    return make_program(f"size_{k}", {"U": 1}, fam.schema(), rules,
+                        {"Is_0": {()}}, f"Is_{k}", requires_effective=True)
 
 
-# -------------------------------------------------- per-node list machinery
-
-def _list_names(prefix: str, levels: int) -> dict[str, list[str]]:
-    """The list, first and last relation names of levels 1..levels."""
-    return {key: [f"{prefix}{stem}_{i}" for i in range(1, levels + 1)]
-            for key, stem in (("list", "List"), ("first", "First"),
-                              ("last", "Last"))}
-
+# ------------------------------------------------------------ list machinery
 
 @dataclass(frozen=True)
 class ListFamily:
-    """Per-node element lists with exact-count flags.
+    """Ordered element lists with exact-count flags, one list per owner.
 
-    Tracks, for every owner node z, an ordered list of elements, with
-    relations  <p>List_i(z,x,y)  (x sits i positions before y),
-    <p>First_i(z,x) / <p>Last_i(z,x), exact-count flags count_name(i)(z)
-    for i in 1..K, and an overflow flag gt_name(z) for counts > K.
-    The count-0 case is the derived predicate `zero` (all flags off),
-    which keeps the initial auxiliary state empty and domain-independent.
+    The owner is the tuple of variables `owner`: ("z",) for a list per
+    node z, () for a single list.  For each owner o the family keeps
+    <p>List_i(o,x,y)  (x sits i positions before y),
+    <p>First_i(o,x) / <p>Last_i(o,x), exact-count flags count_names(o) and
+    an overflow flag gt_name(o) for counts > K.  count_names names the
+    counts 1..K, or 0..K.  Without a count-0 flag, count 0 is the derived
+    predicate `zero` (all flags off), which keeps the initial auxiliary
+    state empty and domain-independent.
     """
 
     prefix: str
     K: int
-    count_names: tuple[str, ...]   # count 1..K
+    count_names: tuple[str, ...]   # counts 1..K, or 0..K
     gt_name: str
-    owner: str = "z"
+    owner: tuple[str, ...] = ("z",)
 
     @property
     def levels(self) -> int:
         return self.K + 1
 
+    @property
+    def first_count(self) -> int:
+        """The count count_names[0] flags: 0 or 1."""
+        return self.K + 1 - len(self.count_names)
+
     def list_name(self, i): return f"{self.prefix}List_{i}"
     def first_name(self, i): return f"{self.prefix}First_{i}"
     def last_name(self, i): return f"{self.prefix}Last_{i}"
 
+    def names(self) -> dict[str, list[str]]:
+        """The list, first and last relation names of levels 1..levels."""
+        levels = range(1, self.levels + 1)
+        return {"list": [self.list_name(i) for i in levels],
+                "first": [self.first_name(i) for i in levels],
+                "last": [self.last_name(i) for i in levels]}
+
     def schema(self) -> dict[str, int]:
-        out = {}
-        for i in range(1, self.levels + 1):
-            out[self.list_name(i)] = 3
-            out[self.first_name(i)] = 2
-            out[self.last_name(i)] = 2
-        for nm in self.count_names:
-            out[nm] = 1
-        out[self.gt_name] = 1
-        return out
+        return {target: len(frees) for target, frees in self._targets()}
 
-    def zero(self, node) -> Formula:
-        return conj([neg(atom(nm, node)) for nm in self.count_names]
-                    + [neg(atom(self.gt_name, node))])
+    def zero(self, *owner) -> Formula:
+        return conj([neg(atom(nm, *owner)) for nm in self.count_names]
+                    + [neg(atom(self.gt_name, *owner))])
 
-    def count_pred(self, i: int, node) -> Formula:
-        if i == 0:
-            return self.zero(node)
-        return atom(self.count_names[i - 1], node)
+    def count_pred(self, i: int, *owner) -> Formula:
+        j = i - self.first_count
+        if j < 0:
+            return self.zero(*owner)
+        return atom(self.count_names[j], *owner)
 
     def _targets(self):
+        o = self.owner
         for i in range(1, self.levels + 1):
-            yield self.list_name(i), (self.owner, "x", "y")
-            yield self.first_name(i), (self.owner, "x")
-            yield self.last_name(i), (self.owner, "x")
+            yield self.list_name(i), (*o, "x", "y")
+            yield self.first_name(i), (*o, "x")
+            yield self.last_name(i), (*o, "x")
         for nm in self.count_names:
-            yield nm, (self.owner,)
-        yield self.gt_name, (self.owner,)
+            yield nm, o
+        yield self.gt_name, o
 
     def identity_rules(self, op, relation, params):
         for target, frees in self._targets():
             yield UpdateRule(op, relation, target, params, frees,
                              atom(target, *frees))
 
-    def append_rules(self, op, relation, params, guard: Formula, elem):
-        """Owners z with guard(params, z) append elem to their list."""
-        z, x, y = self.owner, "x", "y"
+    @staticmethod
+    def _writer(op, relation, params, guard: Formula | None):
+        """A rule list and `rule(target, frees, new, grow=False)`, which
+        appends the rule giving target, for the owners the guard admits,
+        the conjunction of `new` (with grow, its old value or that
+        conjunction); the other owners keep the old value.  guard None
+        admits every owner, and the body is then the new value alone."""
         rules = []
 
-        def rule(target, frees, body):
+        def rule(target, frees, new, grow=False):
+            body = conj(new if guard is None else [guard, *new])
+            if grow:
+                body = disj([atom(target, *frees), body])
+            elif guard is not None:
+                body = disj([conj([neg(guard), atom(target, *frees)]), body])
             rules.append(UpdateRule(op, relation, target, params, frees, body))
 
+        return rules, rule
+
+    def append_rules(self, op, relation, params, guard: Formula | None, elem):
+        """The owners the guard admits (all for None) append elem."""
+        o, x, y = self.owner, "x", "y"
+        rules, rule = self._writer(op, relation, params, guard)
         for i in range(1, self.levels + 1):
-            rule(self.list_name(i), (z, x, y),
-                 disj([atom(self.list_name(i), z, x, y),
-                       conj([guard, atom(self.last_name(i), z, x), eq(y, elem)])]))
-            rule(self.last_name(i), (z, x), disj(
-                [conj([neg(guard), atom(self.last_name(i), z, x)]),
-                 conj([guard, eq(x, elem)]) if i == 1
-                 else conj([guard, atom(self.last_name(i - 1), z, x)])]))
-            rule(self.first_name(i), (z, x), disj(
-                [atom(self.first_name(i), z, x),
-                 conj([guard, eq(x, elem), self.count_pred(i - 1, z)])]))
-        for i in range(1, self.K + 1):
-            rule(self.count_names[i - 1], (z,), disj(
-                [conj([neg(guard), atom(self.count_names[i - 1], z)]),
-                 conj([guard, self.count_pred(i - 1, z)])]))
-        rule(self.gt_name, (z,), disj(
-            [atom(self.gt_name, z),
-             conj([guard, self.count_pred(self.K, z)])]))
+            rule(self.list_name(i), (*o, x, y),
+                 [atom(self.last_name(i), *o, x), eq(y, elem)], grow=True)
+            rule(self.last_name(i), (*o, x), [
+                eq(x, elem) if i == 1 else atom(self.last_name(i - 1), *o, x)])
+            rule(self.first_name(i), (*o, x),
+                 [eq(x, elem), self.count_pred(i - 1, *o)], grow=True)
+        for i, nm in enumerate(self.count_names, start=self.first_count):
+            rule(nm, o, [self.count_pred(i - 1, *o) if i else FALSE])
+        rule(self.gt_name, o, [self.count_pred(self.K, *o)], grow=True)
         return rules
 
-    def remove_rules(self, op, relation, params, guard: Formula, elem):
-        """Owners z with guard(params, z) remove elem (assumed present)."""
-        z, x, y = self.owner, "x", "y"
+    def remove_rules(self, op, relation, params, guard: Formula | None, elem):
+        """The owners the guard admits (all for None) remove elem, which
+        must be present."""
+        o, x, y = self.owner, "x", "y"
         L = self.levels
-        rules = []
-
-        def rule(target, frees, body):
-            rules.append(UpdateRule(op, relation, target, params, frees, body))
-
-        for i in range(1, L + 1):
+        levels = range(1, L + 1)
+        rules, rule = self._writer(op, relation, params, guard)
+        # elem's place in the list before the change, at each distance j
+        ahead = {j: atom(self.list_name(j), *o, x, elem) for j in levels}
+        behind_x = {j: atom(self.list_name(j), *o, elem, x) for j in levels}
+        behind_y = {j: atom(self.list_name(j), *o, elem, y) for j in levels}
+        first = {j: atom(self.first_name(j), *o, elem) for j in levels}
+        last = {j: atom(self.last_name(j), *o, elem) for j in levels}
+        for i in levels:
             keep = conj([neq(x, elem)]
-                        + [neg(atom(self.list_name(j), z, x, elem))
-                           for j in range(1, i + 1)]
-                        + [atom(self.list_name(i), z, x, y)])
-            splice = disj([conj([atom(self.list_name(j), z, x, elem),
-                                 atom(self.list_name(jj), z, elem, y)])
-                           for j in range(1, L + 1) for jj in range(1, L + 1)
-                           if j + jj == i + 1])
-            rule(self.list_name(i), (z, x, y), disj(
-                [conj([neg(guard), atom(self.list_name(i), z, x, y)]),
-                 conj([guard, disj([keep, splice])])]))
-            rule(self.last_name(i), (z, x), disj(
-                [conj([neg(guard), atom(self.last_name(i), z, x)]),
-                 conj([guard, disj(
-                     [conj([neg(atom(self.last_name(j), z, elem))
-                            for j in range(1, i + 1)]
-                           + [atom(self.last_name(i), z, x)])]
-                     + [conj([atom(self.last_name(j), z, elem),
-                              atom(self.list_name(i - j + 1), z, x, elem)])
-                        for j in range(1, i + 1)])])]))
-            rule(self.first_name(i), (z, x), disj(
-                [conj([neg(guard), atom(self.first_name(i), z, x)]),
-                 conj([guard, disj(
-                     [conj([neg(atom(self.first_name(j), z, elem))
-                            for j in range(1, i + 1)]
-                           + [atom(self.first_name(i), z, x)])]
-                     + [conj([atom(self.first_name(j), z, elem),
-                              atom(self.list_name(i - j + 1), z, elem, x)])
-                        for j in range(1, i + 1)])])]))
-        for i in range(1, self.K + 1):
-            both_ends = disj([conj([atom(self.first_name(j), z, elem),
-                                    atom(self.last_name(jj), z, elem)])
-                              for j in range(1, L + 1) for jj in range(1, L + 1)
-                              if j + jj == i + 2])
-            rule(self.count_names[i - 1], (z,), disj(
-                [conj([neg(guard), atom(self.count_names[i - 1], z)]),
-                 conj([guard, both_ends])]))
-        rule(self.gt_name, (z,), disj(
-            [conj([neg(guard), atom(self.gt_name, z)]),
-             conj([guard, atom(self.gt_name, z)]
-                  + [disj([neg(atom(self.first_name(j), z, elem)),
-                           neg(atom(self.last_name(jj), z, elem))])
-                     for j in range(1, L + 1) for jj in range(1, L + 1)
-                     if j + jj == self.K + 2])]))
+                        + [neg(ahead[j]) for j in range(1, i + 1)]
+                        + [atom(self.list_name(i), *o, x, y)])
+            splice = disj([conj([ahead[j], behind_y[i + 1 - j]])
+                           for j in range(1, i + 1)])
+            rule(self.list_name(i), (*o, x, y), [disj([keep, splice])])
+            rule(self.last_name(i), (*o, x), [disj(
+                [conj([neg(last[j]) for j in range(1, i + 1)]
+                      + [atom(self.last_name(i), *o, x)])]
+                + [conj([last[j], ahead[i + 1 - j]])
+                   for j in range(1, i + 1)])])
+            rule(self.first_name(i), (*o, x), [disj(
+                [conj([neg(first[j]) for j in range(1, i + 1)]
+                      + [atom(self.first_name(i), *o, x)])]
+                + [conj([first[j], behind_x[i + 1 - j]])
+                   for j in range(1, i + 1)])])
+        for i, nm in enumerate(self.count_names, start=self.first_count):
+            rule(nm, o, [disj([conj([first[j], last[i + 2 - j]])
+                               for j in range(1, i + 2)])])
+        rule(self.gt_name, o, [atom(self.gt_name, *o)]
+             + [disj([neg(first[j]), neg(last[L + 1 - j])]) for j in levels])
         return rules
+
+
+def _size_family(k: int) -> ListFamily:
+    """size_k's one list of U, with no owner, count flags Is_0..Is_k and
+    overflow flag Is_gt."""
+    return ListFamily("", k, tuple(f"Is_{i}" for i in range(k + 1)), "Is_gt",
+                      ())
 
 
 def _count_family(prefix: str, flag: str, k: int) -> ListFamily:
@@ -290,7 +236,7 @@ def degree_k_relation_program(k: int) -> DynamicProgram:
         raise ValidationError("degree_k_relation needs k >= 1")
     fam = _count_family("", "N", k)
     v, w = "v", "w"
-    owner_is_w = eq(fam.owner, w)
+    owner_is_w = eq(*fam.owner, w)
     rules = []
     rules += fam.append_rules("ins", "E", (v, w), owner_is_w, v)
     rules += fam.remove_rules("del", "E", (v, w), owner_is_w, v)
@@ -317,10 +263,10 @@ def parity_degree_div3_program() -> DynamicProgram:
 
     rules = []
     # neighbour lists: edge (v,w) appends w to v's out-list, v to w's in-list
-    rules += out_fam.append_rules("ins", "E", (v, w), eq(out_fam.owner, v), w)
-    rules += in_fam.append_rules("ins", "E", (v, w), eq(in_fam.owner, w), v)
-    rules += out_fam.remove_rules("del", "E", (v, w), eq(out_fam.owner, v), w)
-    rules += in_fam.remove_rules("del", "E", (v, w), eq(in_fam.owner, w), v)
+    rules += out_fam.append_rules("ins", "E", (v, w), eq(*out_fam.owner, v), w)
+    rules += in_fam.append_rules("ins", "E", (v, w), eq(*in_fam.owner, w), v)
+    rules += out_fam.remove_rules("del", "E", (v, w), eq(*out_fam.owner, v), w)
+    rules += in_fam.remove_rules("del", "E", (v, w), eq(*in_fam.owner, w), v)
 
     untouched = conj([neq(x, v), neq(x, w)])
     endpoint = disj([eq(x, v), eq(x, w)])
@@ -409,19 +355,19 @@ def parity_exists_deg_k_prop_program(k: int) -> DynamicProgram:
     rules: list[UpdateRule] = []
 
     # per-node in-neighbour lists (edge changes only)
-    rules += nfam.append_rules("ins", "E", (v, w), eq(nfam.owner, w), v)
-    rules += nfam.remove_rules("del", "E", (v, w), eq(nfam.owner, w), v)
+    rules += nfam.append_rules("ins", "E", (v, w), eq(*nfam.owner, w), v)
+    rules += nfam.remove_rules("del", "E", (v, w), eq(*nfam.owner, w), v)
     rules += nfam.identity_rules("ins", "R", (v,))
     rules += nfam.identity_rules("del", "R", (v,))
 
     # per-node coloured in-neighbour lists (edge changes touch one owner,
     # colour changes touch every out-neighbour of the recoloured node)
     rules += cfam.append_rules("ins", "E", (v, w),
-                               conj([eq(cfam.owner, w), atom("R", v)]), v)
+                               conj([eq(*cfam.owner, w), atom("R", v)]), v)
     rules += cfam.remove_rules("del", "E", (v, w),
-                               conj([eq(cfam.owner, w), atom("R", v)]), v)
-    rules += cfam.append_rules("ins", "R", (v,), atom("E", v, cfam.owner), v)
-    rules += cfam.remove_rules("del", "R", (v,), atom("E", v, cfam.owner), v)
+                               conj([eq(*cfam.owner, w), atom("R", v)]), v)
+    rules += cfam.append_rules("ins", "R", (v,), atom("E", v, *cfam.owner), v)
+    rules += cfam.remove_rules("del", "R", (v,), atom("E", v, *cfam.owner), v)
 
     def n_count(i: int, node) -> Formula:
         return nfam.count_pred(i, node)
@@ -630,16 +576,15 @@ def audit_program_state(state: ProgramState) -> list[Discrepancy]:
 
 
 def _audit_list_program(aux: Structure, fam: ListFamily,
-                        members: dict[int, set[int]],
+                        members: dict[tuple, set[int]],
                         out: list[Discrepancy]) -> None:
-    """fam's lists and count flags against each owner node's members."""
-    audit_list_family(aux, {(z,): elems for z, elems in members.items()},
-                      _list_names(fam.prefix, fam.levels), out)
-    for i, nm in enumerate(fam.count_names, start=1):
-        diff(nm, {(z,) for z, elems in members.items() if len(elems) == i},
+    """fam's lists and count flags against each owner tuple's members."""
+    audit_list_family(aux, members, fam.names(), out)
+    for i, nm in enumerate(fam.count_names, start=fam.first_count):
+        diff(nm, {o for o, elems in members.items() if len(elems) == i},
              aux.tuples(nm), out)
     diff(fam.gt_name,
-         {(z,) for z, elems in members.items() if len(elems) > fam.K},
+         {o for o, elems in members.items() if len(elems) > fam.K},
          aux.tuples(fam.gt_name), out)
 
 
@@ -655,26 +600,26 @@ def _audit_parity(inp: Structure, aux: Structure,
 
 def _audit_size(k: int, inp: Structure, aux: Structure,
                 out: list[Discrepancy]) -> None:
-    members = {u for (u,) in inp.tuples("U")}
-    audit_list_family(aux, {(): members}, _list_names("", k + 1), out)
-    for i in range(0, k + 1):
-        _check_flag(aux, f"Is_{i}", len(members) == i, out)
-    _check_flag(aux, "Is_gt", len(members) > k, out)
+    _audit_list_program(aux, _size_family(k),
+                        {(): {u for (u,) in inp.tuples("U")}}, out)
 
 
 def _audit_degree_rel(k: int, inp: Structure, aux: Structure,
                       out: list[Discrepancy]) -> None:
     _audit_list_program(aux, _count_family("", "N", k),
-                        {w: in_neighbours(inp, w) for w in range(inp.n)}, out)
+                        {(w,): in_neighbours(inp, w) for w in range(inp.n)},
+                        out)
 
 
 def _audit_parity_degree_div3(inp: Structure, aux: Structure,
                               out: list[Discrepancy]) -> None:
     out_fam, in_fam = _div3_families()
     _audit_list_program(aux, out_fam,
-                        {v: out_neighbours(inp, v) for v in range(inp.n)}, out)
+                        {(v,): out_neighbours(inp, v) for v in range(inp.n)},
+                        out)
     _audit_list_program(aux, in_fam,
-                        {w: in_neighbours(inp, w) for w in range(inp.n)}, out)
+                        {(w,): in_neighbours(inp, w) for w in range(inp.n)},
+                        out)
     degree = {x: total_degree(inp, x) for x in range(inp.n)}
     for i in range(3):
         diff(f"M_{i}", {(x,) for x, d in degree.items() if d > 0 and d % 3 == i},
@@ -686,11 +631,11 @@ def _audit_parity_exists_prop(k: int, inp: Structure, aux: Structure,
                               out: list[Discrepancy]) -> None:
     nfam, cfam = _count_family("N", "N", k), _count_family("C", "Nc", k)
     coloured = graph_coloured(inp)
-    ins = {w: in_neighbours(inp, w) for w in range(inp.n)}
+    ins = {(w,): in_neighbours(inp, w) for w in range(inp.n)}
     _audit_list_program(aux, nfam, ins, out)
     _audit_list_program(aux, cfam,
                         {w: vs & coloured for w, vs in ins.items()}, out)
-    diff("Active", {(x,) for x, vs in ins.items() if 1 <= len(vs) <= k},
+    diff("Active", {o for o, vs in ins.items() if 1 <= len(vs) <= k},
          aux.tuples("Active"), out)
     uncoloured = sorted(set(range(inp.n)) - coloured)
     for l, m in _p_pairs(k):

@@ -515,3 +515,58 @@ def test_fuzz_sym_refuses_size_flags(capsys, flags):
     out, err = capsys.readouterr()
     assert err.startswith("error: fuzz --target sym takes no --n or --k")
     assert "seeds" not in out
+
+
+@pytest.mark.parametrize("flag, text, query", [
+    ("--structure", "domain 3\nrel U/2\nset U 0 1\n", ["parity"]),
+    ("--script", "domain 3\nrel E/3\nrel R/1\nins E 0 1 2\nquery\n",
+     ["parity-exists-deg", "--k", "1"]),
+    ("--structure", "domain 3\nrel E/2\nrel R/2\nset R 0 1\n",
+     ["parity-exists"]),
+], ids=["U/2", "E/3", "R/2"])
+def test_oracle_rejects_an_input_relation_of_the_wrong_arity(
+        tmp_path, capsys, flag, text, query):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main(["oracle", "--query", *query, flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: query ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_run_engine_rejects_mode(tmp_path, capsys):
+    script = tmp_path / "g.chg"
+    script.write_text("domain 3\nins E 0 1\nins E 0 1\nquery\n")
+    assert main(["run", "--engine", "fo-degk", "--k", "2", "--mode", "strict",
+                 "--script", str(script)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: --mode applies to --program runs")
+    assert out == ""
+    assert main(["run", "--program", str(PROGDIR / "degree_rel_1.dyp"),
+                 "--mode", "strict", "--script", str(script)]) == 2
+    assert main(["run", "--program", str(PROGDIR / "degree_rel_1.dyp"),
+                 "--script", str(script)]) == 0
+    assert "1 skipped changes" in capsys.readouterr().out
+
+
+def test_run_rejects_program_with_engine(tmp_path, capsys):
+    script = tmp_path / "g.chg"
+    script.write_text("domain 3\nins E 0 1\nquery\n")
+    assert main(["run", "--engine", "fo-degk", "--k", "2",
+                 "--program", str(PROGDIR / "parity.dyp"),
+                 "--script", str(script)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: run takes --program or --engine, not both")
+    assert out == ""
+
+
+def test_oracle_rejects_structure_with_script(tmp_path, capsys):
+    structure = tmp_path / "s.str"
+    structure.write_text("domain 3\nrel U/1\nset U 0\n")
+    script = tmp_path / "s.chg"
+    script.write_text("domain 3\nins U 0\nins U 1\nquery\n")
+    assert main(["oracle", "--query", "parity", "--structure", str(structure),
+                 "--script", str(script)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: oracle takes --structure or --script")
+    assert out == ""

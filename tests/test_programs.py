@@ -94,6 +94,7 @@ def test_committed_program_files_match_catalog():
     for entry in pg.catalog():
         built = entry.build()
         text = (progdir / f"{entry.name}.dyp").read_text()
+        assert text == format_program(built), entry.name
         parsed = parse_program(text, name=entry.name)
         assert parsed.rules == built.rules, entry.name
         assert parsed.init_aux == built.init_aux
