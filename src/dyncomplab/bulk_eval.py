@@ -28,7 +28,18 @@ The lowering
   kernel made and reads no more (an operation's result or an earlier
   split's), so a rule makes at most one full-shape copy however many
   splits it nests;
+- starts a split whose base is a whole atom of one relation, in axis
+  order (`T(z, x, y)` with frees (z, x, y)), from that relation's array
+  itself: each slice is compared with the array's own, and the array is
+  copied, once, at the first slice that differs; below _SHARE_MIN cells
+  the base is copied up front instead;
+- returns the relation's array itself for a rule whose whole value is
+  such an atom (an identity rule `T(x) := T(x)`);
 - frees every named intermediate after its last use.
+
+Kernels never write to an array of `rels`, and their results are
+read-only: a result is an array of `rels` itself, shares its memory, or
+is an array nobody else holds.
 
 Kernels hold no program names: relation and parameter names are bound
 as default arguments, so rules of the same shape share one code object.
@@ -43,7 +54,7 @@ import re
 import sys
 import types
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -67,8 +78,9 @@ def bulk_eval(f: Formula, rels: Mapping[str, np.ndarray], n: int,
               params: Mapping[str, int], frees: tuple[str, ...]) -> np.ndarray:
     """Boolean array of shape (n,)*len(frees), axis i ranging over frees[i].
 
-    The array is fresh and writable: it shares no memory with `rels` or
-    with any earlier result.
+    The array is read-only, or is one of the arrays of `rels`, returned
+    as it is.  It may share memory with `rels` and with earlier results;
+    kernels never write to `rels`.
     """
     frees = tuple(frees)
     key = (id(f), tuple(params), frees)
@@ -108,8 +120,14 @@ def _lower(f: Formula, params: tuple[str, ...], frees: tuple[str, ...]) -> Kerne
 # ---------------------------------------------------------------- runtime
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(False)  # write=False; the keyword form costs twice as much
     return a
+
+
+@functools.lru_cache(maxsize=16)
+def _full(shape: tuple[int, ...], value: bool) -> np.ndarray:
+    """The read-only constant array of a rule whose value is one bool."""
+    return _readonly(np.full(shape, value, dtype=bool))
 
 
 @functools.lru_cache(maxsize=64)
@@ -145,6 +163,17 @@ def _copy(a, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _cow(a: np.ndarray, axis: int, at: int, value) -> np.ndarray:
+    """`a` with `value` on the slice `at` of `axis`, `a` left unwritten:
+    `a` itself when that slice holds `value` already, else a copy."""
+    index = (slice(None),) * axis + (slice(at, at + 1),)
+    if not np.count_nonzero(a[index] != value):
+        return a
+    out = _copy(a, a.shape)
+    out[index] = value
+    return out
+
+
 class _ArityMismatch(Exception):
     """A kernel was given an array whose ndim is not its atom's arity."""
 
@@ -166,11 +195,20 @@ def _children(f: Formula) -> list[Formula]:
             if hasattr(f, name)]
 
 
+# The fewest cells of a relation's array for a split to start from the
+# array itself rather than a copy.  A slice compare (`_cow`) costs a flat
+# 2-3.5 us, a copy plus slice store about 0.1 us per 1,000 cells; they
+# cross at 26k-33k cells for binary and ternary arrays alike (Python
+# 3.11, numpy 2.4, one core of a shared 2-core machine).
+_SHARE_MIN = 1 << 15
+
 # namespace of every kernel; the all-false / all-true constants Z<d> and
 # O<d> of shape (1,)*d are added on first use
 _NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
-                    "_copy": _copy, "_diag": _diag, "_eye": _eye,
-                    "_arange": _arange, "_ArityMismatch": _ArityMismatch}
+                    "_copy": _copy, "_cow": _cow, "_full": _full,
+                    "_readonly": _readonly, "_diag": _diag, "_eye": _eye,
+                    "_arange": _arange, "_ArityMismatch": _ArityMismatch,
+                    "_SHARE_MIN": _SHARE_MIN}
 
 
 def _constant(value: bool, depth: int) -> str:
@@ -199,13 +237,17 @@ class _Val:
     tells an array of ndim = depth from a scalar (bool).  `const` is the
     value when known at compile time (all-false/all-true for arrays);
     `may` holds the constants an array may turn out to be at run time,
-    and then `code` is a name."""
+    and then `code` is a name.  `whole` names the relation array (`r<i>`)
+    whose whole value, in axis order, this is; `shares` the one this
+    array may be itself at run time (a split that started from it)."""
 
     code: str
     array: bool
     const: bool | None = None
     may: frozenset = frozenset()
     nest: int = 0
+    whole: str = ""
+    shares: str = ""
 
 
 @dataclass
@@ -332,11 +374,16 @@ class _Lowering:
         body = _Block()
         root = self.gen(self.f, self.ctx, depth, (), body)
         shape = _shape(depth)
-        if root.array and root.const is None:
-            ret = f"return _take({root.code}, {shape})"
+        if root.whole:
+            ret = f"return {root.whole}"
+        elif root.array and root.const is None:
+            value = f"_readonly(_take({root.code}, {shape}))"
+            if root.shares:  # the relation's array, if no slice changed it
+                value = f"{root.code} if {root.code} is {root.shares} else {value}"
+            ret = f"return {value}"
         else:
             value = root.const if root.const is not None else root.code
-            ret = f"return np.full({shape}, {value}, dtype=bool)"
+            ret = f"return _full({shape}, {value})"
         body.stmts.append(("return", ret))
         _insert_dels(body.stmts, ())
         # the names of the relations (R<i>) and parameters (P<i>) it reads
@@ -402,7 +449,7 @@ class _Lowering:
             return v
         t = self._temp(v.code)
         block.stmts.append(("assign", t, v.code))
-        return _Val(t, v.array, None, v.may)
+        return _Val(t, v.array, None, v.may, whole=v.whole, shares=v.shares)
 
     def val(self, code: str, array: bool, block: _Block,
             may=frozenset(), nest: int = 0) -> _Val:
@@ -515,6 +562,20 @@ class _Lowering:
         shape = "(" + "".join("n, " if a in live else "1, "
                               for a in range(depth)) + ")"
         read = set(_TEMP.findall(on.code)).union(*map(_reads, branch.stmts))
+        if off.whole or off.shares and self._owned(off, read, block):
+            # start from the relation's array itself (or from the split
+            # that did) and copy it at the first slice that changes it
+            rel = off.whole or off.shares
+            if off.whole:
+                t = self._temp()
+                block.stmts.append(("assign", t, f"({rel} if {rel}.size >= "
+                                    f"_SHARE_MIN else _copy({rel}, {shape}))"))
+            else:
+                t = off.code
+            value = self.named(on, branch)
+            block.stmts.append(("if", guard, branch.stmts + [
+                ("cow", t, rel, axis, at, index, value.code)], [], None))
+            return _Val(t, True, shares=rel)
         # a base the kernel made and nothing else reads is written in
         # place (_take copies it only if it is a view, a constant or too
         # small), so nested splits make one copy in all
@@ -567,7 +628,10 @@ class _Lowering:
         if guards:
             code = f"({code} if {' and '.join(guards)} else " \
                 f"{_constant(False, depth) if array else 'False'})"
-        return self.val(code, array, block)
+        v = self.val(code, array, block)
+        if axes == list(range(depth)) and len(axes) == len(terms):
+            v = replace(v, whole=r)
+        return v
 
     def _eq(self, f: Eq, ctx, depth: int, block: _Block) -> _Val:
         left, right = self._term(f.left, ctx), self._term(f.right, ctx)
@@ -778,6 +842,8 @@ def _reads(stmt) -> set[str]:
         return set(_TEMP.findall(stmt[2]))
     if stmt[0] == "store":
         return set(_TEMP.findall(stmt[1] + " " + stmt[2]))
+    if stmt[0] == "cow":
+        return set(_TEMP.findall(stmt[1] + " " + stmt[6]))
     if stmt[0] == "return":
         return set(_TEMP.findall(stmt[1]))
     out = set(_TEMP.findall(stmt[1]))
@@ -824,6 +890,13 @@ def _render(stmts: list, level: int, lines: list[str]) -> None:
             lines.append(f"{pad}del {s[1]}")
         elif s[0] == "return":
             lines.append(f"{pad}{s[1]}")
+        elif s[0] == "cow":
+            # t is the relation's own array until a slice changes it
+            _, t, rel, axis, at, index, value = s
+            lines += [f"{pad}if {t} is {rel}:",
+                      f"{pad}    {t} = _cow({t}, {axis}, {at}, {value})",
+                      f"{pad}else:",
+                      f"{pad}    {t}[{index}] = {value}"]
         else:
             lines.append(f"{pad}if {s[1]}:")
             _render(s[2], level + 1, lines)

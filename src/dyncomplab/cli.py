@@ -41,6 +41,9 @@ QUERY_NAMES = {
     "parity-degree-div3": lambda a: oc.QueryId("parity_degree_div3"),
 }
 
+# the queries that read --k
+K_QUERIES = {"size-k", "parity-exists-deg"}
+
 # target aliases accepted by fuzz/run in addition to catalog names
 TARGET_ALIASES = {
     "prop33": lambda k: f"parity_exists_prop_{k if k else 3}",
@@ -87,7 +90,14 @@ def _engine_query(engine: fe.ParityExistsEngine) -> oc.QueryId:
     return oc.QueryId("parity_exists_deg", engine.k)
 
 
+def _refuse_unread_k(args, reads_k: bool) -> None:
+    if args.k is not None and not reads_k:
+        raise DynLabError("--k is read only by --engine fo-degk and by the "
+                          f"queries {' and '.join(sorted(K_QUERIES))}")
+
+
 def cmd_run(args) -> int:
+    _refuse_unread_k(args, args.engine == "fo-degk" or args.oracle in K_QUERIES)
     script = parse_script(_read(args.script, "--script"))
     query = QUERY_NAMES[args.oracle](args) if args.oracle else None
     n = script.domain_size
@@ -214,6 +224,7 @@ def cmd_fuzz(args) -> int:
 # --------------------------------------------------------------- oracle
 
 def cmd_oracle(args) -> int:
+    _refuse_unread_k(args, args.query in K_QUERIES)
     query = QUERY_NAMES[args.query](args)
     if args.structure and args.script:
         raise DynLabError("oracle takes --structure or --script, not both")

@@ -152,7 +152,12 @@ def max_aux_arity(p: DynamicProgram) -> int:
 
 @dataclass
 class ProgramState:
-    """Input structure + auxiliary relations (kept as boolean arrays)."""
+    """Input structure + auxiliary relations (kept as boolean arrays).
+
+    The auxiliary and built-in arrays of a state that `init_state` or
+    `step` made are read-only, and states may share them: a step hands
+    an array it leaves unchanged on to the next state as it is.
+    """
 
     program: DynamicProgram
     input: Structure
@@ -194,8 +199,15 @@ def init_state(p: DynamicProgram, n: int) -> ProgramState:
         for t in tuples:
             check_tuple(name, arity, t, n)
         aux_arrays[name] = relation_to_array(tuples, arity, n)
-    return ProgramState(p, input_structure, aux_arrays,
-                        _builtin_arrays(n, p.builtins))
+    return ProgramState(p, input_structure, _frozen(aux_arrays),
+                        _frozen(_builtin_arrays(n, p.builtins)))
+
+
+def _frozen(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """`arrays`, each made read-only, so that states may share them."""
+    for a in arrays.values():
+        a.setflags(False)  # write=False, in the cheaper positional form
+    return arrays
 
 
 def _builtin_arrays(n: int, builtins: Iterable[str]) -> dict[str, np.ndarray]:
@@ -218,7 +230,7 @@ def _input_arrays(state: ProgramState) -> dict[str, np.ndarray]:
     out = {}
     for name, (arity, tuples) in state.input.relations.items():
         out[name] = relation_to_array(tuples, arity, state.n)
-    return out
+    return _frozen(out)
 
 
 def _changed_input(state: ProgramState, c: Change, mode: str) -> Structure | None:
@@ -247,7 +259,7 @@ def step(state: ProgramState, c: Change, mode: str = "skip") -> ProgramState:
     for target in p.aux_schema:
         rule = p.rules[(c.op, c.relation, target)]
         params = dict(zip(rule.params, c.args))
-        # a fresh array, shared with no other state
+        # read-only; the pre-step array itself when the rule leaves it be
         new_aux[target] = bulk_eval(rule.body, env, state.n, params, rule.frees)
     return ProgramState(p, changed, new_aux, state.builtin_arrays)
 

@@ -570,3 +570,19 @@ def test_oracle_rejects_structure_with_script(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err.startswith("error: oracle takes --structure or --script")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--engine", "fo-logn", "--k", "7"],
+    ["run", "--program", str(PROGDIR / "degree_rel_1.dyp"), "--k", "7"],
+    ["run", "--program", str(PROGDIR / "degree_rel_1.dyp"), "--k", "7",
+     "--oracle", "parity-degree-div3"],
+    ["oracle", "--query", "parity", "--k", "7"],
+], ids=["fo-logn", "program", "program-oracle", "oracle"])
+def test_a_k_that_nothing_reads_exits_2(tmp_path, capsys, argv):
+    script = tmp_path / "g.chg"
+    script.write_text("domain 3\nins E 0 1\nquery\n")
+    assert main(argv + ["--script", str(script)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: --k is read only by ")
+    assert out == ""

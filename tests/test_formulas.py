@@ -1,9 +1,11 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyncomplab import bulk_eval as be
 from dyncomplab.bulk_eval import (_Lowering, array_to_relation, bulk_eval,
                                   relation_to_array)
 from dyncomplab.formulas import (And, Atom, Const, Eq, Exists, FALSE, Forall,
@@ -54,10 +56,11 @@ def random_structure(rng, n, schema=SCHEMA):
 SPLIT_SCHEMA = {**SCHEMA, "T": 3}
 
 
-def split_rule(rng, frees, params):
+def split_rule(rng, frees, params, base=None):
     """`!(x = p) & A | x = p & y = q & B | ...`: a rule body whose
     disjuncts bind free variables to parameters or constants, the shape
-    bulk_eval lowers to a base plus slice writes."""
+    bulk_eval lowers to a base plus slice writes.  `base` is A when
+    given."""
     names = list(frees) + list(params)
 
     def value():
@@ -76,7 +79,8 @@ def split_rule(rng, frees, params):
         parts.append(conj([eq(x, value()) for x in bound] + [body()]))
     off = rng.sample(frees, rng.randrange(len(frees) + 1))
     parts.insert(rng.randrange(len(parts) + 1),
-                 conj([neg(eq(x, value())) for x in off] + [body()]))
+                 conj([neg(eq(x, value())) for x in off] +
+                      [body() if base is None else base]))
     return disj(parts)
 
 
@@ -256,6 +260,25 @@ def test_bulk_eval_matches_evaluate():
                             frees)
 
 
+def test_a_split_from_a_relation_array_matches_evaluate(monkeypatch):
+    """Splits whose base is a whole atom, in axis order, start from the
+    relation's array itself (whatever its size here): each slice write
+    copies it only if it changes it, and never writes to it."""
+    monkeypatch.setitem(be._NAMESPACE, "_SHARE_MIN", 0)
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randrange(0, 5)
+        names = list(VARS)
+        rng.shuffle(names)
+        k = rng.randrange(1, 4)
+        frees, rest = tuple(names[:k]), names[k:] + ["p", "q"]
+        params = {v: rng.randrange(n + 2) for v in rest}
+        base = atom({1: "U", 2: "E", 3: "T"}[k], *frees)
+        s = random_structure(rng, n, SPLIT_SCHEMA)
+        _check_bulk(split_rule(rng, frees, params, base), s, params, frees)
+        _check_bulk(base, s, params, frees)
+
+
 def test_bulk_eval_of_a_deep_formula():
     f = conj([atom("U", "x") if i % 2 else neg(atom("E", "x", "u"))
               for i in range(900)])
@@ -266,17 +289,25 @@ def test_bulk_eval_of_a_deep_formula():
 def test_a_disjunct_refuted_by_an_outer_split_is_not_split_on():
     """Where z != w the second disjunct is false, so the lowering splits
     on z = w only: a split on y = v there would copy the base and write
-    its own values back."""
+    its own values back.  The one slice write is a `_cow` of T's own
+    array, or a store into the copy made up front."""
     f = parse_formula("T(z, x, y) | z = w & E(z, x) & y = v")
     source = _Lowering(f, ("w", "v"), ("z", "x", "y")).source()
+    assert len(re.findall(r"^ +t\d+ = _cow\(t\d+, ", source, re.M)) == 1, source
     assert len(re.findall(r"^ +t\d+\[.*\] = ", source, re.M)) == 1, source
 
 
 def _check_bulk(f, s, params, frees):
+    """bulk_eval agrees with evaluate, leaves its input arrays as they
+    were, and returns a read-only array or one of them."""
     arrays = {rel: relation_to_array(tuples, ar, s.n)
               for rel, (ar, tuples) in s.relations.items()}
+    before = {rel: a.copy() for rel, a in arrays.items()}
     got = bulk_eval(f, arrays, s.n, params, frees)
     assert got.shape == (s.n,) * len(frees) and got.dtype == bool
+    assert not got.flags.writeable or any(got is a for a in arrays.values())
+    for rel, a in arrays.items():
+        assert np.array_equal(a, before[rel]), rel
     want = frozenset(
         b for b in __import__("itertools").product(range(s.n), repeat=len(frees))
         if evaluate(f, s, {**params, **dict(zip(frees, b))}))

@@ -95,7 +95,7 @@ _BUILTIN_READER = ("input U/1\nbuiltin order\nbuiltin bit\naux A/1\nanswer A\n"
                    "on del U(u) update A(x) := A(x) & !(leq(u, x) | bit(x, u))\n")
 
 
-@pytest.mark.parametrize("builder,n", [
+_REFERENCE_CASES = pytest.mark.parametrize("builder,n", [
     (lambda: pg.size_k_program(2), 5),
     (pg.parity_degree_div3_program, 4),
     (lambda: pg.degree_k_relation_program(1), 4),
@@ -107,6 +107,9 @@ _BUILTIN_READER = ("input U/1\nbuiltin order\nbuiltin bit\naux A/1\nanswer A\n"
         ("parity_exists_prop_4", 3))),
     pytest.param(lambda: parse_program(_BUILTIN_READER), 5, id="builtins"),
 ])
+
+
+@_REFERENCE_CASES
 def test_step_matches_reference(builder, n):
     prog = builder()
     rng = random.Random(9)
@@ -179,31 +182,40 @@ def test_a_requires_effective_step_checks_its_change_once(stepper,
         assert (st is before) == skipped, c
 
 
-def test_step_results_share_no_buffer():
-    """Every new auxiliary array is the state's own, identity rules
-    (T(x) := T(x)) included, so writing to one state leaves the others."""
-    prog = pg.parity_exists_deg_k_prop_program(3)
-    n = 4
-    states = [init_state(prog, n)]
-    for c in cx.random_changes(n, rels_for(prog), 12, random.Random(5)):
-        states.append(step(states[-1], c))
-    arrays = [a for st in states for a in st.aux_arrays.values()]
-    for i, a in enumerate(arrays):
-        assert a.flags.writeable
-        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+def test_every_state_array_is_read_only():
+    """States share the arrays a step leaves unchanged, so every
+    auxiliary, built-in and input array of a state is read-only."""
+    from dyncomplab import interpreter as ip
+    for prog in (pg.parity_exists_deg_k_prop_program(3),
+                 parse_program(_BUILTIN_READER)):
+        n = 4
+        states = [init_state(prog, n)]
+        for c in cx.random_changes(n, rels_for(prog), 12, random.Random(5)):
+            states.append(step(states[-1], c))
+        for st in states:
+            for a in [*st.aux_arrays.values(), *st.builtin_arrays.values(),
+                      *ip._input_arrays(st).values()]:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = True
 
 
-@pytest.mark.parametrize("name", [e.name for e in pg.catalog()])
-def test_step_copies_each_aux_relation_at_most_once(name, monkeypatch):
-    """A rule's kernel makes at most one full-shape copy (a `_copy`, or
-    a `_take` that had to copy) for every (op, input relation), however
-    many slices the change writes."""
+def _share_every_base(monkeypatch):
+    """Start every split on a whole atom from the relation's array itself,
+    whatever its size (the catalog's n here is below _SHARE_MIN)."""
+    from dyncomplab import bulk_eval as be
+    monkeypatch.setitem(be._NAMESPACE, "_SHARE_MIN", 0)
+
+
+def _count_copies(monkeypatch) -> dict:
+    """Count, per rule body, the most full-shape copies one call of its
+    kernel made: a `_copy`, or a `_take` or `_cow` that had to copy."""
     from dyncomplab import bulk_eval as be
     from dyncomplab import interpreter as ip
 
     copies = {"n": 0}
-    copy, take, evaluate = be._NAMESPACE["_copy"], be._NAMESPACE["_take"], \
-        ip.bulk_eval
+    copy, take, cow, evaluate = be._NAMESPACE["_copy"], \
+        be._NAMESPACE["_take"], be._NAMESPACE["_cow"], ip.bulk_eval
 
     def counted_copy(a, shape):
         copies["n"] += 1
@@ -211,6 +223,11 @@ def test_step_copies_each_aux_relation_at_most_once(name, monkeypatch):
 
     def counted_take(a, shape):
         out = take(a, shape)
+        copies["n"] += out is not a
+        return out
+
+    def counted_cow(a, *args):
+        out = cow(a, *args)
         copies["n"] += out is not a
         return out
 
@@ -224,7 +241,16 @@ def test_step_copies_each_aux_relation_at_most_once(name, monkeypatch):
 
     monkeypatch.setitem(be._NAMESPACE, "_copy", counted_copy)
     monkeypatch.setitem(be._NAMESPACE, "_take", counted_take)
+    monkeypatch.setitem(be._NAMESPACE, "_cow", counted_cow)
     monkeypatch.setattr(ip, "bulk_eval", per_rule)
+    return seen
+
+
+@pytest.mark.parametrize("name", [e.name for e in pg.catalog()])
+def test_step_copies_each_aux_relation_at_most_once(name, monkeypatch):
+    """A rule's kernel makes at most one full-shape copy for every
+    (op, input relation), however many slices the change writes."""
+    seen = _count_copies(monkeypatch)
     prog = pg.catalog_entry(name).build()
     n = 8
     st = init_state(prog, n)
@@ -236,6 +262,68 @@ def test_step_copies_each_aux_relation_at_most_once(name, monkeypatch):
     assert played == {(op, r) for op in ("ins", "del") for r in prog.input_schema}
     for key, rule in prog.rules.items():
         assert seen[id(rule.body)] <= 1, (key, seen[id(rule.body)])
+
+
+@pytest.mark.parametrize("name", [e.name for e in pg.catalog()])
+def test_a_shared_step_copies_each_aux_relation_at_most_once(name,
+                                                             monkeypatch):
+    _share_every_base(monkeypatch)
+    test_step_copies_each_aux_relation_at_most_once(name, monkeypatch)
+
+
+@_REFERENCE_CASES
+def test_a_shared_step_matches_reference(builder, n, monkeypatch):
+    _share_every_base(monkeypatch)
+    test_step_matches_reference(builder, n)
+
+
+@pytest.mark.parametrize("name", ["degree_rel_1", "degree_rel_3",
+                                  "parity_exists_prop_3"])
+def test_a_step_hands_on_what_it_leaves_unchanged(name, monkeypatch):
+    """An identity rule, and every rule of degree_rel_k (each splits on a
+    whole atom of its target), return the pre-step array itself, with
+    no copy, when the step leaves the relation as it was."""
+    _share_every_base(monkeypatch)
+    seen = _count_copies(monkeypatch)
+    prog = pg.catalog_entry(name).build()
+    n = 6
+    st = init_state(prog, n)
+    handed_on = 0
+    for c in cx.random_changes(n, rels_for(prog), 40,
+                               random.Random(f"shared:{name}")):
+        seen.clear()
+        new = step(st, c)
+        if new is st:
+            continue
+        for target, new_array in new.aux_arrays.items():
+            rule = prog.rules[(c.op, c.relation, target)]
+            identity = rule.body == atom(target, *rule.frees)
+            if identity or name.startswith("degree_rel") and \
+                    np.array_equal(new_array, st.aux_arrays[target]):
+                assert new_array is st.aux_arrays[target], (c, target)
+                assert seen[id(rule.body)] == 0, (c, target)
+                handed_on += 1
+        st = new
+    assert handed_on
+
+
+@pytest.mark.parametrize("entry", pg.catalog(), ids=lambda e: e.name)
+def test_a_state_keeps_its_arrays_through_later_steps(entry, monkeypatch):
+    """Later steps share arrays with an earlier state but never change
+    them: every array of the earlier state still equals its snapshot."""
+    _share_every_base(monkeypatch)
+    prog = entry.build()
+    n = 5
+    rng = random.Random(f"persist:{entry.name}")
+    st = init_state(prog, n)
+    for c in cx.random_changes(n, rels_for(prog), 12, rng):
+        st = step(st, c)
+    earlier = st
+    snapshot = {name: a.copy() for name, a in earlier.aux_arrays.items()}
+    for c in cx.random_changes(n, rels_for(prog), 12, rng):
+        st = step(st, c)
+    for name, a in earlier.aux_arrays.items():
+        assert np.array_equal(a, snapshot[name]), name
 
 
 def test_validate_rejects_input_aux_name_clash():

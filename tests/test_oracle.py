@@ -119,7 +119,9 @@ def test_audit_list_family_flags_breakage():
     for v in (0, 1, 2):
         st = step(st, Change("ins", "U", (v,)))
     assert not pg.audit_program_state(st)
-    st.aux_arrays["List_1"][0, 0] ^= True        # corrupt a list edge
+    corrupt = st.aux_arrays["List_1"].copy()     # a state's arrays are read-only
+    corrupt[0, 0] ^= True                         # corrupt a list edge
+    st.aux_arrays["List_1"] = corrupt
     assert pg.audit_program_state(st)
 
 
@@ -127,7 +129,9 @@ def test_a_row_of_an_empty_list_at_a_higher_level_fails_the_audit():
     from dyncomplab import programs as pg
     from dyncomplab.interpreter import init_state
     st = init_state(pg.size_k_program(2), 4)
-    st.aux_arrays["List_2"][0, 1] = True
+    corrupt = st.aux_arrays["List_2"].copy()     # a state's arrays are read-only
+    corrupt[0, 1] = True
+    st.aux_arrays["List_2"] = corrupt
     assert [str(d) for d in pg.audit_program_state(st)] == \
         ["List_2: spurious (0, 1)"]
 

@@ -119,11 +119,14 @@ def test_every_single_cell_corruption_fails_the_audit(entry):
                                random.Random(f"mutate:{entry.name}")):
         st = step(st, c)
     assert not pg.audit_program_state(st)
-    for rel, arr in st.aux_arrays.items():
+    # a state's arrays are read-only: corrupt a private copy in their place
+    for rel, arr in list(st.aux_arrays.items()):
+        st.aux_arrays[rel] = mutant = arr.copy()
         for cell in np.ndindex(arr.shape):
-            arr[cell] ^= True
+            mutant[cell] ^= True
             assert pg.audit_program_state(st), (rel, cell)
-            arr[cell] ^= True
+            mutant[cell] ^= True
+        st.aux_arrays[rel] = arr
 
 
 @pytest.mark.parametrize("n", [0, 1])
