@@ -35,11 +35,22 @@ The lowering
   the base is copied up front instead;
 - returns the relation's array itself for a rule whose whole value is
   such an atom (an identity rule `T(x) := T(x)`);
-- frees every named intermediate after its last use.
+- drops a named intermediate that nothing reads, and frees every other
+  one after its last use.
 
 Kernels never write to an array of `rels`, and their results are
 read-only: a result is an array of `rels` itself, shares its memory, or
 is an array nobody else holds.
+
+Large arrays are kept as slices.  A result of ndim >= 2 with at least
+_SHARE_MIN cells is a `SliceArray`: the tuple of its read-only axis-0
+slices, so that a slice write on axis 0 makes one new slice and shares
+the others with the array it started from (path copying).  States keep
+their large auxiliary and built-in arrays the same way (`stored`,
+`stored_relation`), and kernels read them as they read numpy arrays: an
+atom with a constant or parameter first reads one slice, any other
+atom a dense copy made for that one read.  _SHARE_MIN is the only
+threshold, for sharing a split's base and for slices alike.
 
 Kernels hold no program names: relation and parameter names are bound
 as default arguments, so rules of the same shape share one code object.
@@ -50,6 +61,8 @@ from __future__ import annotations
 import builtins
 import functools
 import hashlib
+import math
+import operator
 import re
 import sys
 import types
@@ -80,7 +93,9 @@ def bulk_eval(f: Formula, rels: Mapping[str, np.ndarray], n: int,
 
     The array is read-only, or is one of the arrays of `rels`, returned
     as it is.  It may share memory with `rels` and with earlier results;
-    kernels never write to `rels`.
+    kernels never write to `rels`.  An array the kernel made, of ndim >= 2
+    and with at least _SHARE_MIN cells, is a `SliceArray`; `rels` may
+    hold either kind.
     """
     frees = tuple(frees)
     key = (id(f), tuple(params), frees)
@@ -124,9 +139,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=16)
+# room for a zero array per shape of the catalog's relations at the n
+# of its runs (n 4..12 and arities 0..4 give 37 shapes)
+@functools.lru_cache(maxsize=128)
 def _full(shape: tuple[int, ...], value: bool) -> np.ndarray:
-    """The read-only constant array of a rule whose value is one bool."""
+    """The read-only constant array of a rule whose value is one bool or of
+    an empty relation, or the one part of every slice of such a
+    SliceArray."""
     return _readonly(np.full(shape, value, dtype=bool))
 
 
@@ -163,15 +182,137 @@ def _copy(a, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _cow(a: np.ndarray, axis: int, at: int, value) -> np.ndarray:
+def _cow(a, axis: int, at: int, value):
     """`a` with `value` on the slice `at` of `axis`, `a` left unwritten:
-    `a` itself when that slice holds `value` already, else a copy."""
+    `a` itself when that slice holds `value` already, else a new array.
+    A SliceArray gets one new part on axis 0; any other write copies the
+    whole array, into a dense one."""
     index = (slice(None),) * axis + (slice(at, at + 1),)
-    if not np.count_nonzero(a[index] != value):
+    if a.__class__ is SliceArray:
+        if axis == 0:
+            return a.replaced(at, value)
+        out = a.__array__()
+        if not np.count_nonzero(out[index] != value):
+            return a
+    elif not np.count_nonzero(a[index] != value):
         return a
-    out = _copy(a, a.shape)
+    else:
+        out = _copy(a, a.shape)
     out[index] = value
     return out
+
+
+class SliceArray:
+    """A read-only boolean array of ndim >= 2 kept as the tuple of its
+    axis-0 slices (`parts`), each a read-only numpy array that other
+    SliceArrays may share.
+
+    An index whose first entry is an int reads one part; any other index,
+    and `np.asarray`, build a dense copy for that one use (none is kept,
+    as it would double what a state holds).  `==` and `!=` are
+    elementwise, as on numpy arrays."""
+
+    __slots__ = ("parts", "shape", "ndim", "size")
+    dtype = np.dtype(bool)
+    flags = types.SimpleNamespace(writeable=False)
+
+    def __init__(self, parts: tuple[np.ndarray, ...], shape: tuple[int, ...]):
+        self.parts = parts
+        self.shape = shape
+        self.ndim = len(shape)
+        self.size = math.prod(shape)
+
+    def __getitem__(self, index):
+        if index.__class__ is tuple:
+            if index and index[0].__class__ is int:
+                return self.parts[index[0]][index[1:]]
+        elif index.__class__ is int:
+            return self.parts[index]
+        return self.__array__()[index]
+
+    def __setitem__(self, index, value):
+        raise ValueError("assignment destination is read-only")
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a SliceArray has no one buffer to share")
+        out = np.empty(self.shape, dtype=bool)
+        for i, part in enumerate(self.parts):
+            out[i] = part
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def copy(self) -> np.ndarray:
+        """A dense, writable copy."""
+        return self.__array__()
+
+    def transpose(self, *axes) -> np.ndarray:
+        return self.__array__().transpose(*axes)
+
+    def __eq__(self, other):
+        return self._compare(other, operator.eq)
+
+    def __ne__(self, other):
+        return self._compare(other, operator.ne)
+
+    def _compare(self, other, op) -> np.ndarray:
+        if other.__class__ is not SliceArray or other.shape != self.shape:
+            return op(self.__array__(), other)
+        out = np.empty(self.shape, dtype=bool)
+        for i, (a, b) in enumerate(zip(self.parts, other.parts)):
+            out[i] = op(a, b) if a is not b else op is operator.eq
+        return out
+
+    def replaced(self, at: int, value) -> "SliceArray":
+        """This array with `value` as its slice `at` of axis 0 (`value`
+        broadcasts to the slice, with that axis of length 1 or absent):
+        itself when the slice holds `value` already."""
+        if getattr(value, "ndim", 0) == self.ndim:
+            value = value.reshape(value.shape[1:])
+        part = self.parts[at]
+        if not np.count_nonzero(part != value):
+            return self
+        new = np.empty(part.shape, dtype=bool)
+        new[...] = value
+        return SliceArray(self.parts[:at] + (_readonly(new),)
+                          + self.parts[at + 1:], self.shape)
+
+
+def _large(ndim: int, size: int) -> bool:
+    """Whether an array is kept as slices: ndim >= 2 and at least
+    _SHARE_MIN cells, read from the kernels' namespace as they read it
+    (a kernel tests its result's size inline, in the same terms)."""
+    return ndim >= 2 and size >= _NAMESPACE["_SHARE_MIN"]
+
+
+def stored(a: np.ndarray):
+    """`a`, which nobody else holds, as a state keeps it: read-only, and
+    a SliceArray of views of `a` when large."""
+    a.setflags(False)
+    return SliceArray(tuple(a), a.shape) if _large(a.ndim, a.size) else a
+
+
+def stored_relation(tuples, arity: int, n: int):
+    """The array of a relation as `stored` keeps it.  An empty one is a
+    shared read-only constant; a large one is built slice by slice, never
+    as one array of n**arity cells, and every empty slice is one shared
+    read-only zero part."""
+    if not _large(arity, n ** arity):
+        if not tuples:
+            return _full((n,) * arity, False)
+        return _readonly(relation_to_array(tuples, arity, n))
+    rows: dict[int, list] = {}
+    for t in tuples:
+        rows.setdefault(t[0], []).append(t[1:])
+    zero = _full((n,) * (arity - 1), False)
+    return SliceArray(tuple(
+        _readonly(relation_to_array(rows[i], arity - 1, n)) if i in rows
+        else zero for i in range(n)), (n,) * arity)
+
+
+def _filled(shape: tuple[int, ...], value: bool) -> SliceArray:
+    """The large result of a rule whose value is one bool: a SliceArray
+    whose parts are all one constant."""
+    return SliceArray((_full(shape[1:], value),) * shape[0], shape)
 
 
 class _ArityMismatch(Exception):
@@ -196,18 +337,21 @@ def _children(f: Formula) -> list[Formula]:
 
 
 # The fewest cells of a relation's array for a split to start from the
-# array itself rather than a copy.  A slice compare (`_cow`) costs a flat
-# 2-3.5 us, a copy plus slice store about 0.1 us per 1,000 cells; they
-# cross at 26k-33k cells for binary and ternary arrays alike (Python
-# 3.11, numpy 2.4, one core of a shared 2-core machine).
+# array itself rather than a copy, and of an array of ndim >= 2 to be
+# kept as slices.  A slice compare (`_cow`) costs a flat 2-3.5 us, a copy
+# plus slice store about 0.1 us per 1,000 cells; they cross at 26k-33k
+# cells for binary and ternary arrays alike (Python 3.11, numpy 2.4, one
+# core of a shared 2-core machine).  Read at run time from _NAMESPACE.
 _SHARE_MIN = 1 << 15
 
 # namespace of every kernel; the all-false / all-true constants Z<d> and
 # O<d> of shape (1,)*d are added on first use
 _NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
                     "_copy": _copy, "_cow": _cow, "_full": _full,
-                    "_readonly": _readonly, "_diag": _diag, "_eye": _eye,
-                    "_arange": _arange, "_ArityMismatch": _ArityMismatch,
+                    "_filled": _filled, "_readonly": _readonly,
+                    "_stored": stored, "SliceArray": SliceArray,
+                    "_diag": _diag, "_eye": _eye, "_arange": _arange,
+                    "_ArityMismatch": _ArityMismatch,
                     "_SHARE_MIN": _SHARE_MIN}
 
 
@@ -374,16 +518,28 @@ class _Lowering:
         body = _Block()
         root = self.gen(self.f, self.ctx, depth, (), body)
         shape = _shape(depth)
+        # a result of ndim >= 2 is kept as slices when large (see _large);
+        # the test is inline, so that a small result costs what it did
+        small = f"{' * '.join(['n'] * depth)} < _SHARE_MIN"
         if root.whole:
             ret = f"return {root.whole}"
         elif root.array and root.const is None:
-            value = f"_readonly(_take({root.code}, {shape}))"
+            t = root.code
+            if depth < 2:
+                value = f"_readonly(_take({t}, {shape}))"
+            elif root.shares:  # a large t may be the SliceArray a write made
+                value = f"_readonly(_take({t}, {shape})) if {small} else " \
+                    f"{t} if {t}.__class__ is SliceArray else " \
+                    f"_stored(_take({t}, {shape}))"
+            else:
+                value = f"(_readonly if {small} else _stored)(_take({t}, {shape}))"
             if root.shares:  # the relation's array, if no slice changed it
-                value = f"{root.code} if {root.code} is {root.shares} else {value}"
+                value = f"{t} if {t} is {root.shares} else {value}"
             ret = f"return {value}"
         else:
             value = root.const if root.const is not None else root.code
-            ret = f"return _full({shape}, {value})"
+            full = "_full" if depth < 2 else f"(_full if {small} else _filled)"
+            ret = f"return {full}({shape}, {value})"
         body.stmts.append(("return", ret))
         _insert_dels(body.stmts, ())
         # the names of the relations (R<i>) and parameters (P<i>) it reads
@@ -573,8 +729,11 @@ class _Lowering:
             else:
                 t = off.code
             value = self.named(on, branch)
+            # after an earlier split's slice write t may be a SliceArray,
+            # which is never written in place either
+            sliced = not off.whole and depth >= 2
             block.stmts.append(("if", guard, branch.stmts + [
-                ("cow", t, rel, axis, at, index, value.code)], [], None))
+                ("cow", t, rel, axis, at, index, value.code, sliced)], [], None))
             return _Val(t, True, shares=rel)
         # a base the kernel made and nothing else reads is written in
         # place (_take copies it only if it is a view, a constant or too
@@ -852,29 +1011,40 @@ def _reads(stmt) -> set[str]:
     return out
 
 
+def _defines(stmt) -> str | None:
+    """The temporary a statement assigns for its block, if any."""
+    if stmt[0] == "assign":
+        return stmt[1]
+    return stmt[4] if stmt[0] == "if" else None
+
+
 def _insert_dels(stmts: list, outer: tuple) -> None:
-    """Delete every temporary defined in this block after the last
-    statement of the block that reads it; `outer` are the temporaries
-    this block assigns for an enclosing block."""
+    """Drop every statement that only assigns a temporary nothing reads,
+    then delete every other temporary defined in this block after the
+    last statement of the block that reads it; `outer` are the
+    temporaries this block assigns for an enclosing block.  Statements
+    compute values and write only temporaries, so a dropped one changes
+    nothing."""
     for s in stmts:
         if s[0] == "if":
             _insert_dels(s[2], (s[4],))
             _insert_dels(s[3], (s[4],))
-    defined = [s[4] if s[0] == "if" else s[1] for s in stmts
-               if s[0] == "assign" or s[0] == "if" and s[4] is not None]
+    while True:
+        live = {None, *outer}.union(*map(_reads, stmts))
+        kept = [s for s in stmts if _defines(s) in live]
+        if len(kept) == len(stmts):
+            break
+        stmts[:] = kept
     last: dict[str, int] = {}
     for i, s in enumerate(stmts):
         for t in _reads(s):
             last[t] = i
     after: dict[int, list[str]] = {}
-    for t in defined:
-        if t in outer:
+    for s in stmts:
+        t = _defines(s)
+        if t is None or t in outer:
             continue
-        i = last.get(t)
-        if i is None:
-            i = next(j for j, s in enumerate(stmts)
-                     if s[0] in ("assign", "if")
-                     and (s[4] if s[0] == "if" else s[1]) == t)
+        i = last[t]
         if stmts[i][0] != "return":
             after.setdefault(i, []).append(t)
     for i in sorted(after, reverse=True):
@@ -892,8 +1062,11 @@ def _render(stmts: list, level: int, lines: list[str]) -> None:
             lines.append(f"{pad}{s[1]}")
         elif s[0] == "cow":
             # t is the relation's own array until a slice changes it
-            _, t, rel, axis, at, index, value = s
-            lines += [f"{pad}if {t} is {rel}:",
+            _, t, rel, axis, at, index, value, sliced = s
+            shared = f"{t} is {rel}"
+            if sliced:
+                shared += f" or {t}.__class__ is SliceArray"
+            lines += [f"{pad}if {shared}:",
                       f"{pad}    {t} = _cow({t}, {axis}, {at}, {value})",
                       f"{pad}else:",
                       f"{pad}    {t}[{index}] = {value}"]
@@ -916,7 +1089,10 @@ def relation_to_array(tuples, arity: int, n: int) -> np.ndarray:
     return arr
 
 
-def array_to_relation(arr: np.ndarray) -> frozenset[tuple[int, ...]]:
+def array_to_relation(arr) -> frozenset[tuple[int, ...]]:
+    if arr.__class__ is SliceArray:  # part by part, never densified
+        return frozenset((i, *map(int, idx)) for i, part in enumerate(arr.parts)
+                         for idx in np.argwhere(part))
     if arr.ndim == 0:
         return frozenset([()]) if bool(arr) else frozenset()
     return frozenset(tuple(map(int, idx)) for idx in np.argwhere(arr))

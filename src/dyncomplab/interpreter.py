@@ -16,7 +16,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import formulas as fm
-from .bulk_eval import array_to_relation, bulk_eval, relation_to_array
+from .bulk_eval import (array_to_relation, bulk_eval, relation_to_array,
+                        stored, stored_relation)
 from .structures import (Change, DynLabError, ScriptSyntaxError, Structure,
                          ValidationError, apply_change, check_fits,
                          check_tuple, declare, directives)
@@ -156,7 +157,11 @@ class ProgramState:
 
     The auxiliary and built-in arrays of a state that `init_state` or
     `step` made are read-only, and states may share them: a step hands
-    an array it leaves unchanged on to the next state as it is.
+    an array it leaves unchanged on to the next state as it is.  An
+    array of ndim >= 2 with at least `bulk_eval._SHARE_MIN` cells is a
+    `bulk_eval.SliceArray`, shared slice by slice: a step that rewrites
+    one slice on axis 0 (one owner's list) makes one new slice, and the
+    next state shares all the others.
     """
 
     program: DynamicProgram
@@ -198,16 +203,10 @@ def init_state(p: DynamicProgram, n: int) -> ProgramState:
         tuples = p.init_aux.get(name, ())
         for t in tuples:
             check_tuple(name, arity, t, n)
-        aux_arrays[name] = relation_to_array(tuples, arity, n)
-    return ProgramState(p, input_structure, _frozen(aux_arrays),
-                        _frozen(_builtin_arrays(n, p.builtins)))
-
-
-def _frozen(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """`arrays`, each made read-only, so that states may share them."""
-    for a in arrays.values():
-        a.setflags(False)  # write=False, in the cheaper positional form
-    return arrays
+        aux_arrays[name] = stored_relation(tuples, arity, n)
+    builtin_arrays = {name: stored(a) for name, a in
+                      _builtin_arrays(n, p.builtins).items()}
+    return ProgramState(p, input_structure, aux_arrays, builtin_arrays)
 
 
 def _builtin_arrays(n: int, builtins: Iterable[str]) -> dict[str, np.ndarray]:
@@ -229,8 +228,9 @@ def _builtin_arrays(n: int, builtins: Iterable[str]) -> dict[str, np.ndarray]:
 def _input_arrays(state: ProgramState) -> dict[str, np.ndarray]:
     out = {}
     for name, (arity, tuples) in state.input.relations.items():
-        out[name] = relation_to_array(tuples, arity, state.n)
-    return _frozen(out)
+        out[name] = a = relation_to_array(tuples, arity, state.n)
+        a.setflags(False)  # write=False, in the cheaper positional form
+    return out
 
 
 def _changed_input(state: ProgramState, c: Change, mode: str) -> Structure | None:

@@ -412,3 +412,35 @@ def test_init_state_peaks_within_twice_the_bytes_it_checks(monkeypatch):
 def test_parse_program_rejects_a_repeated_or_malformed_line(line):
     with pytest.raises(ScriptSyntaxError, match=r"line \d+: "):
         parse_program(_BOTH_BUILTINS + line + "\n")
+
+
+@pytest.mark.parametrize("name", ["degree_rel_3", "parity_degree_div3"])
+def test_a_large_state_shares_every_slice_a_change_leaves(name):
+    """At the benchmark's n, with the threshold as it is: the n^3 list
+    relations are slice arrays, a step gives only the changed edge's
+    owners new slices, answers and the audit hold, and earlier states
+    keep their values."""
+    from dyncomplab.bulk_eval import SliceArray
+    entry = pg.catalog_entry(name)
+    prog = entry.build()
+    n = 128
+    st = init_state(prog, n)
+    lists = [k for k, a in prog.aux_schema.items() if a == 3]
+    assert lists and all(isinstance(st.aux_arrays[k], SliceArray) for k in lists)
+    changes = cx.random_changes(n, (("E", 2),), 256, random.Random(f"large:{name}"))
+    for t, c in enumerate(changes, start=1):
+        new = step(st, c)
+        for k in lists:
+            old_parts, new_parts = st.aux_arrays[k].parts, new.aux_arrays[k].parts
+            assert all(new_parts[i] is old_parts[i]
+                       for i in range(n) if i not in c.args), (c, k)
+        st = new
+        if t % 16 == 0:
+            assert st.answer() == entry.oracle(st.input), t
+        if t == 128:
+            earlier = st
+            snapshot = {k: a.copy() for k, a in st.aux_arrays.items()}
+        if t == 160:
+            for k, a in earlier.aux_arrays.items():
+                assert np.array_equal(a, snapshot[k]), k
+    assert pg.audit_program_state(st) == []

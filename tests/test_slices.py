@@ -1,0 +1,197 @@
+"""bulk_eval's SliceArray against the dense numpy array it stands for,
+and the lowering's use of named temporaries."""
+
+import random
+import re
+
+import numpy as np
+import pytest
+
+from dyncomplab import bulk_eval as be
+from dyncomplab import programs as pg
+from dyncomplab.bulk_eval import (SliceArray, _Lowering, _cow, _diag,
+                                  array_to_relation, stored, stored_relation)
+from dyncomplab.formulas import parse_formula
+
+
+@pytest.fixture
+def every_array_sliced(monkeypatch):
+    """Keep every array of ndim >= 2 as slices, whatever its size."""
+    monkeypatch.setitem(be._NAMESPACE, "_SHARE_MIN", 0)
+
+
+def _random_pair(rng, ndim, n):
+    """A random dense array and its SliceArray, built as a state builds
+    one: every all-false slice is the one shared zero part."""
+    dense = np.zeros((n,) * ndim, dtype=bool)
+    for i in range(n):
+        if rng.random() < 0.7:
+            dense[i] = np.array([rng.random() < 0.4 for _ in range(n ** (ndim - 1))]
+                                ).reshape((n,) * (ndim - 1))
+    sliced = stored_relation(array_to_relation(dense), ndim, n)
+    dense.setflags(False)
+    return dense, sliced
+
+
+def _random_index(rng, ndim, n):
+    """An index of the kinds atoms use: an int or `:` per axis, the first
+    an int, with `None` inserted for broadcast axes."""
+    index = [rng.randrange(n)]
+    for _ in range(ndim - 1):
+        index.append(rng.randrange(n) if rng.random() < 0.4 else slice(None))
+    for _ in range(rng.randrange(3)):
+        index.insert(rng.randrange(1, len(index) + 1), None)
+    return tuple(index)
+
+
+def _same(got, want):
+    got = np.asarray(got)
+    assert got.shape == want.shape and got.dtype == bool
+    assert np.array_equal(got, want)
+
+
+CASES = [(ndim, n) for ndim in (2, 3, 4) for n in range(5)]
+
+
+@pytest.mark.parametrize("ndim,n", CASES)
+def test_a_slice_array_reads_as_its_dense_array(ndim, n, every_array_sliced):
+    rng = random.Random(f"read:{ndim}:{n}")
+    for _ in range(20):
+        dense, sliced = _random_pair(rng, ndim, n)
+        assert isinstance(sliced, SliceArray)
+        assert (sliced.shape, sliced.ndim, sliced.size) == \
+            (dense.shape, dense.ndim, dense.size)
+        assert not sliced.flags.writeable
+        if n:
+            zero = [p for p in sliced.parts if not p.any()]
+            assert all(p is zero[0] for p in zero)   # one shared zero part
+        _same(np.asarray(sliced), dense)
+        _same(sliced.copy(), dense)
+        _same(sliced[(slice(None),) * ndim], dense)      # the whole atom
+        perm = list(range(ndim))
+        rng.shuffle(perm)
+        _same(sliced.transpose(*perm), dense.transpose(*perm))
+        assert array_to_relation(sliced) == array_to_relation(dense)
+        with pytest.raises(ValueError, match="read-only"):
+            sliced[(0,) * ndim] = True
+        if not n:
+            continue
+        for _ in range(10):
+            index = _random_index(rng, ndim, n)
+            _same(sliced[index], dense[index])
+            p = rng.randrange(n)
+            _same(sliced[p], dense[p])
+            _same(sliced.transpose(*perm)[index], dense.transpose(*perm)[index])
+        # the input of _diag: a repeated variable, with a parameter first
+        # or not
+        spec = "a" * (ndim - 1) + "->a"
+        _same(_diag(sliced[p], spec), _diag(dense[p], spec))
+        spec = "a" * ndim + "->a"
+        _same(_diag(sliced[(slice(None),) * ndim], spec), _diag(dense, spec))
+
+
+@pytest.mark.parametrize("ndim,n", CASES)
+def test_cow_on_a_slice_array_matches_a_dense_write(ndim, n,
+                                                    every_array_sliced):
+    rng = random.Random(f"cow:{ndim}:{n}")
+    for _ in range(20 if n else 1):
+        dense, sliced = _random_pair(rng, ndim, n)
+        other_dense, other = _random_pair(rng, ndim, n)
+        as_dense = {id(sliced): dense, id(other): other_dense,
+                    id(dense): dense, id(other_dense): other_dense}
+        for a, b in ((sliced, other), (sliced, other_dense),
+                     (dense, other), (sliced, sliced)):
+            _same(a != b, as_dense[id(a)] != as_dense[id(b)])
+            _same(a == b, as_dense[id(a)] == as_dense[id(b)])
+        if not n:
+            continue
+        axis, at = rng.randrange(ndim), rng.randrange(n)
+        index = (slice(None),) * axis + (slice(at, at + 1),)
+        shape = [1 if d == axis or rng.random() < 0.3 else n
+                 for d in range(ndim)]
+        for value in (rng.random() < 0.5, dense[index].copy(),
+                      np.array([rng.random() < 0.5 for _ in
+                                range(int(np.prod(shape)))]).reshape(shape)):
+            got = _cow(sliced, axis, at, value)
+            want = dense.copy()
+            want[index] = value
+            _same(got, want)
+            _same(sliced, dense)                     # left unwritten
+            if np.array_equal(want, dense):
+                assert got is sliced
+            elif axis == 0:
+                assert isinstance(got, SliceArray)
+                assert all(got.parts[i] is sliced.parts[i]
+                           for i in range(n) if i != at)
+                assert not got.parts[at].flags.writeable
+            _same(got != sliced, want != dense)
+
+
+def test_stored_keeps_small_arrays_and_slices_large_ones():
+    small = np.zeros((3, 3), dtype=bool)
+    assert stored(small) is small and not small.flags.writeable
+    n = 32                                            # 32**3 = _SHARE_MIN
+    big = np.zeros((n, n, n), dtype=bool)
+    big[1, 2, 3] = True
+    got = stored(big)
+    assert isinstance(got, SliceArray)
+    assert all(p.base is big for p in got.parts)      # views, no copy
+    assert array_to_relation(got) == {(1, 2, 3)}
+    empty = stored_relation((), 3, n)
+    assert len({id(p) for p in empty.parts}) == 1
+    unary = np.zeros(1 << 16, dtype=bool)
+    assert stored(unary) is unary                     # ndim 1 stays dense
+
+
+@pytest.mark.parametrize("entry", pg.catalog(), ids=lambda e: e.name)
+def test_no_kernel_assigns_a_temporary_it_never_reads(entry):
+    """Every temporary a kernel assigns is read before it is deleted:
+    no view, copy or branch is computed for nothing."""
+    for key, rule in entry.build().rules.items():
+        source = _Lowering(rule.body, rule.params, rule.frees).source()
+        lines = source.splitlines()
+        for t in set(re.findall(r"^ +(t\d+) = ", source, re.M)):
+            word = re.compile(rf"\b{t}\b")
+            reads = [line for line in lines
+                     if word.search(line) and not line.strip().startswith("del ")
+                     and not re.match(rf"^ +{t} = (?!.*\b{t}\b)", line)]
+            assert reads, (key, t, source)
+
+
+def test_a_dead_temporary_is_dropped_with_what_only_it_read():
+    stmts = [("assign", "t1", "r0[:, :]"),
+             ("assign", "t2", "(~t1)"),
+             ("assign", "t3", "r1[:, :]"),
+             ("return", "return t3")]
+    be._insert_dels(stmts, ())
+    assert stmts == [("assign", "t3", "r1[:, :]"), ("return", "return t3")]
+
+
+def test_kernel_results_are_stored_as_slices_when_large(every_array_sliced):
+    """With every array kept as slices, a rule's result of ndim >= 2 is a
+    SliceArray whatever kernel path made it, and agrees with numpy; the
+    last rule writes a slice on axis 1 after one on axis 0, into a base
+    that the first write made a SliceArray."""
+    n = 4
+    rng = random.Random(3)
+    dense = {name: np.array([rng.random() < 0.5 for _ in range(n ** 3)]
+                            ).reshape(n, n, n) for name in ("T", "S")}
+    rels = {name: stored_relation(array_to_relation(a), 3, n)
+            for name, a in dense.items()}
+    for p, q in ((1, 2), (2, 2), (0, 3)):
+        xp = (np.arange(n) == p)[:, None, None]
+        yq = (np.arange(n) == q)[None, :, None]
+        for text, want in (
+                ("T(x, y, z) & !S(x, y, z)", dense["T"] & ~dense["S"]),
+                ("T(x, y, z) | x = p", dense["T"] | xp),
+                ("!(x = p) & T(x, y, z) | x = p & S(x, y, z)",
+                 np.where(xp, dense["S"], dense["T"])),
+                ("x = x | T(x, y, z)", np.ones((n,) * 3, dtype=bool)),
+                ("!(x = p) & !(y = q) & T(x, y, z) | y = q & S(x, y, z)"
+                 " | x = p & S(x, y, z)", np.where(xp | yq, dense["S"], dense["T"]))):
+            got = be.bulk_eval(parse_formula(text), rels, n, {"p": p, "q": q},
+                               ("x", "y", "z"))
+            assert isinstance(got, SliceArray), text
+            _same(got, want)
+    for name, a in dense.items():
+        _same(rels[name], a)
