@@ -30,9 +30,9 @@ The lowering
   splits it nests;
 - starts a split whose base is a whole atom of one relation, in axis
   order (`T(z, x, y)` with frees (z, x, y)), from that relation's array
-  itself: each slice is compared with the array's own, and the array is
-  copied, once, at the first slice that differs; below _SHARE_MIN cells
-  the base is copied up front instead;
+  itself when it is a SliceArray: a slice write on axis 0 makes one new
+  slice (`SliceArray.replaced`), one on another axis a dense copy first;
+  any other such base is copied up front;
 - returns the relation's array itself for a rule whose whole value is
   such an atom (an identity rule `T(x) := T(x)`);
 - drops a named intermediate that nothing reads, and frees every other
@@ -50,7 +50,7 @@ their large auxiliary and built-in arrays the same way (`stored`,
 `stored_relation`), and kernels read them as they read numpy arrays: an
 atom with a constant or parameter first reads one slice, any other
 atom a dense copy made for that one read.  _SHARE_MIN is the only
-threshold, for sharing a split's base and for slices alike.
+threshold: it decides which arrays are SliceArrays.
 
 Kernels hold no program names: relation and parameter names are bound
 as default arguments, so rules of the same shape share one code object.
@@ -92,10 +92,11 @@ def bulk_eval(f: Formula, rels: Mapping[str, np.ndarray], n: int,
     """Boolean array of shape (n,)*len(frees), axis i ranging over frees[i].
 
     The array is read-only, or is one of the arrays of `rels`, returned
-    as it is.  It may share memory with `rels` and with earlier results;
-    kernels never write to `rels`.  An array the kernel made, of ndim >= 2
-    and with at least _SHARE_MIN cells, is a `SliceArray`; `rels` may
-    hold either kind.
+    as it is.  It may share memory, or SliceArray slices, with `rels` and
+    with earlier results; kernels never write to `rels`.  An array the
+    kernel made, of ndim >= 2 and with at least _SHARE_MIN cells, is a
+    `SliceArray`; `rels` may hold either kind, and a result that started
+    from a SliceArray of `rels` may be one whatever its size.
     """
     frees = tuple(frees)
     key = (id(f), tuple(params), frees)
@@ -179,26 +180,6 @@ def _take(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _copy(a, shape: tuple[int, ...]) -> np.ndarray:
     out = np.empty(shape, dtype=bool)
     out[...] = a
-    return out
-
-
-def _cow(a, axis: int, at: int, value):
-    """`a` with `value` on the slice `at` of `axis`, `a` left unwritten:
-    `a` itself when that slice holds `value` already, else a new array.
-    A SliceArray gets one new part on axis 0; any other write copies the
-    whole array, into a dense one."""
-    index = (slice(None),) * axis + (slice(at, at + 1),)
-    if a.__class__ is SliceArray:
-        if axis == 0:
-            return a.replaced(at, value)
-        out = a.__array__()
-        if not np.count_nonzero(out[index] != value):
-            return a
-    elif not np.count_nonzero(a[index] != value):
-        return a
-    else:
-        out = _copy(a, a.shape)
-    out[index] = value
     return out
 
 
@@ -336,18 +317,16 @@ def _children(f: Formula) -> list[Formula]:
             if hasattr(f, name)]
 
 
-# The fewest cells of a relation's array for a split to start from the
-# array itself rather than a copy, and of an array of ndim >= 2 to be
-# kept as slices.  A slice compare (`_cow`) costs a flat 2-3.5 us, a copy
-# plus slice store about 0.1 us per 1,000 cells; they cross at 26k-33k
-# cells for binary and ternary arrays alike (Python 3.11, numpy 2.4, one
-# core of a shared 2-core machine).  Read at run time from _NAMESPACE.
+# The fewest cells of an array of ndim >= 2 for it to be kept as slices
+# (a SliceArray); a smaller one is one dense array, which a split copies
+# up front.  The value has not been tuned for slices.  Read at run time
+# from _NAMESPACE.
 _SHARE_MIN = 1 << 15
 
 # namespace of every kernel; the all-false / all-true constants Z<d> and
 # O<d> of shape (1,)*d are added on first use
 _NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
-                    "_copy": _copy, "_cow": _cow, "_full": _full,
+                    "_copy": _copy, "_full": _full,
                     "_filled": _filled, "_readonly": _readonly,
                     "_stored": stored, "SliceArray": SliceArray,
                     "_diag": _diag, "_eye": _eye, "_arange": _arange,
@@ -382,8 +361,9 @@ class _Val:
     value when known at compile time (all-false/all-true for arrays);
     `may` holds the constants an array may turn out to be at run time,
     and then `code` is a name.  `whole` names the relation array (`r<i>`)
-    whose whole value, in axis order, this is; `shares` the one this
-    array may be itself at run time (a split that started from it)."""
+    whose whole value, in axis order, this is; `slices` tells that this
+    array may be a SliceArray at run time (a split that started from
+    one), which is never written in place."""
 
     code: str
     array: bool
@@ -391,7 +371,7 @@ class _Val:
     may: frozenset = frozenset()
     nest: int = 0
     whole: str = ""
-    shares: str = ""
+    slices: bool = False
 
 
 @dataclass
@@ -527,14 +507,10 @@ class _Lowering:
             t = root.code
             if depth < 2:
                 value = f"_readonly(_take({t}, {shape}))"
-            elif root.shares:  # a large t may be the SliceArray a write made
-                value = f"_readonly(_take({t}, {shape})) if {small} else " \
-                    f"{t} if {t}.__class__ is SliceArray else " \
-                    f"_stored(_take({t}, {shape}))"
             else:
                 value = f"(_readonly if {small} else _stored)(_take({t}, {shape}))"
-            if root.shares:  # the relation's array, if no slice changed it
-                value = f"{t} if {t} is {root.shares} else {value}"
+            if root.slices:  # the relation's SliceArray, or one a write made
+                value = f"{t} if {t}.__class__ is SliceArray else {value}"
             ret = f"return {value}"
         else:
             value = root.const if root.const is not None else root.code
@@ -605,7 +581,7 @@ class _Lowering:
             return v
         t = self._temp(v.code)
         block.stmts.append(("assign", t, v.code))
-        return _Val(t, v.array, None, v.may, whole=v.whole, shares=v.shares)
+        return _Val(t, v.array, None, v.may, whole=v.whole, slices=v.slices)
 
     def val(self, code: str, array: bool, block: _Block,
             may=frozenset(), nest: int = 0) -> _Val:
@@ -718,23 +694,30 @@ class _Lowering:
         shape = "(" + "".join("n, " if a in live else "1, "
                               for a in range(depth)) + ")"
         read = set(_TEMP.findall(on.code)).union(*map(_reads, branch.stmts))
-        if off.whole or off.shares and self._owned(off, read, block):
-            # start from the relation's array itself (or from the split
-            # that did) and copy it at the first slice that changes it
-            rel = off.whole or off.shares
-            if off.whole:
+        if off.whole and depth >= 2 or off.slices and self._owned(off, read,
+                                                                 block):
+            # start from the relation's SliceArray itself (or from the
+            # split that did): a write on axis 0 replaces one slice, one
+            # on another axis densifies it first; a dense relation is
+            # copied up front
+            t, rel = off.code, off.whole
+            if rel:
                 t = self._temp()
-                block.stmts.append(("assign", t, f"({rel} if {rel}.size >= "
-                                    f"_SHARE_MIN else _copy({rel}, {shape}))"))
+                block.stmts.append(("assign", t, f"({rel} if {rel}.__class__ "
+                                    f"is SliceArray else _copy({rel}, {shape}))"))
+            value = self.named(on, branch).code
+            # each `store` rebinds t or writes into it, and t stays the
+            # one temporary of the base
+            sliced = f"{t}.__class__ is SliceArray"
+            store = ("store", f"{t}[{index}]", value)
+            if axis:
+                write = [("if", sliced, [("store", t, f"{t}.copy()")], [], None),
+                         store]
             else:
-                t = off.code
-            value = self.named(on, branch)
-            # after an earlier split's slice write t may be a SliceArray,
-            # which is never written in place either
-            sliced = not off.whole and depth >= 2
-            block.stmts.append(("if", guard, branch.stmts + [
-                ("cow", t, rel, axis, at, index, value.code, sliced)], [], None))
-            return _Val(t, True, shares=rel)
+                write = [("if", sliced, [("store", t, f"{t}.replaced({at}, "
+                                          f"{value})")], [store], None)]
+            block.stmts.append(("if", guard, branch.stmts + write, [], None))
+            return _Val(t, True, slices=True)
         # a base the kernel made and nothing else reads is written in
         # place (_take copies it only if it is a view, a constant or too
         # small), so nested splits make one copy in all
@@ -1001,8 +984,6 @@ def _reads(stmt) -> set[str]:
         return set(_TEMP.findall(stmt[2]))
     if stmt[0] == "store":
         return set(_TEMP.findall(stmt[1] + " " + stmt[2]))
-    if stmt[0] == "cow":
-        return set(_TEMP.findall(stmt[1] + " " + stmt[6]))
     if stmt[0] == "return":
         return set(_TEMP.findall(stmt[1]))
     out = set(_TEMP.findall(stmt[1]))
@@ -1060,16 +1041,6 @@ def _render(stmts: list, level: int, lines: list[str]) -> None:
             lines.append(f"{pad}del {s[1]}")
         elif s[0] == "return":
             lines.append(f"{pad}{s[1]}")
-        elif s[0] == "cow":
-            # t is the relation's own array until a slice changes it
-            _, t, rel, axis, at, index, value, sliced = s
-            shared = f"{t} is {rel}"
-            if sliced:
-                shared += f" or {t}.__class__ is SliceArray"
-            lines += [f"{pad}if {shared}:",
-                      f"{pad}    {t} = _cow({t}, {axis}, {at}, {value})",
-                      f"{pad}else:",
-                      f"{pad}    {t}[{index}] = {value}"]
         else:
             lines.append(f"{pad}if {s[1]}:")
             _render(s[2], level + 1, lines)

@@ -156,12 +156,12 @@ class ProgramState:
     """Input structure + auxiliary relations (kept as boolean arrays).
 
     The auxiliary and built-in arrays of a state that `init_state` or
-    `step` made are read-only, and states may share them: a step hands
-    an array it leaves unchanged on to the next state as it is.  An
-    array of ndim >= 2 with at least `bulk_eval._SHARE_MIN` cells is a
+    `step` made are read-only, and states may share them.  An array of
+    ndim >= 2 with at least `bulk_eval._SHARE_MIN` cells is a
     `bulk_eval.SliceArray`, shared slice by slice: a step that rewrites
     one slice on axis 0 (one owner's list) makes one new slice, and the
-    next state shares all the others.
+    next state shares all the others; a step that leaves it unchanged
+    hands it on as it is, as it does the array of an identity rule.
     """
 
     program: DynamicProgram

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dyncomplab import bulk_eval as be
 from dyncomplab.bulk_eval import (_Lowering, array_to_relation, bulk_eval,
-                                  relation_to_array)
+                                  relation_to_array, stored_relation)
 from dyncomplab.formulas import (And, Atom, Const, Eq, Exists, FALSE, Forall,
                                  FormulaError, Not, Or, TRUE, Var, Xor, atom,
                                  classify, conj, disj, eq, evaluate,
@@ -261,9 +261,10 @@ def test_bulk_eval_matches_evaluate():
 
 
 def test_a_split_from_a_relation_array_matches_evaluate(monkeypatch):
-    """Splits whose base is a whole atom, in axis order, start from the
-    relation's array itself (whatever its size here): each slice write
-    copies it only if it changes it, and never writes to it."""
+    """Splits whose base is a whole atom, in axis order: from a dense
+    array, copied up front, and from the SliceArray a state keeps
+    (whatever its size here), started from itself.  Neither input is
+    written to."""
     monkeypatch.setitem(be._NAMESPACE, "_SHARE_MIN", 0)
     rng = random.Random(37)
     for _ in range(300):
@@ -275,8 +276,10 @@ def test_a_split_from_a_relation_array_matches_evaluate(monkeypatch):
         params = {v: rng.randrange(n + 2) for v in rest}
         base = atom({1: "U", 2: "E", 3: "T"}[k], *frees)
         s = random_structure(rng, n, SPLIT_SCHEMA)
-        _check_bulk(split_rule(rng, frees, params, base), s, params, frees)
-        _check_bulk(base, s, params, frees)
+        rule = split_rule(rng, frees, params, base)
+        for as_stored in (False, True):
+            _check_bulk(rule, s, params, frees, as_stored)
+            _check_bulk(base, s, params, frees, as_stored)
 
 
 def test_bulk_eval_of_a_deep_formula():
@@ -289,18 +292,21 @@ def test_bulk_eval_of_a_deep_formula():
 def test_a_disjunct_refuted_by_an_outer_split_is_not_split_on():
     """Where z != w the second disjunct is false, so the lowering splits
     on z = w only: a split on y = v there would copy the base and write
-    its own values back.  The one slice write is a `_cow` of T's own
-    array, or a store into the copy made up front."""
+    its own values back.  The one slice write replaces a slice of T's
+    SliceArray, or stores into the copy made up front."""
     f = parse_formula("T(z, x, y) | z = w & E(z, x) & y = v")
     source = _Lowering(f, ("w", "v"), ("z", "x", "y")).source()
-    assert len(re.findall(r"^ +t\d+ = _cow\(t\d+, ", source, re.M)) == 1, source
+    assert len(re.findall(r"^ +(t\d+) = \1\.replaced\(", source, re.M)) == 1, \
+        source
     assert len(re.findall(r"^ +t\d+\[.*\] = ", source, re.M)) == 1, source
 
 
-def _check_bulk(f, s, params, frees):
+def _check_bulk(f, s, params, frees, as_stored=False):
     """bulk_eval agrees with evaluate, leaves its input arrays as they
-    were, and returns a read-only array or one of them."""
-    arrays = {rel: relation_to_array(tuples, ar, s.n)
+    were, and returns a read-only array or one of them.  The inputs are
+    dense arrays, or as a state stores them when `as_stored`."""
+    build = stored_relation if as_stored else relation_to_array
+    arrays = {rel: build(tuples, ar, s.n)
               for rel, (ar, tuples) in s.relations.items()}
     before = {rel: a.copy() for rel, a in arrays.items()}
     got = bulk_eval(f, arrays, s.n, params, frees)

@@ -201,21 +201,23 @@ def test_every_state_array_is_read_only():
 
 
 def _share_every_base(monkeypatch):
-    """Start every split on a whole atom from the relation's array itself,
-    whatever its size (the catalog's n here is below _SHARE_MIN)."""
+    """Keep every array of ndim >= 2 as slices, whatever its size (the
+    catalog's n here is below _SHARE_MIN), so that every split on a whole
+    atom of one starts from the relation's SliceArray itself."""
     from dyncomplab import bulk_eval as be
     monkeypatch.setitem(be._NAMESPACE, "_SHARE_MIN", 0)
 
 
 def _count_copies(monkeypatch) -> dict:
     """Count, per rule body, the most full-shape copies one call of its
-    kernel made: a `_copy`, or a `_take` or `_cow` that had to copy."""
+    kernel made: a `_copy`, a `_take` that had to copy, or a SliceArray
+    densified for a write off axis 0."""
     from dyncomplab import bulk_eval as be
     from dyncomplab import interpreter as ip
 
     copies = {"n": 0}
-    copy, take, cow, evaluate = be._NAMESPACE["_copy"], \
-        be._NAMESPACE["_take"], be._NAMESPACE["_cow"], ip.bulk_eval
+    copy, take, densify, evaluate = be._NAMESPACE["_copy"], \
+        be._NAMESPACE["_take"], be.SliceArray.copy, ip.bulk_eval
 
     def counted_copy(a, shape):
         copies["n"] += 1
@@ -226,10 +228,9 @@ def _count_copies(monkeypatch) -> dict:
         copies["n"] += out is not a
         return out
 
-    def counted_cow(a, *args):
-        out = cow(a, *args)
-        copies["n"] += out is not a
-        return out
+    def counted_densify(a):
+        copies["n"] += 1
+        return densify(a)
 
     seen = {}
 
@@ -241,7 +242,7 @@ def _count_copies(monkeypatch) -> dict:
 
     monkeypatch.setitem(be._NAMESPACE, "_copy", counted_copy)
     monkeypatch.setitem(be._NAMESPACE, "_take", counted_take)
-    monkeypatch.setitem(be._NAMESPACE, "_cow", counted_cow)
+    monkeypatch.setattr(be.SliceArray, "copy", counted_densify)
     monkeypatch.setattr(ip, "bulk_eval", per_rule)
     return seen
 
@@ -280,9 +281,11 @@ def test_a_shared_step_matches_reference(builder, n, monkeypatch):
 @pytest.mark.parametrize("name", ["degree_rel_1", "degree_rel_3",
                                   "parity_exists_prop_3"])
 def test_a_step_hands_on_what_it_leaves_unchanged(name, monkeypatch):
-    """An identity rule, and every rule of degree_rel_k (each splits on a
-    whole atom of its target), return the pre-step array itself, with
-    no copy, when the step leaves the relation as it was."""
+    """An identity rule, and every rule of degree_rel_k whose target is a
+    SliceArray (each splits on a whole atom of its target), return the
+    pre-step array itself, with no copy, when the step leaves the
+    relation as it was."""
+    from dyncomplab.bulk_eval import SliceArray
     _share_every_base(monkeypatch)
     seen = _count_copies(monkeypatch)
     prog = pg.catalog_entry(name).build()
@@ -298,9 +301,11 @@ def test_a_step_hands_on_what_it_leaves_unchanged(name, monkeypatch):
         for target, new_array in new.aux_arrays.items():
             rule = prog.rules[(c.op, c.relation, target)]
             identity = rule.body == atom(target, *rule.frees)
+            old = st.aux_arrays[target]
             if identity or name.startswith("degree_rel") and \
-                    np.array_equal(new_array, st.aux_arrays[target]):
-                assert new_array is st.aux_arrays[target], (c, target)
+                    old.__class__ is SliceArray and \
+                    np.array_equal(new_array, old):
+                assert new_array is old, (c, target)
                 assert seen[id(rule.body)] == 0, (c, target)
                 handed_on += 1
         st = new

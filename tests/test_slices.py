@@ -9,7 +9,7 @@ import pytest
 
 from dyncomplab import bulk_eval as be
 from dyncomplab import programs as pg
-from dyncomplab.bulk_eval import (SliceArray, _Lowering, _cow, _diag,
+from dyncomplab.bulk_eval import (SliceArray, _Lowering, _diag,
                                   array_to_relation, stored, stored_relation)
 from dyncomplab.formulas import parse_formula
 
@@ -93,7 +93,12 @@ def test_a_slice_array_reads_as_its_dense_array(ndim, n, every_array_sliced):
 @pytest.mark.parametrize("ndim,n", CASES)
 def test_cow_on_a_slice_array_matches_a_dense_write(ndim, n,
                                                     every_array_sliced):
+    """A slice write on axis 0 is `SliceArray.replaced`: one new part, the
+    others shared, the array itself when the slice holds the value.  A
+    kernel's write on another axis densifies the relation's SliceArray
+    first.  Neither writes to the array it starts from."""
     rng = random.Random(f"cow:{ndim}:{n}")
+    frees = tuple("abcd"[:ndim])
     for _ in range(20 if n else 1):
         dense, sliced = _random_pair(rng, ndim, n)
         other_dense, other = _random_pair(rng, ndim, n)
@@ -107,17 +112,28 @@ def test_cow_on_a_slice_array_matches_a_dense_write(ndim, n,
             continue
         axis, at = rng.randrange(ndim), rng.randrange(n)
         index = (slice(None),) * axis + (slice(at, at + 1),)
-        shape = [1 if d == axis or rng.random() < 0.3 else n
-                 for d in range(ndim)]
-        for value in (rng.random() < 0.5, dense[index].copy(),
+        if axis == 0:
+            shape = [1] + [1 if rng.random() < 0.3 else n
+                           for _ in range(ndim - 1)]
+            values = [rng.random() < 0.5, dense[index].copy(),
                       np.array([rng.random() < 0.5 for _ in
-                                range(int(np.prod(shape)))]).reshape(shape)):
-            got = _cow(sliced, axis, at, value)
+                                range(int(np.prod(shape)))]).reshape(shape)]
+        else:  # the new slice is V's, read by the kernel as V(.., p, ..)
+            values = [other_dense, dense]
+            v = frees[axis]
+            rule = parse_formula(f"!({v} = p) & T({', '.join(frees)}) | "
+                                 f"{v} = p & V({', '.join(frees)})")
+        for value in values:
             want = dense.copy()
-            want[index] = value
+            want[index] = value[index] if axis else value
+            if axis:
+                got = be.bulk_eval(rule, {"T": sliced, "V": stored(value)},
+                                   n, {"p": at}, frees)
+            else:
+                got = sliced.replaced(at, value)
             _same(got, want)
             _same(sliced, dense)                     # left unwritten
-            if np.array_equal(want, dense):
+            if axis == 0 and np.array_equal(want, dense):
                 assert got is sliced
             elif axis == 0:
                 assert isinstance(got, SliceArray)
