@@ -61,6 +61,7 @@ from __future__ import annotations
 import builtins
 import functools
 import hashlib
+import itertools
 import math
 import operator
 import re
@@ -1062,8 +1063,17 @@ def relation_to_array(tuples, arity: int, n: int) -> np.ndarray:
 
 def array_to_relation(arr) -> frozenset[tuple[int, ...]]:
     if arr.__class__ is SliceArray:  # part by part, never densified
-        return frozenset((i, *map(int, idx)) for i, part in enumerate(arr.parts)
-                         for idx in np.argwhere(part))
+        shape, out, empty = arr.shape[1:], [], set()
+        for i, part in enumerate(arr.parts):
+            if id(part) in empty:  # a part seen empty, mostly the shared zero
+                continue
+            flat = np.flatnonzero(part)
+            if not flat.size:
+                empty.add(id(part))
+                continue
+            out += zip(itertools.repeat(i, flat.size),
+                       *(c.tolist() for c in np.unravel_index(flat, shape)))
+        return frozenset(out)
     if arr.ndim == 0:
         return frozenset([()]) if bool(arr) else frozenset()
-    return frozenset(tuple(map(int, idx)) for idx in np.argwhere(arr))
+    return frozenset(map(tuple, np.argwhere(arr).tolist()))

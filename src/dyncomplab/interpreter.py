@@ -16,10 +16,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import formulas as fm
-from .bulk_eval import (array_to_relation, bulk_eval, relation_to_array,
-                        stored, stored_relation)
-from .structures import (Change, DynLabError, ScriptSyntaxError, Structure,
-                         ValidationError, apply_change, check_fits,
+from .bulk_eval import (_full, array_to_relation, bulk_eval,
+                        relation_to_array, stored, stored_relation)
+from .structures import (INSERT, Change, DynLabError, ScriptSyntaxError,
+                         Structure, ValidationError, apply_change, check_fits,
                          check_tuple, declare, directives)
 
 log = logging.getLogger(__name__)
@@ -162,12 +162,19 @@ class ProgramState:
     one slice on axis 0 (one owner's list) makes one new slice, and the
     next state shares all the others; a step that leaves it unchanged
     hands it on as it is, as it does the array of an identity rule.
+
+    `input_arrays` holds the input relations as read-only dense arrays,
+    which `step` passes on with the changed relation's array copied and
+    its one cell written; a state made without them (`step_reference`
+    makes one) builds them from its tuple sets at first use.
     """
 
     program: DynamicProgram
     input: Structure
     aux_arrays: dict[str, np.ndarray]
     builtin_arrays: dict[str, np.ndarray] = field(default_factory=dict)
+    input_arrays: dict[str, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -206,7 +213,10 @@ def init_state(p: DynamicProgram, n: int) -> ProgramState:
         aux_arrays[name] = stored_relation(tuples, arity, n)
     builtin_arrays = {name: stored(a) for name, a in
                       _builtin_arrays(n, p.builtins).items()}
-    return ProgramState(p, input_structure, aux_arrays, builtin_arrays)
+    input_arrays = {name: _full((n,) * arity, False)
+                    for name, arity in p.input_schema.items()}
+    return ProgramState(p, input_structure, aux_arrays, builtin_arrays,
+                        input_arrays)
 
 
 def _builtin_arrays(n: int, builtins: Iterable[str]) -> dict[str, np.ndarray]:
@@ -226,11 +236,22 @@ def _builtin_arrays(n: int, builtins: Iterable[str]) -> dict[str, np.ndarray]:
 
 
 def _input_arrays(state: ProgramState) -> dict[str, np.ndarray]:
-    out = {}
-    for name, (arity, tuples) in state.input.relations.items():
-        out[name] = a = relation_to_array(tuples, arity, state.n)
-        a.setflags(False)  # write=False, in the cheaper positional form
-    return out
+    if state.input_arrays is None:
+        out = {}
+        for name, (arity, tuples) in state.input.relations.items():
+            out[name] = a = relation_to_array(tuples, arity, state.n)
+            a.setflags(False)  # write=False, in the cheaper positional form
+        state.input_arrays = out
+    return state.input_arrays
+
+
+def _written(arrays: dict[str, np.ndarray], c: Change) -> dict[str, np.ndarray]:
+    """`arrays` after the effective change `c`: its relation's array is a
+    read-only copy with the one cell written, the others are shared."""
+    a = arrays[c.relation].copy()
+    a[c.args] = c.op == INSERT
+    a.setflags(False)
+    return {**arrays, c.relation: a}
 
 
 def _changed_input(state: ProgramState, c: Change, mode: str) -> Structure | None:
@@ -254,14 +275,17 @@ def step(state: ProgramState, c: Change, mode: str = "skip") -> ProgramState:
     changed = _changed_input(state, c, mode)
     if changed is None:
         return state
-    env = {**_input_arrays(state), **state.builtin_arrays, **state.aux_arrays}
+    inputs = _input_arrays(state)
+    env = {**inputs, **state.builtin_arrays, **state.aux_arrays}
     new_aux = {}
     for target in p.aux_schema:
         rule = p.rules[(c.op, c.relation, target)]
         params = dict(zip(rule.params, c.args))
         # read-only; the pre-step array itself when the rule leaves it be
         new_aux[target] = bulk_eval(rule.body, env, state.n, params, rule.frees)
-    return ProgramState(p, changed, new_aux, state.builtin_arrays)
+    if changed is not state.input:
+        inputs = _written(inputs, c)
+    return ProgramState(p, changed, new_aux, state.builtin_arrays, inputs)
 
 
 def step_reference(state: ProgramState, c: Change, mode: str = "skip") -> ProgramState:

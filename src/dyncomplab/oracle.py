@@ -1,10 +1,15 @@
 """From-scratch evaluation of the maintained queries, plus state audits.
 
-Deliberately naive: every query function rescans the structure.  An audit
-computes from the input the tuples each auxiliary relation should hold and
-hands them to `diff`, the one place that turns expected against actual
-tuples into `spurious`/`missing` discrepancies.  Nothing here is shared
-with the interpreter, the compiled kernels or the procedural engines, so
+Deliberately plain, and nothing is kept between calls: `eval_query`,
+`covered_set` and `indegree_buckets` make one pass over the input per
+call, through the one-pass neighbour and degree maps.  The per-node
+helpers (`in_neighbours`, `indegree`, `total_degree`) stay as the
+definitional reference those maps are tested against; `ncorunc` and the
+engine audit still read them per node.  An audit computes from the input
+the tuples each auxiliary relation should hold and hands them to `diff`,
+the one place that turns expected against actual tuples into
+`spurious`/`missing` discrepancies.  Nothing here is shared with the
+interpreter, the compiled kernels or the procedural engines, so
 differential tests stay meaningful.
 """
 
@@ -65,12 +70,39 @@ def total_degree(s: Structure, v: int) -> int:
     return deg
 
 
+def in_neighbour_sets(s: Structure) -> list[set[int]]:
+    """`in_neighbours(s, w)` for every node w, from one pass over E."""
+    ins: list[set[int]] = [set() for _ in range(s.n)]
+    for (v, w) in graph_edges(s):
+        ins[w].add(v)
+    return ins
+
+
+def out_neighbour_sets(s: Structure) -> list[set[int]]:
+    """`out_neighbours(s, v)` for every node v, from one pass over E."""
+    outs: list[set[int]] = [set() for _ in range(s.n)]
+    for (v, w) in graph_edges(s):
+        outs[v].add(w)
+    return outs
+
+
+def total_degrees(s: Structure) -> list[int]:
+    """`total_degree(s, v)` for every node v, from one pass over E: a
+    self-loop counts 2."""
+    deg = [0] * s.n
+    for (a, b) in graph_edges(s):
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
 def covered_set(s: Structure, bound: int | None = None) -> set[int]:
     """Nodes with an in-edge from a coloured node, optionally in-degree-bounded."""
     coloured = graph_coloured(s)
     covered = {w for (v, w) in graph_edges(s) if v in coloured}
     if bound is not None:
-        covered = {w for w in covered if indegree(s, w) <= bound}
+        ins = in_neighbour_sets(s)
+        covered = {w for w in covered if len(ins[w]) <= bound}
     return covered
 
 
@@ -96,8 +128,7 @@ def eval_query(q: QueryId, s: Structure) -> bool:
     if q.kind == "parity_exists_deg_logn":
         return len(covered_set(s, floor_log2(s.n))) % 2 == 1
     # parity_degree_div3
-    hits = [v for v in range(s.n)
-            if (d := total_degree(s, v)) > 0 and d % 3 == 0]
+    hits = [d for d in total_degrees(s) if d > 0 and d % 3 == 0]
     return len(hits) % 2 == 1
 
 
@@ -146,8 +177,8 @@ def indegree_buckets(s: Structure, k: int) -> dict:
     """Exact in-degree classes 1..k+1 plus the overflow class '>'."""
     buckets: dict = {ell: set() for ell in range(1, k + 2)}
     buckets[">"] = set()
-    for w in range(s.n):
-        d = indegree(s, w)
+    for w, vs in enumerate(in_neighbour_sets(s)):
+        d = len(vs)
         if 1 <= d <= k + 1:
             buckets[d].add(w)
         elif d > k + 1:

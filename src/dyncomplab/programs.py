@@ -22,8 +22,8 @@ from .formulas import (FALSE, Formula, atom, conj, disj, eq, neg, neq,
                        xor_chain)
 from .interpreter import DynamicProgram, ProgramState, UpdateRule, make_program
 from .oracle import (Discrepancy, QueryId, audit_list_family, diff,
-                     eval_query, in_neighbours, indegree_buckets,
-                     n_exists_forall, out_neighbours, total_degree)
+                     eval_query, in_neighbour_sets, indegree_buckets,
+                     out_neighbour_sets, total_degrees)
 from .structures import Structure, ValidationError, graph_coloured
 
 
@@ -588,6 +588,11 @@ def _audit_list_program(aux: Structure, fam: ListFamily,
          aux.tuples(fam.gt_name), out)
 
 
+def _by_owner(member_sets) -> dict[tuple, set[int]]:
+    """Node w's member set under its owner tuple (w,)."""
+    return {(w,): vs for w, vs in enumerate(member_sets)}
+
+
 def _check_flag(aux: Structure, rel: str, want: bool,
                 out: list[Discrepancy]) -> None:
     diff(rel, {()} if want else set(), aux.tuples(rel), out)
@@ -607,41 +612,57 @@ def _audit_size(k: int, inp: Structure, aux: Structure,
 def _audit_degree_rel(k: int, inp: Structure, aux: Structure,
                       out: list[Discrepancy]) -> None:
     _audit_list_program(aux, _count_family("", "N", k),
-                        {(w,): in_neighbours(inp, w) for w in range(inp.n)},
-                        out)
+                        _by_owner(in_neighbour_sets(inp)), out)
 
 
 def _audit_parity_degree_div3(inp: Structure, aux: Structure,
                               out: list[Discrepancy]) -> None:
     out_fam, in_fam = _div3_families()
-    _audit_list_program(aux, out_fam,
-                        {(v,): out_neighbours(inp, v) for v in range(inp.n)},
-                        out)
-    _audit_list_program(aux, in_fam,
-                        {(w,): in_neighbours(inp, w) for w in range(inp.n)},
-                        out)
-    degree = {x: total_degree(inp, x) for x in range(inp.n)}
+    _audit_list_program(aux, out_fam, _by_owner(out_neighbour_sets(inp)), out)
+    _audit_list_program(aux, in_fam, _by_owner(in_neighbour_sets(inp)), out)
+    degree = total_degrees(inp)
     for i in range(3):
-        diff(f"M_{i}", {(x,) for x, d in degree.items() if d > 0 and d % 3 == i},
+        diff(f"M_{i}", {(x,) for x, d in enumerate(degree) if d > 0 and d % 3 == i},
              aux.tuples(f"M_{i}"), out)
     _check_flag(aux, "P", eval_query(QueryId("parity_degree_div3"), inp), out)
+
+
+def _p_expected(k: int, ins: list[set[int]],
+                coloured: frozenset[int]) -> dict[str, set[tuple]]:
+    """Every P_l_m's tuples by `n_exists_forall`'s definition, read off the
+    in-neighbour sets: a + b (a l distinct coloured nodes, b m distinct
+    uncoloured ones) is in P_l_m when an odd number of nodes w have
+    1 <= |in(w)| <= k, A ∪ B ⊆ in(w) and no coloured in-neighbour outside
+    A ∪ B.  Such a C = A ∪ B holds all of w's coloured in-neighbours and
+    any of its uncoloured ones, so each w toggles at most 2^k sets."""
+    odd: set[frozenset[int]] = set()
+    for vs in ins:
+        if not 1 <= len(vs) <= k:
+            continue
+        must, free = vs & coloured, sorted(vs - coloured)
+        for r in range(len(free) + 1):
+            for extra in itertools.combinations(free, r):
+                if c := frozenset(must.union(extra)):
+                    odd ^= {c}
+    want: dict[str, set[tuple]] = {_p_name(l, m): set() for l, m in _p_pairs(k)}
+    for c in odd:
+        a, b = sorted(c & coloured), sorted(c - coloured)
+        want[_p_name(len(a), len(b))].update(
+            x + y for x in itertools.permutations(a)
+            for y in itertools.permutations(b))
+    return want
 
 
 def _audit_parity_exists_prop(k: int, inp: Structure, aux: Structure,
                               out: list[Discrepancy]) -> None:
     nfam, cfam = _count_family("N", "N", k), _count_family("C", "Nc", k)
     coloured = graph_coloured(inp)
-    ins = {(w,): in_neighbours(inp, w) for w in range(inp.n)}
-    _audit_list_program(aux, nfam, ins, out)
-    _audit_list_program(aux, cfam,
-                        {w: vs & coloured for w, vs in ins.items()}, out)
-    diff("Active", {o for o, vs in ins.items() if 1 <= len(vs) <= k},
+    ins = in_neighbour_sets(inp)
+    _audit_list_program(aux, nfam, _by_owner(ins), out)
+    _audit_list_program(aux, cfam, _by_owner(vs & coloured for vs in ins), out)
+    diff("Active", {(w,) for w, vs in enumerate(ins) if 1 <= len(vs) <= k},
          aux.tuples("Active"), out)
-    uncoloured = sorted(set(range(inp.n)) - coloured)
-    for l, m in _p_pairs(k):
-        want = {a + b for a in itertools.permutations(sorted(coloured), l)
-                for b in itertools.permutations(uncoloured, m)
-                if len(n_exists_forall(inp, a, b, k)) % 2 == 1}
-        diff(_p_name(l, m), want, aux.tuples(_p_name(l, m)), out)
+    for name, want in _p_expected(k, ins, coloured).items():
+        diff(name, want, aux.tuples(name), out)
     _check_flag(aux, "Ans", eval_query(QueryId("parity_exists_deg", k), inp),
                 out)

@@ -110,7 +110,8 @@ def test_engines_never_call_the_oracle(monkeypatch):
         raise AssertionError("oracle consulted")
 
     for name in ("eval_query", "n_exists", "covered_set", "indegree",
-                 "in_neighbours", "out_neighbours", "total_degree"):
+                 "in_neighbours", "out_neighbours", "total_degree",
+                 "in_neighbour_sets", "out_neighbour_sets", "total_degrees"):
         monkeypatch.setattr(oc, name, bump)
     drive_checked(fe.FoDegKState(6, 2), 6,
                   cx.random_changes(6, GRAPH_RELS, 40, random.Random(2)))

@@ -200,6 +200,39 @@ def test_every_state_array_is_read_only():
                     a[(0,) * a.ndim] = True
 
 
+def test_a_step_writes_one_cell_of_the_input_arrays():
+    """A state keeps its input relations as arrays: the empty shared
+    constant at `init_state`; after a step, equal to the input's tuples,
+    with every array but the changed relation's shared with the state
+    before (all of them on a non-effective change).  A state that
+    `step_reference` made builds them at first use."""
+    from dyncomplab import bulk_eval as be
+    from dyncomplab import interpreter as ip
+    for prog, n in ((pg.parity_exists_deg_k_prop_program(3), 5),
+                    (pg.parity_program(), 4)):
+        st = init_state(prog, n)
+        for name, arity in prog.input_schema.items():
+            assert ip._input_arrays(st)[name] is be._full((n,) * arity, False)
+        rng = random.Random(f"inputs:{prog.name}")
+        changes = cx.random_changes(n, rels_for(prog), 30, rng)
+        if not prog.requires_effective:
+            changes += [changes[-1]] * 2    # both non-effective
+        for t, c in enumerate(changes):
+            if t == 15:
+                st = step_reference(st, c)
+                assert st.input_arrays is None
+                continue
+            new = step(st, c)
+            before, after = ip._input_arrays(st), ip._input_arrays(new)
+            for name, (arity, tuples) in new.input.relations.items():
+                assert np.array_equal(after[name],
+                                      relation_to_array(tuples, arity, n))
+                assert not after[name].flags.writeable
+                changed = name == c.relation and new.input is not st.input
+                assert (after[name] is before[name]) != changed, (c, name)
+            st = new
+
+
 def _share_every_base(monkeypatch):
     """Keep every array of ndim >= 2 as slices, whatever its size (the
     catalog's n here is below _SHARE_MIN), so that every split on a whole

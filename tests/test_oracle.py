@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from dyncomplab import oracle as oc
-from dyncomplab.structures import (Structure, coloured_graph)
+from dyncomplab.structures import DynLabError, Structure, coloured_graph
 
 
 def _graph(n, edges, coloured=()):
@@ -141,3 +143,71 @@ def test_diff_names_spurious_then_missing_tuples():
     oc.diff("R", {(1,), (2,)}, [(2,), (3,)], out)
     assert [(d.relation, d.kind, d.detail) for d in out] == \
         [("R", "spurious", (3,)), ("R", "missing", (1,))]
+
+
+def _random_graph(n, rng):
+    """A seeded coloured graph on n nodes in which every ordered pair, a
+    self-loop included, is an edge with one probability per graph."""
+    p = rng.random()
+    edges = [(v, w) for v in range(n) for w in range(n) if rng.random() < p]
+    return _graph(n, edges, [v for v in range(n) if rng.random() < 0.5])
+
+
+def _per_node_answer(kind, s, k=None):
+    """eval_query's answer from the per-node helpers alone."""
+    coloured = {v for (v,) in s.tuples("R")}
+    covered = [w for w in range(s.n) if oc.in_neighbours(s, w) & coloured]
+    if kind == "parity_exists":
+        return len(covered) % 2 == 1
+    if kind == "parity_exists_deg":
+        return sum(oc.indegree(s, w) <= k for w in covered) % 2 == 1
+    if kind == "parity_exists_deg_logn":
+        return sum(oc.indegree(s, w) <= oc.floor_log2(s.n)
+                   for w in covered) % 2 == 1
+    return sum(oc.total_degree(s, v) > 0 and oc.total_degree(s, v) % 3 == 0
+               for v in range(s.n)) % 2 == 1
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_one_pass_maps_match_the_per_node_helpers(n):
+    for seed in range(200):
+        g = _random_graph(n, random.Random(f"one-pass:{n}:{seed}"))
+        nodes = range(n)
+        assert oc.in_neighbour_sets(g) == [oc.in_neighbours(g, w) for w in nodes]
+        assert oc.out_neighbour_sets(g) == [oc.out_neighbours(g, v) for v in nodes]
+        assert oc.total_degrees(g) == [oc.total_degree(g, v) for v in nodes]
+        for k in range(5):
+            want = {ell: {w for w in nodes if oc.indegree(g, w) == ell}
+                    for ell in range(1, k + 2)}
+            want[">"] = {w for w in nodes if oc.indegree(g, w) > k + 1}
+            assert oc.indegree_buckets(g, k) == want, (seed, k)
+        coloured = {v for (v,) in g.tuples("R")}
+        covered = {w for w in nodes if oc.in_neighbours(g, w) & coloured}
+        assert oc.covered_set(g) == covered
+        for bound in range(5):
+            assert oc.covered_set(g, bound) == \
+                {w for w in covered if oc.indegree(g, w) <= bound}, (seed, bound)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_every_query_kind_matches_the_per_node_helpers(n):
+    for seed in range(200):
+        rng = random.Random(f"queries:{n}:{seed}")
+        g = _random_graph(n, rng)
+        for kind in ("parity_exists", "parity_exists_deg_logn",
+                     "parity_degree_div3"):
+            if kind == "parity_exists_deg_logn" and n == 0:
+                with pytest.raises(DynLabError):
+                    oc.eval_query(oc.QueryId(kind), g)
+                continue
+            assert oc.eval_query(oc.QueryId(kind), g) == \
+                _per_node_answer(kind, g), (seed, kind)
+        for k in range(5):
+            assert oc.eval_query(oc.QueryId("parity_exists_deg", k), g) == \
+                _per_node_answer("parity_exists_deg", g, k), (seed, k)
+        items = Structure.make(n, {"U": 1},
+                               {"U": {(u,) for u in range(n) if rng.random() < 0.5}})
+        size = len(items.tuples("U"))
+        assert oc.eval_query(oc.QueryId("parity"), items) == (size % 2 == 1)
+        for k in range(5):
+            assert oc.eval_query(oc.QueryId("size_k", k), items) == (size == k)

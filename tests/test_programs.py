@@ -1,3 +1,4 @@
+import itertools
 import random
 from pathlib import Path
 
@@ -7,10 +8,11 @@ import pytest
 from dyncomplab import constructions as cx
 from dyncomplab import oracle as oc
 from dyncomplab import programs as pg
+from dyncomplab.bulk_eval import SliceArray
 from dyncomplab.driver import ProgramRun
 from dyncomplab.interpreter import (format_program, init_state, parse_program,
                                     step, validate)
-from dyncomplab.structures import Change, DynLabError
+from dyncomplab.structures import Change, DynLabError, coloured_graph
 from helpers import drive_checked, rels_for
 
 
@@ -133,3 +135,61 @@ def test_every_single_cell_corruption_fails_the_audit(entry):
 @pytest.mark.parametrize("entry", pg.catalog(), ids=lambda e: e.name)
 def test_initial_state_on_a_small_domain_audits_clean(entry, n):
     assert pg.audit_program_state(init_state(entry.build(), n)) == []
+
+
+@pytest.mark.parametrize("name", ["degree_rel_3", "parity_degree_div3"])
+def test_one_flipped_cell_of_a_sliced_relation_fails_the_audit(name):
+    """At n = 128 the arity-3 relations are SliceArrays, which the
+    exhaustive corruption sweep (dense at its sizes) never reads back: a
+    clean state audits clean, and one flipped cell in the first, a middle
+    or the last part of any of them fails the audit."""
+    prog = pg.catalog_entry(name).build()
+    n = 128
+    st = init_state(prog, n)
+    for c in cx.random_changes(n, rels_for(prog), 256,
+                               random.Random(f"real-size:{name}"),
+                               p_delete=0.2):
+        st = step(st, c)
+    assert not pg.audit_program_state(st)
+    sliced = [rel for rel, a in st.aux_arrays.items()
+              if isinstance(a, SliceArray)]
+    assert sliced
+    rng = random.Random(f"real-size-cells:{name}")
+    for rel in sliced:
+        arr = st.aux_arrays[rel]
+        for at in (0, n // 2, n - 1):
+            for cell in ((0,) * (arr.ndim - 1), (n - 1,) * (arr.ndim - 1),
+                         tuple(rng.randrange(n) for _ in arr.shape[1:])):
+                part = arr.parts[at].copy()
+                part[cell] ^= True
+                st.aux_arrays[rel] = arr.replaced(at, part)
+                found = pg.audit_program_state(st)
+                assert any(d.relation.startswith(rel) for d in found), \
+                    (rel, at, cell)
+        st.aux_arrays[rel] = arr
+    assert not pg.audit_program_state(st)
+
+
+def _p_by_n_exists_forall(k, s):
+    """Every P_l_m's tuples, one `n_exists_forall` call per tuple."""
+    coloured = {v for (v,) in s.tuples("R")}
+    uncoloured = sorted(set(range(s.n)) - coloured)
+    return {pg._p_name(l, m): {
+        a + b for a in itertools.permutations(sorted(coloured), l)
+        for b in itertools.permutations(uncoloured, m)
+        if len(oc.n_exists_forall(s, a, b, k)) % 2 == 1}
+        for l, m in pg._p_pairs(k)}
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_p_sets_from_the_in_neighbour_map_match_n_exists_forall(k):
+    for n in range(1, 7):
+        for seed in range(40):
+            rng = random.Random(f"p-sets:{k}:{n}:{seed}")
+            p = rng.random()
+            s = coloured_graph(n, [(v, w) for v in range(n) for w in range(n)
+                                   if rng.random() < p],
+                               [v for v in range(n) if rng.random() < 0.5])
+            got = pg._p_expected(k, oc.in_neighbour_sets(s),
+                                 frozenset(v for (v,) in s.tuples("R")))
+            assert got == _p_by_n_exists_forall(k, s), (n, seed)

@@ -159,6 +159,45 @@ def test_stored_keeps_small_arrays_and_slices_large_ones():
     assert stored(unary) is unary                     # ndim 1 stays dense
 
 
+def _cells(dense):
+    return {idx for idx in np.ndindex(dense.shape) if dense[idx]}
+
+
+@pytest.mark.parametrize("ndim,n", [(ndim, n) for ndim in (2, 3, 4)
+                                    for n in (1, 2, 5)])
+def test_array_to_relation_on_slices_equals_the_dense_path(ndim, n,
+                                                          every_array_sliced):
+    """A SliceArray reads back, part by part, the tuples its dense array
+    holds: all parts the shared zero part, one cell at the very last
+    index, one shared non-zero part, and random parts."""
+    shape, zero = (n,) * ndim, be._full((n,) * (ndim - 1), False)
+    last = np.zeros(shape[1:], dtype=bool)
+    last[(n - 1,) * (ndim - 1)] = True
+    ones = np.ones(shape[1:], dtype=bool)
+    rng = random.Random(f"a2r:{ndim}:{n}")
+    cases = [(zero,) * n, (zero,) * (n - 1) + (last,), (ones,) * n,
+             (last,) + (zero,) * (n - 1)]
+    cases += [_random_pair(rng, ndim, n)[1].parts for _ in range(5)]
+    for parts in cases:
+        sliced = SliceArray(tuple(parts), shape)
+        dense = np.asarray(sliced)
+        got = array_to_relation(sliced)
+        assert got == array_to_relation(dense) == _cells(dense)
+        assert all(type(x) is int for t in got for x in t)
+    assert array_to_relation(SliceArray((zero,) * n, shape)) == frozenset()
+
+
+@pytest.mark.parametrize("ndim", range(5))
+def test_array_to_relation_on_dense_arrays_reads_every_true_cell(ndim):
+    rng = random.Random(f"a2r-dense:{ndim}")
+    for n in range(4):
+        dense = np.array([rng.random() < 0.3 for _ in range(n ** ndim)],
+                         dtype=bool).reshape((n,) * ndim)
+        got = array_to_relation(dense)
+        assert got == _cells(dense)
+        assert all(type(x) is int for t in got for x in t)
+
+
 @pytest.mark.parametrize("entry", pg.catalog(), ids=lambda e: e.name)
 def test_no_kernel_assigns_a_temporary_it_never_reads(entry):
     """Every temporary a kernel assigns is read before it is deleted:
