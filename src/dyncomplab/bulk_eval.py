@@ -29,28 +29,29 @@ The lowering
   split's), so a rule makes at most one full-shape copy however many
   splits it nests;
 - starts a split whose base is a whole atom of one relation, in axis
-  order (`T(z, x, y)` with frees (z, x, y)), from that relation's array
-  itself when it is a SliceArray: a slice write on axis 0 makes one new
-  slice (`SliceArray.replaced`), one on another axis a dense copy first;
-  any other such base is copied up front;
-- returns the relation's array itself for a rule whose whole value is
-  such an atom (an identity rule `T(x) := T(x)`);
+  order (`T(z, x, y)` with frees (z, x, y)), from that relation's array:
+  a SliceArray itself, a dense array copied up front;
+- writes a slice into a SliceArray base as one new slice when it is on
+  axis 0 (`SliceArray.replaced`), and into a dense copy otherwise;
 - drops a named intermediate that nothing reads, and frees every other
   one after its last use.
 
-Kernels never write to an array of `rels`, and their results are
-read-only: a result is an array of `rels` itself, shares its memory, or
-is an array nobody else holds.
-
-Large arrays are kept as slices.  A result of ndim >= 2 with at least
-_SHARE_MIN cells is a `SliceArray`: the tuple of its read-only axis-0
-slices, so that a slice write on axis 0 makes one new slice and shares
-the others with the array it started from (path copying).  States keep
-their large auxiliary and built-in arrays the same way (`stored`,
-`stored_relation`), and kernels read them as they read numpy arrays: an
-atom with a constant or parameter first reads one slice, any other
-atom a dense copy made for that one read.  _SHARE_MIN is the only
-threshold: it decides which arrays are SliceArrays.
+One storage rule.  A kernel computes a value and never writes to an
+array of `rels`.  It returns the relation's array itself for a rule
+whose whole value is such an atom (an identity rule `T(x) := T(x)`), and
+`stored(value, shape)` of its value otherwise.  `stored` is the one
+place that decides how a value is kept, for kernels and states alike
+(`stored_relation` builds a relation's array by the same rule): a
+SliceArray as it is, a bool as the shared read-only constant array, any
+other array copied unless it is fresh and then made read-only.  An
+array of ndim >= 2 with at least _SHARE_MIN cells is kept as a
+`SliceArray`: the tuple of its read-only axis-0 slices, so that a slice
+write on axis 0 makes one new slice and shares the others with the
+array it started from (path copying).  Kernels read SliceArrays as they
+read numpy arrays: an atom with a constant or parameter first reads one
+slice, any other atom a dense copy made for that one read.  `stored`
+takes its value over, so a relation's own array leaves a kernel only as
+the return of an identity rule, never through `stored`.
 
 Kernels hold no program names: relation and parameter names are bound
 as default arguments, so rules of the same shape share one code object.
@@ -92,12 +93,12 @@ def bulk_eval(f: Formula, rels: Mapping[str, np.ndarray], n: int,
               params: Mapping[str, int], frees: tuple[str, ...]) -> np.ndarray:
     """Boolean array of shape (n,)*len(frees), axis i ranging over frees[i].
 
-    The array is read-only, or is one of the arrays of `rels`, returned
-    as it is.  It may share memory, or SliceArray slices, with `rels` and
-    with earlier results; kernels never write to `rels`.  An array the
-    kernel made, of ndim >= 2 and with at least _SHARE_MIN cells, is a
-    `SliceArray`; `rels` may hold either kind, and a result that started
-    from a SliceArray of `rels` may be one whatever its size.
+    The array is one of the arrays of `rels`, returned as it is, or a
+    value as `stored` keeps it.  It may share memory, or SliceArray
+    slices, with `rels` and with earlier results; kernels never write to
+    `rels`.  `rels` may hold numpy arrays and SliceArrays alike, and a
+    result that started from a SliceArray of `rels` may be one whatever
+    its size.
     """
     frees = tuple(frees)
     key = (id(f), tuple(params), frees)
@@ -166,11 +167,13 @@ def _diag(sub: np.ndarray, spec: str) -> np.ndarray:
     return np.einsum(spec, sub.astype(np.uint8)).astype(bool)
 
 
-def _take(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """`a` itself when it is a fresh, full-shape, contiguous, writable
-    array (an operation's own output); otherwise a broadcast copy.  Atoms
-    are views and the shared constants are read-only, so neither is ever
-    handed out."""
+def _take(a, shape: tuple[int, ...]):
+    """`a` itself when it is a SliceArray (never written in place) or a
+    fresh, full-shape, contiguous, writable array (an operation's own
+    output); otherwise a broadcast copy.  Atoms are views and the shared
+    constants are read-only, so neither is ever handed out."""
+    if a.__class__ is SliceArray:
+        return a
     flags = a.flags
     if a.base is None and a.shape == shape and flags.writeable \
             and flags.c_contiguous:
@@ -178,7 +181,11 @@ def _take(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return _copy(a, shape)
 
 
-def _copy(a, shape: tuple[int, ...]) -> np.ndarray:
+def _copy(a, shape: tuple[int, ...]):
+    """A new writable array of `a` broadcast to `shape`, or `a` itself
+    when it is a SliceArray."""
+    if a.__class__ is SliceArray:
+        return a
     out = np.empty(shape, dtype=bool)
     out[...] = a
     return out
@@ -259,42 +266,45 @@ class SliceArray:
                           + self.parts[at + 1:], self.shape)
 
 
-def _large(ndim: int, size: int) -> bool:
-    """Whether an array is kept as slices: ndim >= 2 and at least
-    _SHARE_MIN cells, read from the kernels' namespace as they read it
-    (a kernel tests its result's size inline, in the same terms)."""
-    return ndim >= 2 and size >= _NAMESPACE["_SHARE_MIN"]
-
-
-def stored(a: np.ndarray):
-    """`a`, which nobody else holds, as a state keeps it: read-only, and
-    a SliceArray of views of `a` when large."""
-    a.setflags(False)
-    return SliceArray(tuple(a), a.shape) if _large(a.ndim, a.size) else a
+def stored(a, shape: tuple[int, ...]):
+    """The value `a` of shape `shape` as a state keeps it, and as every
+    kernel but an identity rule's returns it; `a` is taken over.  A
+    SliceArray is kept as it is.  A bool becomes the shared read-only
+    constant array.  Any other array is taken as `_take` takes it (copied
+    unless it is fresh), made read-only, and kept as a SliceArray of
+    views of it when large: ndim >= 2 and at least _SHARE_MIN cells."""
+    if a.__class__ is np.ndarray:
+        # _take's test, inline, so that a kernel's result costs one call
+        flags = a.flags
+        if a.base is not None or a.shape != shape or not flags.writeable \
+                or not flags.c_contiguous:
+            a = _copy(a, shape)
+        a.setflags(False)  # write=False; the keyword form costs twice as much
+        if a.ndim < 2 or a.size < _SHARE_MIN:
+            return a
+        return SliceArray(tuple(a), shape)
+    if a.__class__ is SliceArray:
+        return a
+    if len(shape) < 2 or math.prod(shape) < _SHARE_MIN:
+        return _full(shape, a)
+    return SliceArray((_full(shape[1:], a),) * shape[0], shape)
 
 
 def stored_relation(tuples, arity: int, n: int):
-    """The array of a relation as `stored` keeps it.  An empty one is a
-    shared read-only constant; a large one is built slice by slice, never
-    as one array of n**arity cells, and every empty slice is one shared
-    read-only zero part."""
-    if not _large(arity, n ** arity):
-        if not tuples:
-            return _full((n,) * arity, False)
-        return _readonly(relation_to_array(tuples, arity, n))
+    """The array of a relation as `stored` keeps it.  A large one is
+    built slice by slice, never as one array of n**arity cells, and
+    every empty slice is one shared read-only zero part."""
+    shape = (n,) * arity
+    if arity < 2 or n ** arity < _SHARE_MIN:
+        return stored(relation_to_array(tuples, arity, n) if tuples else False,
+                      shape)
     rows: dict[int, list] = {}
     for t in tuples:
         rows.setdefault(t[0], []).append(t[1:])
-    zero = _full((n,) * (arity - 1), False)
+    zero = _full(shape[1:], False)
     return SliceArray(tuple(
         _readonly(relation_to_array(rows[i], arity - 1, n)) if i in rows
-        else zero for i in range(n)), (n,) * arity)
-
-
-def _filled(shape: tuple[int, ...], value: bool) -> SliceArray:
-    """The large result of a rule whose value is one bool: a SliceArray
-    whose parts are all one constant."""
-    return SliceArray((_full(shape[1:], value),) * shape[0], shape)
+        else zero for i in range(n)), shape)
 
 
 class _ArityMismatch(Exception):
@@ -318,21 +328,17 @@ def _children(f: Formula) -> list[Formula]:
             if hasattr(f, name)]
 
 
-# The fewest cells of an array of ndim >= 2 for it to be kept as slices
-# (a SliceArray); a smaller one is one dense array, which a split copies
-# up front.  The value has not been tuned for slices.  Read at run time
-# from _NAMESPACE.
+# The fewest cells of an array of ndim >= 2 for `stored` to keep it as
+# slices (a SliceArray); a smaller one is one dense array.  The value has
+# not been tuned for slices.
 _SHARE_MIN = 1 << 15
 
 # namespace of every kernel; the all-false / all-true constants Z<d> and
 # O<d> of shape (1,)*d are added on first use
 _NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
-                    "_copy": _copy, "_full": _full,
-                    "_filled": _filled, "_readonly": _readonly,
-                    "_stored": stored, "SliceArray": SliceArray,
-                    "_diag": _diag, "_eye": _eye, "_arange": _arange,
-                    "_ArityMismatch": _ArityMismatch,
-                    "_SHARE_MIN": _SHARE_MIN}
+                    "_copy": _copy, "_stored": stored,
+                    "SliceArray": SliceArray, "_diag": _diag, "_eye": _eye,
+                    "_arange": _arange, "_ArityMismatch": _ArityMismatch}
 
 
 def _constant(value: bool, depth: int) -> str:
@@ -362,9 +368,7 @@ class _Val:
     value when known at compile time (all-false/all-true for arrays);
     `may` holds the constants an array may turn out to be at run time,
     and then `code` is a name.  `whole` names the relation array (`r<i>`)
-    whose whole value, in axis order, this is; `slices` tells that this
-    array may be a SliceArray at run time (a split that started from
-    one), which is never written in place."""
+    whose whole value, in axis order, this is."""
 
     code: str
     array: bool
@@ -372,7 +376,6 @@ class _Val:
     may: frozenset = frozenset()
     nest: int = 0
     whole: str = ""
-    slices: bool = False
 
 
 @dataclass
@@ -498,25 +501,11 @@ class _Lowering:
         depth = len(self.frees)
         body = _Block()
         root = self.gen(self.f, self.ctx, depth, (), body)
-        shape = _shape(depth)
-        # a result of ndim >= 2 is kept as slices when large (see _large);
-        # the test is inline, so that a small result costs what it did
-        small = f"{' * '.join(['n'] * depth)} < _SHARE_MIN"
-        if root.whole:
+        if root.whole:  # an identity rule: the relation's own array
             ret = f"return {root.whole}"
-        elif root.array and root.const is None:
-            t = root.code
-            if depth < 2:
-                value = f"_readonly(_take({t}, {shape}))"
-            else:
-                value = f"(_readonly if {small} else _stored)(_take({t}, {shape}))"
-            if root.slices:  # the relation's SliceArray, or one a write made
-                value = f"{t} if {t}.__class__ is SliceArray else {value}"
-            ret = f"return {value}"
         else:
-            value = root.const if root.const is not None else root.code
-            full = "_full" if depth < 2 else f"(_full if {small} else _filled)"
-            ret = f"return {full}({shape}, {value})"
+            value = root.code if root.const is None else root.const
+            ret = f"return _stored({value}, {_shape(depth)})"
         body.stmts.append(("return", ret))
         _insert_dels(body.stmts, ())
         # the names of the relations (R<i>) and parameters (P<i>) it reads
@@ -582,7 +571,7 @@ class _Lowering:
             return v
         t = self._temp(v.code)
         block.stmts.append(("assign", t, v.code))
-        return _Val(t, v.array, None, v.may, whole=v.whole, slices=v.slices)
+        return _Val(t, v.array, None, v.may, whole=v.whole)
 
     def val(self, code: str, array: bool, block: _Block,
             may=frozenset(), nest: int = 0) -> _Val:
@@ -695,41 +684,30 @@ class _Lowering:
         shape = "(" + "".join("n, " if a in live else "1, "
                               for a in range(depth)) + ")"
         read = set(_TEMP.findall(on.code)).union(*map(_reads, branch.stmts))
-        if off.whole and depth >= 2 or off.slices and self._owned(off, read,
-                                                                 block):
-            # start from the relation's SliceArray itself (or from the
-            # split that did): a write on axis 0 replaces one slice, one
-            # on another axis densifies it first; a dense relation is
-            # copied up front
-            t, rel = off.code, off.whole
-            if rel:
-                t = self._temp()
-                block.stmts.append(("assign", t, f"({rel} if {rel}.__class__ "
-                                    f"is SliceArray else _copy({rel}, {shape}))"))
-            value = self.named(on, branch).code
-            # each `store` rebinds t or writes into it, and t stays the
-            # one temporary of the base
-            sliced = f"{t}.__class__ is SliceArray"
-            store = ("store", f"{t}[{index}]", value)
-            if axis:
-                write = [("if", sliced, [("store", t, f"{t}.copy()")], [], None),
-                         store]
-            else:
-                write = [("if", sliced, [("store", t, f"{t}.replaced({at}, "
-                                          f"{value})")], [store], None)]
-            block.stmts.append(("if", guard, branch.stmts + write, [], None))
-            return _Val(t, True, slices=True)
-        # a base the kernel made and nothing else reads is written in
-        # place (_take copies it only if it is a view, a constant or too
-        # small), so nested splits make one copy in all
-        if off.const is None and self._owned(off, read, block):
-            t = self._temp(off.code)
-            block.stmts.append(("assign", t, f"_take({off.code}, {shape})"))
+        # the base: the relation's own array for a whole atom of it,
+        # which _copy copies unless it is a SliceArray; an array the
+        # kernel made and nothing else reads, which _take hands on unless
+        # it is a view, a constant or too small (so nested splits make one
+        # full-shape copy in all); otherwise a copy.  A SliceArray is
+        # never written in place: a write on axis 0 replaces one slice,
+        # one on another axis densifies it first.
+        owned = not off.whole and off.const is None and \
+            self._owned(off, read, block)
+        t = self._temp(off.code if owned else "")
+        block.stmts.append(("assign", t, f"{'_take' if owned else '_copy'}"
+                            f"({off.whole or off.code}, {shape})"))
+        value = self.named(on, branch).code
+        # each `store` rebinds t or writes into it, and t stays the one
+        # temporary of the base
+        sliced = f"{t}.__class__ is SliceArray"
+        store = ("store", f"{t}[{index}]", value)
+        if axis:
+            write = [("if", sliced, [("store", t, f"{t}.copy()")], [], None),
+                     store]
         else:
-            t = self._temp()
-            block.stmts.append(("assign", t, f"_copy({off.code}, {shape})"))
-        block.stmts.append(("if", guard, branch.stmts + [
-            ("store", f"{t}[{index}]", on.code)], [], None))
+            write = [("if", sliced, [("store", t, f"{t}.replaced({at}, "
+                                      f"{value})")], [store], None)]
+        block.stmts.append(("if", guard, branch.stmts + write, [], None))
         return _Val(t, True)
 
     def _atom(self, f: Atom, ctx, depth: int, block: _Block) -> _Val:

@@ -26,9 +26,9 @@ from . import oracle as oc
 from . import programs as pg
 from . import symcircuit as sc
 from .driver import ProgramRun, drive
-from .structures import (Checkpoint, DynLabError, Structure, apply_change,
-                         format_structure, format_script, parse_script,
-                         parse_structure)
+from .structures import (Checkpoint, DynLabError, Structure, ValidationError,
+                         apply_change, format_structure, format_script,
+                         parse_script, parse_structure)
 
 DEFAULT_SEED = 1729
 
@@ -96,6 +96,19 @@ def _refuse_unread_k(args, reads_k: bool) -> None:
                           f"queries {' and '.join(sorted(K_QUERIES))}")
 
 
+def _refuse_audit_of_a_non_catalog(program: ip.DynamicProgram) -> None:
+    """A program's audit is its catalog entry's, found by the program's
+    name (the file stem), so `--audit` needs the catalog program itself."""
+    try:
+        entry = pg.catalog_entry(program.name)
+    except ValidationError:  # no catalog program has that name
+        entry = None
+    if entry is None or \
+            ip.format_program(entry.build()) != ip.format_program(program):
+        raise DynLabError(f"--audit needs a catalog program; {program.name!r} "
+                          "is not one")
+
+
 def cmd_run(args) -> int:
     _refuse_unread_k(args, args.engine == "fo-degk" or args.oracle in K_QUERIES)
     script = parse_script(_read(args.script, "--script"))
@@ -123,6 +136,8 @@ def cmd_run(args) -> int:
             raise DynLabError("run needs --program or --engine")
         program = ip.parse_program(_read(args.program, "--program"),
                                    name=Path(args.program).stem)
+        if args.audit:
+            _refuse_audit_of_a_non_catalog(program)
         target = ProgramRun(program, n, args.mode or "skip")
         oracle = partial(oc.eval_query, query) if query else None
     report = drive(target, script, oracle, audit_every=int(args.audit))

@@ -155,26 +155,23 @@ def max_aux_arity(p: DynamicProgram) -> int:
 class ProgramState:
     """Input structure + auxiliary relations (kept as boolean arrays).
 
-    The auxiliary and built-in arrays of a state that `init_state` or
-    `step` made are read-only, and states may share them.  An array of
-    ndim >= 2 with at least `bulk_eval._SHARE_MIN` cells is a
-    `bulk_eval.SliceArray`, shared slice by slice: a step that rewrites
-    one slice on axis 0 (one owner's list) makes one new slice, and the
-    next state shares all the others; a step that leaves it unchanged
-    hands it on as it is, as it does the array of an identity rule.
-
-    `input_arrays` holds the input relations as read-only dense arrays,
-    which `step` passes on with the changed relation's array copied and
-    its one cell written; a state made without them (`step_reference`
-    makes one) builds them from its tuple sets at first use.
+    Every array of a state is read-only, and states share them.  The
+    auxiliary and built-in arrays are kept as `bulk_eval.stored` keeps a
+    value: an array of ndim >= 2 with at least `bulk_eval._SHARE_MIN`
+    cells is a `bulk_eval.SliceArray`, shared slice by slice, so a step
+    that rewrites one slice on axis 0 (one owner's list) makes one new
+    slice and the next state shares all the others; a step that leaves
+    an array unchanged hands it on as it is, as it does the array of an
+    identity rule.  `input_arrays` holds the input relations as dense
+    arrays, which `step` hands on with the changed relation's array
+    copied and its one cell written.
     """
 
     program: DynamicProgram
     input: Structure
     aux_arrays: dict[str, np.ndarray]
-    builtin_arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    input_arrays: dict[str, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    builtin_arrays: dict[str, np.ndarray]
+    input_arrays: dict[str, np.ndarray] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -211,7 +208,7 @@ def init_state(p: DynamicProgram, n: int) -> ProgramState:
         for t in tuples:
             check_tuple(name, arity, t, n)
         aux_arrays[name] = stored_relation(tuples, arity, n)
-    builtin_arrays = {name: stored(a) for name, a in
+    builtin_arrays = {name: stored(a, a.shape) for name, a in
                       _builtin_arrays(n, p.builtins).items()}
     input_arrays = {name: _full((n,) * arity, False)
                     for name, arity in p.input_schema.items()}
@@ -233,16 +230,6 @@ def _builtin_arrays(n: int, builtins: Iterable[str]) -> dict[str, np.ndarray]:
         for j in range(1, max(n - 1, 0).bit_length() + 1):
             bit[:, j] = (i >> (j - 1)) & 1
     return arrays
-
-
-def _input_arrays(state: ProgramState) -> dict[str, np.ndarray]:
-    if state.input_arrays is None:
-        out = {}
-        for name, (arity, tuples) in state.input.relations.items():
-            out[name] = a = relation_to_array(tuples, arity, state.n)
-            a.setflags(False)  # write=False, in the cheaper positional form
-        state.input_arrays = out
-    return state.input_arrays
 
 
 def _written(arrays: dict[str, np.ndarray], c: Change) -> dict[str, np.ndarray]:
@@ -275,7 +262,7 @@ def step(state: ProgramState, c: Change, mode: str = "skip") -> ProgramState:
     changed = _changed_input(state, c, mode)
     if changed is None:
         return state
-    inputs = _input_arrays(state)
+    inputs = state.input_arrays
     env = {**inputs, **state.builtin_arrays, **state.aux_arrays}
     new_aux = {}
     for target in p.aux_schema:
@@ -304,8 +291,12 @@ def step_reference(state: ProgramState, c: Change, mode: str = "skip") -> Progra
             assignment.update(zip(rule.frees, b))
             if fm.evaluate(rule.body, snapshot, assignment):
                 hits.append(b)
-        new_aux[target] = relation_to_array(hits, arity, state.n)
-    return ProgramState(p, changed, new_aux, state.builtin_arrays)
+        new_aux[target] = stored_relation(hits, arity, state.n)
+    inputs = {}
+    for name, (arity, tuples) in changed.relations.items():
+        inputs[name] = a = relation_to_array(tuples, arity, state.n)
+        a.setflags(False)
+    return ProgramState(p, changed, new_aux, state.builtin_arrays, inputs)
 
 
 # ---------------------------------------------------------------- file format

@@ -159,9 +159,7 @@ def apply_change(s: Structure, c: Change) -> Structure:
 
 
 def is_effective(s: Structure, c: Change) -> bool:
-    validate_change(s, c)
-    present = s.has(c.relation, c.args)
-    return (c.op == INSERT) != present
+    return apply_change(s, c) is not s
 
 
 # a directed graph with a unary colour relation

@@ -586,3 +586,21 @@ def test_a_k_that_nothing_reads_exits_2(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert err.startswith("error: --k is read only by ")
     assert out == ""
+
+
+@pytest.mark.parametrize("stem", ["size_2", "myparity"])
+def test_run_audit_needs_the_catalog_program(tmp_path, capsys, stem):
+    """The audit is the catalog entry's of the file's stem, so a copy of
+    parity.dyp under another catalog name or under no catalog name exits
+    2 with --audit, and runs without it."""
+    program = tmp_path / f"{stem}.dyp"
+    program.write_text((PROGDIR / "parity.dyp").read_text())
+    argv = ["run", "--program", str(program),
+            "--script", str(SCRIPTDIR / "set_demo.chg"), "--oracle", "parity"]
+    assert main(argv + ["--audit"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --audit needs a catalog program")
+    assert "Traceback" not in err
+    assert main(argv) == 0
+    assert main(["run", "--program", str(PROGDIR / "parity.dyp"),
+                 *argv[3:], "--audit"]) == 0

@@ -265,7 +265,7 @@ def test_a_split_from_a_relation_array_matches_evaluate(monkeypatch):
     array, copied up front, and from the SliceArray a state keeps
     (whatever its size here), started from itself.  Neither input is
     written to."""
-    monkeypatch.setitem(be._NAMESPACE, "_SHARE_MIN", 0)
+    monkeypatch.setattr(be, "_SHARE_MIN", 0)
     rng = random.Random(37)
     for _ in range(300):
         n = rng.randrange(0, 5)
@@ -303,17 +303,20 @@ def test_a_disjunct_refuted_by_an_outer_split_is_not_split_on():
 
 def _check_bulk(f, s, params, frees, as_stored=False):
     """bulk_eval agrees with evaluate, leaves its input arrays as they
-    were, and returns a read-only array or one of them.  The inputs are
-    dense arrays, or as a state stores them when `as_stored`."""
+    were, writable flag included, and returns a read-only array or one of
+    them.  The inputs are dense arrays, or as a state stores them when
+    `as_stored`."""
     build = stored_relation if as_stored else relation_to_array
     arrays = {rel: build(tuples, ar, s.n)
               for rel, (ar, tuples) in s.relations.items()}
     before = {rel: a.copy() for rel, a in arrays.items()}
+    writeable = {rel: a.flags.writeable for rel, a in arrays.items()}
     got = bulk_eval(f, arrays, s.n, params, frees)
     assert got.shape == (s.n,) * len(frees) and got.dtype == bool
     assert not got.flags.writeable or any(got is a for a in arrays.values())
     for rel, a in arrays.items():
         assert np.array_equal(a, before[rel]), rel
+        assert a.flags.writeable == writeable[rel], rel
     want = frozenset(
         b for b in __import__("itertools").product(range(s.n), repeat=len(frees))
         if evaluate(f, s, {**params, **dict(zip(frees, b))}))

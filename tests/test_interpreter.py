@@ -185,7 +185,6 @@ def test_a_requires_effective_step_checks_its_change_once(stepper,
 def test_every_state_array_is_read_only():
     """States share the arrays a step leaves unchanged, so every
     auxiliary, built-in and input array of a state is read-only."""
-    from dyncomplab import interpreter as ip
     for prog in (pg.parity_exists_deg_k_prop_program(3),
                  parse_program(_BUILTIN_READER)):
         n = 4
@@ -194,7 +193,7 @@ def test_every_state_array_is_read_only():
             states.append(step(states[-1], c))
         for st in states:
             for a in [*st.aux_arrays.values(), *st.builtin_arrays.values(),
-                      *ip._input_arrays(st).values()]:
+                      *st.input_arrays.values()]:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     a[(0,) * a.ndim] = True
@@ -205,14 +204,13 @@ def test_a_step_writes_one_cell_of_the_input_arrays():
     constant at `init_state`; after a step, equal to the input's tuples,
     with every array but the changed relation's shared with the state
     before (all of them on a non-effective change).  A state that
-    `step_reference` made builds them at first use."""
+    `step_reference` made builds them from its input."""
     from dyncomplab import bulk_eval as be
-    from dyncomplab import interpreter as ip
     for prog, n in ((pg.parity_exists_deg_k_prop_program(3), 5),
                     (pg.parity_program(), 4)):
         st = init_state(prog, n)
         for name, arity in prog.input_schema.items():
-            assert ip._input_arrays(st)[name] is be._full((n,) * arity, False)
+            assert st.input_arrays[name] is be._full((n,) * arity, False)
         rng = random.Random(f"inputs:{prog.name}")
         changes = cx.random_changes(n, rels_for(prog), 30, rng)
         if not prog.requires_effective:
@@ -220,10 +218,12 @@ def test_a_step_writes_one_cell_of_the_input_arrays():
         for t, c in enumerate(changes):
             if t == 15:
                 st = step_reference(st, c)
-                assert st.input_arrays is None
+                for name, (arity, tuples) in st.input.relations.items():
+                    assert np.array_equal(st.input_arrays[name],
+                                          relation_to_array(tuples, arity, n))
                 continue
             new = step(st, c)
-            before, after = ip._input_arrays(st), ip._input_arrays(new)
+            before, after = st.input_arrays, new.input_arrays
             for name, (arity, tuples) in new.input.relations.items():
                 assert np.array_equal(after[name],
                                       relation_to_array(tuples, arity, n))
@@ -238,26 +238,22 @@ def _share_every_base(monkeypatch):
     catalog's n here is below _SHARE_MIN), so that every split on a whole
     atom of one starts from the relation's SliceArray itself."""
     from dyncomplab import bulk_eval as be
-    monkeypatch.setitem(be._NAMESPACE, "_SHARE_MIN", 0)
+    monkeypatch.setattr(be, "_SHARE_MIN", 0)
 
 
 def _count_copies(monkeypatch) -> dict:
     """Count, per rule body, the most full-shape copies one call of its
-    kernel made: a `_copy`, a `_take` that had to copy, or a SliceArray
-    densified for a write off axis 0."""
+    kernel made: a `_copy` that returned a new array (from the kernel,
+    or from `_take` or `stored` when they had to copy; a SliceArray is
+    passed through), or a SliceArray densified for a write off axis 0."""
     from dyncomplab import bulk_eval as be
     from dyncomplab import interpreter as ip
 
     copies = {"n": 0}
-    copy, take, densify, evaluate = be._NAMESPACE["_copy"], \
-        be._NAMESPACE["_take"], be.SliceArray.copy, ip.bulk_eval
+    copy, densify, evaluate = be._copy, be.SliceArray.copy, ip.bulk_eval
 
     def counted_copy(a, shape):
-        copies["n"] += 1
-        return copy(a, shape)
-
-    def counted_take(a, shape):
-        out = take(a, shape)
+        out = copy(a, shape)
         copies["n"] += out is not a
         return out
 
@@ -274,7 +270,7 @@ def _count_copies(monkeypatch) -> dict:
         return out
 
     monkeypatch.setitem(be._NAMESPACE, "_copy", counted_copy)
-    monkeypatch.setitem(be._NAMESPACE, "_take", counted_take)
+    monkeypatch.setattr(be, "_copy", counted_copy)
     monkeypatch.setattr(be.SliceArray, "copy", counted_densify)
     monkeypatch.setattr(ip, "bulk_eval", per_rule)
     return seen

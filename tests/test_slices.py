@@ -17,7 +17,7 @@ from dyncomplab.formulas import parse_formula
 @pytest.fixture
 def every_array_sliced(monkeypatch):
     """Keep every array of ndim >= 2 as slices, whatever its size."""
-    monkeypatch.setitem(be._NAMESPACE, "_SHARE_MIN", 0)
+    monkeypatch.setattr(be, "_SHARE_MIN", 0)
 
 
 def _random_pair(rng, ndim, n):
@@ -127,7 +127,8 @@ def test_cow_on_a_slice_array_matches_a_dense_write(ndim, n,
             want = dense.copy()
             want[index] = value[index] if axis else value
             if axis:
-                got = be.bulk_eval(rule, {"T": sliced, "V": stored(value)},
+                got = be.bulk_eval(rule, {"T": sliced,
+                                          "V": stored(value, value.shape)},
                                    n, {"p": at}, frees)
             else:
                 got = sliced.replaced(at, value)
@@ -145,18 +146,27 @@ def test_cow_on_a_slice_array_matches_a_dense_write(ndim, n,
 
 def test_stored_keeps_small_arrays_and_slices_large_ones():
     small = np.zeros((3, 3), dtype=bool)
-    assert stored(small) is small and not small.flags.writeable
+    assert stored(small, small.shape) is small and not small.flags.writeable
     n = 32                                            # 32**3 = _SHARE_MIN
     big = np.zeros((n, n, n), dtype=bool)
     big[1, 2, 3] = True
-    got = stored(big)
+    got = stored(big, big.shape)
     assert isinstance(got, SliceArray)
     assert all(p.base is big for p in got.parts)      # views, no copy
     assert array_to_relation(got) == {(1, 2, 3)}
     empty = stored_relation((), 3, n)
     assert len({id(p) for p in empty.parts}) == 1
     unary = np.zeros(1 << 16, dtype=bool)
-    assert stored(unary) is unary                     # ndim 1 stays dense
+    assert stored(unary, unary.shape) is unary        # ndim 1 stays dense
+    assert stored(got, got.shape) is got              # a SliceArray as it is
+    view = big[:3, :3, 0]                             # not fresh: copied
+    kept = stored(view, (3, 3))
+    assert kept is not view and not kept.flags.writeable
+    assert np.array_equal(kept, view)
+    assert stored(True, (3, 3)) is be._full((3, 3), True)
+    ones = stored(True, big.shape)                    # one constant part
+    assert isinstance(ones, SliceArray) and ones.parts[0].all()
+    assert len({id(p) for p in ones.parts}) == 1
 
 
 def _cells(dense):
@@ -201,10 +211,18 @@ def test_array_to_relation_on_dense_arrays_reads_every_true_cell(ndim):
 @pytest.mark.parametrize("entry", pg.catalog(), ids=lambda e: e.name)
 def test_no_kernel_assigns_a_temporary_it_never_reads(entry):
     """Every temporary a kernel assigns is read before it is deleted:
-    no view, copy or branch is computed for nothing."""
+    no view, copy or branch is computed for nothing.  No kernel holds a
+    storage decision: each returns a relation's array (an identity rule)
+    or hands its value to `stored`."""
     for key, rule in entry.build().rules.items():
         source = _Lowering(rule.body, rule.params, rule.frees).source()
         lines = source.splitlines()
+        assert not re.search(r"_SHARE_MIN|_filled|_readonly", source), \
+            (key, source)
+        for line in lines:
+            if line.lstrip().startswith("return"):
+                assert re.fullmatch(r" +return (r\d+|_stored\(.*)", line), \
+                    (key, line)
         for t in set(re.findall(r"^ +(t\d+) = ", source, re.M)):
             word = re.compile(rf"\b{t}\b")
             reads = [line for line in lines
