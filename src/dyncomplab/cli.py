@@ -92,8 +92,9 @@ def _engine_query(engine: fe.ParityExistsEngine) -> oc.QueryId:
 
 def _refuse_unread_k(args, reads_k: bool) -> None:
     if args.k is not None and not reads_k:
-        raise DynLabError("--k is read only by --engine fo-degk and by the "
-                          f"queries {' and '.join(sorted(K_QUERIES))}")
+        raise DynLabError("--k is read only by --engine fo-degk, by fuzz "
+                          f"--target fo-degk or {' or '.join(TARGET_ALIASES)} "
+                          f"and by the queries {' and '.join(sorted(K_QUERIES))}")
 
 
 def _refuse_audit_of_a_non_catalog(program: ip.DynamicProgram) -> None:
@@ -205,6 +206,8 @@ def cmd_fuzz(args) -> int:
     base = _seed(args)
     seeds = [base + i for i in range(args.seeds)]
     target = args.target
+    if target != "sym":  # sym refuses --k below, with --n
+        _refuse_unread_k(args, target == "fo-degk" or target in TARGET_ALIASES)
     if target in TARGET_ALIASES:
         target = TARGET_ALIASES[target](args.k)
     if target == "sym":
@@ -277,9 +280,27 @@ def _parse_collection(n: int, k: int, text: str) -> cx.Collection:
     return cx.make_collection(n, k, members)
 
 
+# the flags each construct target reads, and their defaults
+CONSTRUCT_FLAGS = {
+    "lower-bound": {"n": 4, "k": 2, "collection": ""},
+    "fixture": {"name": "fig1"},
+    "script": {"n": 4, "profile": "default", "seed": None},
+}
+
+
 def cmd_construct(args) -> int:
+    reads = CONSTRUCT_FLAGS[args.what]
+    unread = [f"--{flag}" for flag in ("n", "k", "collection", "name",
+                                       "profile", "seed")
+              if getattr(args, flag) is not None and flag not in reads]
+    if unread:
+        raise DynLabError(f"construct {args.what} does not read "
+                          f"{' or '.join(unread)}")
+    for flag, default in reads.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     if args.what == "lower-bound":
-        col = _parse_collection(args.n, args.k, args.collection or "")
+        col = _parse_collection(args.n, args.k, args.collection)
         graph, _, _ = cx.lower_bound_graph(col)
         text = format_structure(graph)
     elif args.what == "fixture":
@@ -418,13 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("construct", help="emit graphs, fixtures, scripts")
-    p.add_argument("what", choices=["lower-bound", "fixture", "script"])
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--collection")
-    p.add_argument("--name", default="fig1")
-    p.add_argument("--profile", default="default")
-    p.add_argument("--seed", type=int)
+    p.add_argument("what", choices=list(CONSTRUCT_FLAGS))
+    # each flag is read by some targets only; see CONSTRUCT_FLAGS
+    p.add_argument("--n", type=int, help="lower-bound, script (default 4)")
+    p.add_argument("--k", type=int, help="lower-bound (default 2)")
+    p.add_argument("--collection", help="lower-bound (default empty)")
+    p.add_argument("--name", help="fixture (default fig1)")
+    p.add_argument("--profile", help="script (default 'default')")
+    p.add_argument("--seed", type=int, help="script")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_construct)
 

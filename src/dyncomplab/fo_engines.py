@@ -48,6 +48,10 @@ def _bits(mask: int):
 class ParityExistsEngine:
     """Shared core of the bounded-degree engines."""
 
+    # the graph as a structure, with the masks it was built from; a class
+    # default, so that neither set-up nor `apply` does work for it
+    _structure: tuple[tuple, Structure | None] = ((), None)
+
     def __init__(self, n: int, k: int):
         if n < 0:
             raise ValidationError("domain size must be non-negative")
@@ -76,7 +80,13 @@ class ParityExistsEngine:
         return set(_bits(self.r_mask))
 
     def graph_structure(self) -> Structure:
-        return coloured_graph(self.n, self.edges(), self.coloured())
+        """The graph as a structure, built again only after an effective
+        change."""
+        masks = (self.r_mask, *self.in_mask)
+        if self._structure[0] != masks:
+            self._structure = (masks, coloured_graph(
+                self.n, self.edges(), self.coloured()))
+        return self._structure[1]
 
     @property
     def input(self) -> Structure:

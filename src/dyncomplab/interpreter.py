@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import formulas as fm
-from .bulk_eval import (_full, array_to_relation, bulk_eval,
+from .bulk_eval import (_full, array_to_relation, bulk_eval, lower_group,
                         relation_to_array, stored, stored_relation)
 from .structures import (INSERT, Change, DynLabError, ScriptSyntaxError,
                          Structure, ValidationError, apply_change, check_fits,
@@ -55,6 +55,9 @@ class DynamicProgram:
     answer: str
     requires_effective: bool = False
     builtins: tuple[str, ...] = ()
+    # (op, input relation) -> the plan `step` walks, made on its first step
+    plans: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def class_claim(self) -> str:
@@ -256,6 +259,22 @@ def _changed_input(state: ProgramState, c: Change, mode: str) -> Structure | Non
     return None
 
 
+def _plan(p: DynamicProgram, op: str, relation: str) -> tuple:
+    """The plan of the rules on an `op` change of `relation`: the distinct
+    tuples of their parameter names, and per target in aux_schema order
+    (target, body, frees, index of its parameter names).  The rules are
+    lowered together, so that they share the slots of their common
+    subformulas (`bulk_eval.lower_group`)."""
+    rules = [p.rules[(op, relation, target)] for target in p.aux_schema]
+    names = list(dict.fromkeys(r.params for r in rules))
+    rewritten = {relation} | {r.target for r in rules if r.body != fm.Atom(
+        r.target, tuple(map(fm.Var, r.frees)))}
+    lower_group([(r.body, r.params, r.frees) for r in rules], rewritten)
+    plan = p.plans[(op, relation)] = (names, tuple(
+        (r.target, r.body, r.frees, names.index(r.params)) for r in rules))
+    return plan
+
+
 def step(state: ProgramState, c: Change, mode: str = "skip") -> ProgramState:
     """Advance one change (vectorised; semantics identical to step_reference)."""
     p = state.program
@@ -264,12 +283,14 @@ def step(state: ProgramState, c: Change, mode: str = "skip") -> ProgramState:
         return state
     inputs = state.input_arrays
     env = {**inputs, **state.builtin_arrays, **state.aux_arrays}
+    names, rules = p.plans.get((c.op, c.relation)) or \
+        _plan(p, c.op, c.relation)
+    params = [dict(zip(ps, c.args)) for ps in names]
+    n = state.n
     new_aux = {}
-    for target in p.aux_schema:
-        rule = p.rules[(c.op, c.relation, target)]
-        params = dict(zip(rule.params, c.args))
+    for target, body, frees, i in rules:
         # read-only; the pre-step array itself when the rule leaves it be
-        new_aux[target] = bulk_eval(rule.body, env, state.n, params, rule.frees)
+        new_aux[target] = bulk_eval(body, env, n, params[i], frees)
     if changed is not state.input:
         inputs = _written(inputs, c)
     return ProgramState(p, changed, new_aux, state.builtin_arrays, inputs)

@@ -588,6 +588,48 @@ def test_a_k_that_nothing_reads_exits_2(tmp_path, capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("target, k", [("parity_exists_prop_3", "4"),
+                                       ("size_2", "3"), ("fo-logn", "2")])
+def test_fuzz_refuses_a_k_its_target_does_not_read(capsys, target, k):
+    """Only fo-degk and the prop33 alias read --k; any other target would
+    run as if it were not given."""
+    assert main(["fuzz", "--target", target, "--k", k, "--seeds", "1",
+                 "--n", "4", "--length", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: --k is read only by ")
+    assert "fuzz --target fo-degk or prop33" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["lower-bound", "--n", "3", "--k", "1", "--profile", "nosuch"],
+     "--profile"),
+    (["fixture", "--seed", "5", "--k", "7"], "--k or --seed"),
+    (["script", "--name", "fig9", "--collection", "1,2"],
+     "--collection or --name"),
+], ids=["lower-bound", "fixture", "script"])
+def test_construct_refuses_a_flag_its_target_does_not_read(capsys, argv,
+                                                           unread):
+    assert main(["construct", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: construct {argv[0]} does not read {unread}\n"
+    assert out == ""
+
+
+def test_construct_applies_the_defaults_of_its_target(capsys):
+    """Each target's documented defaults: lower-bound --n 4 --k 2 with an
+    empty collection, fixture fig1, script --n 4 --profile default."""
+    for argv, want in (
+            (["lower-bound"], cx.lower_bound_graph(cx.make_collection(
+                4, 2, []))[0]),
+            (["fixture"], cx.figure_fixture("fig1").graph)):
+        assert main(["construct", *argv]) == 0
+        assert parse_structure(capsys.readouterr().out) == want
+    assert main(["construct", "script", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == format_script(
+        cx.random_script(4, "default", 3))
+
+
 @pytest.mark.parametrize("stem", ["size_2", "myparity"])
 def test_run_audit_needs_the_catalog_program(tmp_path, capsys, stem):
     """The audit is the catalog entry's of the file's stem, so a copy of

@@ -7,7 +7,7 @@ from dyncomplab import constructions as cx
 from dyncomplab import fo_engines as fe
 from dyncomplab import oracle as oc
 from dyncomplab.structures import (ArityMismatchError, Change, DynLabError,
-                                   ElementRangeError)
+                                   ElementRangeError, coloured_graph)
 from helpers import GRAPH_RELS, drive_checked
 
 
@@ -155,6 +155,25 @@ def test_apply_matches_apply_reference_degk(k):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_apply_matches_apply_reference_logn(n):
     _lockstep(n, None, 60, 0)
+
+
+@pytest.mark.parametrize("make", [lambda: fe.FoDegKState(7, 2),
+                                  lambda: fe.FoLogNState(7)],
+                         ids=["fo-degk", "fo-logn"])
+def test_graph_structure_follows_every_change(make):
+    """The engine keeps its structure until the next effective change,
+    made by `apply` or by `apply_reference`; a non-effective one keeps
+    the same object."""
+    eng = make()
+    rng = random.Random(f"structure:{eng.k}")
+    changes = cx.random_changes(7, GRAPH_RELS, 120, rng)
+    for t, c in enumerate(changes + changes[-3:]):
+        before = eng.graph_structure()
+        skipped = (eng.apply if t % 3 else eng.apply_reference)(c)
+        got = eng.graph_structure()
+        assert got == coloured_graph(7, eng.edges(), eng.coloured()), (t, c)
+        assert (got is before) == skipped, (t, c)
+    assert skipped
 
 
 def test_parity_table_keeps_only_odd_entries():

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -184,12 +185,16 @@ def test_bulk_eval_matches_evaluate():
         frees = tuple(sorted(free_variables(f)))
         arrays = {rel: relation_to_array(tuples, ar, n)
                   for rel, (ar, tuples) in s.relations.items()}
-        got = array_to_relation(bulk_eval(f, arrays, n, {}, frees))
         want = frozenset(
             b for b in __import__("itertools").product(range(n),
                                                        repeat=len(frees))
             if evaluate(f, s, dict(zip(frees, b))))
-        assert got == want, pretty(f)
+        # writable arrays, which no slot keeps; then read-only ones, twice,
+        # so that the second call reads what the first kept
+        frozen = _frozen(arrays)
+        for rels in (arrays, frozen, frozen):
+            got = array_to_relation(bulk_eval(f, rels, n, {}, frees))
+            assert got == want, pretty(f)
     # parameters bound to values (some >= n), quantifiers that rebind a
     # parameter's name, constants >= n, repeated variables, n = 0
     rng = random.Random(29)
@@ -301,11 +306,24 @@ def test_a_disjunct_refuted_by_an_outer_split_is_not_split_on():
     assert len(re.findall(r"^ +t\d+\[.*\] = ", source, re.M)) == 1, source
 
 
+def _frozen(arrays):
+    """Read-only copies of the dense arrays of `arrays`, as a state holds
+    them; a SliceArray is read-only already."""
+    out = {}
+    for rel, a in arrays.items():
+        if a.flags.writeable:
+            a = a.copy()
+            a.setflags(write=False)
+        out[rel] = a
+    return out
+
+
 def _check_bulk(f, s, params, frees, as_stored=False):
     """bulk_eval agrees with evaluate, leaves its input arrays as they
     were, writable flag included, and returns a read-only array or one of
     them.  The inputs are dense arrays, or as a state stores them when
-    `as_stored`."""
+    `as_stored`; then read-only copies of them, evaluated twice, so that
+    the second call reads the slots the first one filled."""
     build = stored_relation if as_stored else relation_to_array
     arrays = {rel: build(tuples, ar, s.n)
               for rel, (ar, tuples) in s.relations.items()}
@@ -321,6 +339,142 @@ def _check_bulk(f, s, params, frees, as_stored=False):
         b for b in __import__("itertools").product(range(s.n), repeat=len(frees))
         if evaluate(f, s, {**params, **dict(zip(frees, b))}))
     assert array_to_relation(got) == want, (pretty(f), params, frees, s.n)
+    frozen = _frozen(arrays)
+    for _ in range(2):
+        got = bulk_eval(f, frozen, s.n, params, frees)
+        assert array_to_relation(got) == want, (pretty(f), params, frees, s.n)
+
+
+# ---------------------------------------------------------------- slots
+
+def _slots_of(f):
+    """The slots of f's cached kernel."""
+    return [a for a in be._kernels[id(f)][3].__defaults__
+            if a.__class__ is list]
+
+
+def _want(f, arrays, n, params, frees):
+    """f's value by `evaluate`, on the structure the arrays hold."""
+    s = Structure.make(n, {rel: a.ndim for rel, a in arrays.items()},
+                       {rel: array_to_relation(a) for rel, a in arrays.items()})
+    return frozenset(
+        b for b in __import__("itertools").product(range(n), repeat=len(frees))
+        if evaluate(f, s, {**params, **dict(zip(frees, b))}))
+
+
+def _arrays(rng, n, schema=SCHEMA, writeable=False):
+    out = {}
+    for rel, (ar, tuples) in random_structure(rng, n, schema).relations.items():
+        out[rel] = relation_to_array(tuples, ar, n)
+        out[rel].setflags(write=writeable)
+    return out
+
+
+def test_a_slot_follows_a_read_array_replaced_by_another():
+    """The same formula object and parameters, with R's array replaced by
+    another read-only array with other cells: the parameter-free
+    subformula's slot must not answer with R's old value."""
+    f = parse_formula("E(x, y) & !(R(x) | U(y)) | x = u")
+    rng = random.Random(41)
+    n, frees, params = 4, ("x", "y"), {"u": 1}
+    rels = _arrays(rng, n)
+    got = bulk_eval(f, rels, n, params, frees)
+    assert array_to_relation(got) == _want(f, rels, n, params, frees)
+    (slot,) = _slots_of(f)
+    assert slot[0] is not None and slot[1] == n
+    for _ in range(5):
+        other = np.array([not v for v in rels["R"]])
+        other.setflags(write=False)
+        rels = {**rels, "R": other}
+        got = bulk_eval(f, rels, n, params, frees)
+        assert array_to_relation(got) == _want(f, rels, n, params, frees)
+        assert slot[0] is not None and any(a is other for a in slot)
+
+
+def test_a_slot_keeps_no_value_of_a_writable_array():
+    """A writable array changed in place between two calls: the result
+    follows the change, as no slot kept a value read from it."""
+    f = parse_formula("E(x, y) & !(R(x) | U(y))")
+    rng = random.Random(43)
+    n, frees = 4, ("x", "y")
+    rels = _arrays(rng, n, writeable=True)
+    rels["E"][...] = True
+    for x in range(n):
+        got = bulk_eval(f, rels, n, {}, frees)
+        assert array_to_relation(got) == _want(f, rels, n, {}, frees)
+        rels["R"][x] = not rels["R"][x]
+        rels["U"][(x + 1) % n] = not rels["U"][(x + 1) % n]
+    assert all(slot[0] is None for slot in _slots_of(f))
+
+
+def test_a_slot_keeps_no_value_of_a_view():
+    """A read-only view of a writable array changes when its base does:
+    the result follows the base, as no slot kept a value read from it."""
+    f = parse_formula("E(x, y) & !(R(x) | U(y))")
+    rng = random.Random(59)
+    n, frees = 4, ("x", "y")
+    rels = _arrays(rng, n)
+    base = np.zeros((2, n), dtype=bool)
+    rels["R"] = base[0]
+    rels["R"].setflags(write=False)
+    for x in range(n):
+        got = bulk_eval(f, rels, n, {}, frees)
+        assert array_to_relation(got) == _want(f, rels, n, {}, frees)
+        base[0, x] = True
+    assert all(slot[0] is None for slot in _slots_of(f))
+
+
+def test_rules_lowered_together_share_slots_per_axis_context():
+    """Two rules hold `E(u, x) | R(y)` with frees (x, y), two with (y, x):
+    each pair shares one slot, keyed by u, and the pairs do not share.
+    Called with the same arrays and other parameters, every rule follows
+    the parameter."""
+    texts = ["T(x, y, x) & (E(u, x) | R(y))", "E(y, x) & (E(u, x) | R(y))"]
+    rules = [(parse_formula(t), ("u",), frees)
+             for frees in (("x", "y"), ("y", "x")) for t in texts]
+    be.lower_group(rules, ())
+    slots = [_slots_of(f) for f, _, _ in rules]
+    assert all(len(s) == 1 for s in slots)
+    assert slots[0][0] is slots[1][0] and slots[2][0] is slots[3][0]
+    assert slots[0][0] is not slots[2][0]
+    n = 4
+    rels = _arrays(random.Random(47), n, SPLIT_SCHEMA)
+    for u in (1, 2, 1, 3, 3, 0, 5):
+        for f, params, frees in rules:
+            got = bulk_eval(f, rels, n, {"u": u}, frees)
+            assert array_to_relation(got) == \
+                _want(f, rels, n, {"u": u}, frees), (pretty(f), frees, u)
+
+
+def test_a_slot_keeps_no_value_read_from_a_slice_array():
+    """A SliceArray never changes, but a key that held one would keep
+    alive every slice that later states replace: a value read from one
+    is not kept, and one read from dense arrays only is."""
+    f = parse_formula("E(x, y) & !(T(x, y, 0) | R(x)) | E(y, x) & !(R(y) | U(x))")
+    n = 32
+    rels = _arrays(random.Random(61), n, SPLIT_SCHEMA)
+    rels["T"] = stored_relation(array_to_relation(rels["T"]), 3, n)
+    assert rels["T"].__class__ is be.SliceArray
+    for _ in range(2):
+        got = bulk_eval(f, rels, n, {}, ("x", "y"))
+        assert array_to_relation(got) == _want(f, rels, n, {}, ("x", "y"))
+    slots = _slots_of(f)
+    assert len(slots) == 2 and sum(s[0] is not None for s in slots) == 1
+    assert not any(a is rels["T"] for s in slots for a in s)
+
+
+def test_a_slot_keeps_no_value_of_share_min_cells():
+    """At n = 32 a subformula over three axes has _SHARE_MIN cells: its
+    slot keeps nothing, while one over two axes keeps its value."""
+    f = parse_formula("T(x, y, z) & !(R(x) | U(y)) | E(x, y) & !(R(y) | U(x))")
+    n = 32
+    assert n ** 3 >= be._SHARE_MIN > n ** 2
+    rels = _arrays(random.Random(53), n, SPLIT_SCHEMA)
+    got = bulk_eval(f, rels, n, {}, ("x", "y", "z"))
+    assert array_to_relation(got) == _want(f, rels, n, {}, ("x", "y", "z"))
+    kept = [s[0].shape for s in _slots_of(f) if s[0] is not None]
+    assert kept and all(math.prod(shape) < be._SHARE_MIN for shape in kept)
+    assert len(kept) < len(_slots_of(f))
 
 
 @given(st.integers(0, 2 ** 30))
