@@ -26,34 +26,47 @@ The lowering
   bound to t: the slice has one axis less;
 - does not split on a disjunct with an equality already known false
   (one that an outer split refuted): that disjunct is false there;
+- starts a chain at a split of the rule's root whose base is a whole
+  atom of one relation, in axis order (`T(z, x, y)` with frees
+  (z, x, y)): the rule keeps T wherever its equalities fail.  The slice
+  splits again on an axis still free there, as long as its base stays T
+  on the cells the chain binds (`T(z, x, y) | z = w & L(z, x) & y = v`
+  binds the column (w, :, v), `F(z, x) | z = w & x = v & C(z)` the point
+  (w, v)).  Only the innermost split computes its value, on those cells
+  alone, and compares it with T's cells there: when they are equal the
+  rule's value is T's own array, and no copy is made.  Otherwise one
+  copy is made and the cells written: one new slice of a SliceArray when
+  axis 0 is bound (`SliceArray.written`), a dense copy otherwise;
 - writes a slice into the base itself when the base is an array the
   kernel made and reads no more (an operation's result or an earlier
   split's), so a rule makes at most one full-shape copy however many
   splits it nests;
-- starts a split whose base is a whole atom of one relation, in axis
-  order (`T(z, x, y)` with frees (z, x, y)), from that relation's array:
-  a SliceArray itself, a dense array copied up front;
+- starts any other split whose base is a whole atom of one relation
+  from that relation's array: a SliceArray itself, a dense array copied
+  up front;
 - writes a slice into a SliceArray base as one new slice when it is on
-  axis 0 (`SliceArray.replaced`), and into a dense copy otherwise;
+  axis 0 (`SliceArray.replaced`, which hands the array itself back when
+  the slice holds the value already), and into a dense copy otherwise;
 - drops a named intermediate that nothing reads, and frees every other
   one after its last use.
 
 One storage rule.  A kernel computes a value and never writes to an
 array of `rels`.  It returns the relation's array itself for a rule
-whose whole value is such an atom (an identity rule `T(x) := T(x)`), and
-`stored(value, shape)` of its value otherwise.  `stored` is the one
-place that decides how a value is kept, for kernels and states alike
-(`stored_relation` builds a relation's array by the same rule): a
-SliceArray as it is, a bool as the shared read-only constant array, any
-other array copied unless it is fresh and then made read-only.  An
-array of ndim >= 2 with at least _SHARE_MIN cells is kept as a
-`SliceArray`: the tuple of its read-only axis-0 slices, so that a slice
-write on axis 0 makes one new slice and shares the others with the
-array it started from (path copying).  Kernels read SliceArrays as they
-read numpy arrays: an atom with a constant or parameter first reads one
-slice, any other atom a dense copy made for that one read.  `stored`
-takes its value over, so a relation's own array leaves a kernel only as
-the return of an identity rule, never through `stored`.
+whose whole value is such an atom (an identity rule `T(x) := T(x)`) or
+whose chain finds its bound cells unchanged, and `stored(value, shape)`
+of its value otherwise.  `stored` is the one place that decides how a
+value is kept, for kernels and states alike (`stored_relation` builds a
+relation's array by the same rule): a SliceArray as it is, a bool as
+the shared read-only constant array, any other array copied unless it
+is fresh and then made read-only.  An array of ndim >= 2 with at least
+_SHARE_MIN cells is kept as a `SliceArray`: the tuple of its read-only
+axis-0 slices, so that a slice write on axis 0 makes one new slice and
+shares the others with the array it started from (path copying).
+Kernels read SliceArrays as they read numpy arrays: an atom with a
+constant or parameter first reads one slice, any other atom a dense
+copy made for that one read.  `stored` takes its value over, so a
+relation's own array leaves a kernel only as the return of an identity
+rule or of an unchanged chain, never through `stored`.
 
 Value slots.  A slot keeps the last value of one array-valued
 subformula (not an atom, an equality or a rule's root) in one axis
@@ -88,6 +101,7 @@ import operator
 import re
 import sys
 import types
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
@@ -259,9 +273,21 @@ def _copy(a, shape: tuple[int, ...]):
     when it is a SliceArray."""
     if a.__class__ is SliceArray:
         return a
+    if a.shape == shape:
+        return a.copy()  # C order; twice as fast as a broadcast fill
     out = np.empty(shape, dtype=bool)
     out[...] = a
     return out
+
+
+def _differs(cells: np.ndarray, value: np.ndarray) -> bool:
+    """Whether `value`, of the shape of `cells` with axes of length 1
+    added or broadcast to it, differs from `cells` somewhere.  A value of
+    as many cells holds them in the same order, and bytes compare several
+    times faster than `(cells != value).any()` at n = 128."""
+    if value.size == cells.size:
+        return cells.tobytes() != value.tobytes()
+    return bool((cells != value).any())
 
 
 class SliceArray:
@@ -274,7 +300,7 @@ class SliceArray:
     as it would double what a state holds).  `==` and `!=` are
     elementwise, as on numpy arrays."""
 
-    __slots__ = ("parts", "shape", "ndim", "size")
+    __slots__ = ("parts", "shape", "ndim", "size", "__weakref__")
     dtype = np.dtype(bool)
     flags = types.SimpleNamespace(writeable=False)
 
@@ -327,14 +353,24 @@ class SliceArray:
     def replaced(self, at: int, value) -> "SliceArray":
         """This array with `value` as its slice `at` of axis 0 (`value`
         broadcasts to the slice, with that axis of length 1 or absent):
-        itself when the slice holds `value` already."""
+        itself when the slice is `value` or holds it already."""
+        part = self.parts[at]
+        if value is part:
+            return self
         if getattr(value, "ndim", 0) == self.ndim:
             value = value.reshape(value.shape[1:])
-        part = self.parts[at]
         if not np.count_nonzero(part != value):
             return self
-        new = np.empty(part.shape, dtype=bool)
-        new[...] = value
+        return self.written(at, (), value)
+
+    def written(self, at: int, index: tuple, value) -> "SliceArray":
+        """This array with `value` written at `index` of its slice `at` of
+        axis 0 (`()` for the whole slice): that slice copied once, every
+        other shared.  It compares nothing: a kernel compares the cells
+        before it writes them."""
+        part = self.parts[at]
+        new = part.copy() if index else np.empty(part.shape, dtype=bool)
+        new[index] = value
         return SliceArray(self.parts[:at] + (_readonly(new),)
                           + self.parts[at + 1:], self.shape)
 
@@ -427,6 +463,7 @@ _SHARE_MIN = 1 << 15
 # O<d> of shape (1,)*d are added on first use
 _NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
                     "_copy": _copy, "_stored": stored, "_keep": _keep,
+                    "_differs": _differs,
                     "SliceArray": SliceArray, "_diag": _diag, "_eye": _eye,
                     "_arange": _arange, "_ArityMismatch": _ArityMismatch}
 
@@ -445,10 +482,24 @@ def _constant(value: bool, depth: int) -> str:
 _MAX_NEST = 40
 _MAX_LEVEL = 30
 _TEMP = re.compile(r"\bt\d+\b")
-# context keys: the (axis, term) equalities known to be false, and a
-# mark that no case split may be made
+# context keys: the (axis, term) equalities known to be false, the
+# `_Cells` of the enclosing splits of a chain, and a mark that no case
+# split may be made
 _NE = "!="
+_AT = "@"
 _NO_SPLIT = "-"
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """The cells that the enclosing splits of a chain bind, each base the
+    relation array `rel` itself: (axis, term) per split, outermost first.
+    The temporary `temp` holds the rule's value: `rel` until the
+    innermost split writes the cells."""
+
+    rel: str
+    cells: tuple
+    temp: str
 
 
 @dataclass(frozen=True)
@@ -458,7 +509,10 @@ class _Val:
     value when known at compile time (all-false/all-true for arrays);
     `may` holds the constants an array may turn out to be at run time,
     and then `code` is a name.  `whole` names the relation array (`r<i>`)
-    whose whole value, in axis order, this is."""
+    whose value, in axis order, this is on the cells the enclosing
+    splits bind (on all cells outside a split).  `chain` names the
+    relation array that the temporary `code` holds unless a split wrote
+    cells of a copy."""
 
     code: str
     array: bool
@@ -466,6 +520,7 @@ class _Val:
     may: frozenset = frozenset()
     nest: int = 0
     whole: str = ""
+    chain: str = ""
 
 
 @dataclass
@@ -627,6 +682,10 @@ class _Lowering:
         root = self.gen(self.f, self.ctx, depth, (), body)
         if root.whole:  # an identity rule: the relation's own array
             ret = f"return {root.whole}"
+        elif root.chain:  # the relation's own array unless a split wrote
+            body.stmts.append(("if", f"{root.code} is {root.chain}",
+                               [("return", f"return {root.chain}")], [], None))
+            ret = f"return _stored({root.code}, {_shape(depth)})"
         else:
             value = root.code if root.const is None else root.const
             ret = f"return _stored({value}, {_shape(depth)})"
@@ -872,26 +931,47 @@ class _Lowering:
                 if (ctx[x][1], t) not in ne]
 
     def _split(self, f: Formula, name: str, term: tuple, ctx, depth: int,
-               scope: tuple, block: _Block) -> _Val:
+               scope: tuple, block: _Block) -> _Val | None:
         """f where x != t, overwritten where x = t by f with x bound to t:
-        the slice is computed with one axis less."""
+        the slice is computed with one axis less.  A split whose base is a
+        relation's own array, outside every other split, starts a chain
+        (`_write_cells`): its slice splits again on an axis still free
+        there, as long as the base stays that relation's array on the
+        cells the chain binds.  None when such a split does not (its base
+        is then lowered for nothing)."""
         axis = ctx[name][1]
+        kind, at = term
+        outer = ctx.get(_AT)
         off_ctx = dict(ctx)
         off_ctx[_NE] = ctx.get(_NE, frozenset()) | {(axis, term)}
+        if outer is not None:
+            off_ctx[_NO_SPLIT] = (None, None)
+            found, slots = len(self.found), len(self.slot_objs)
         off = self.gen(f, off_ctx, depth, scope + ((_NE, axis, term),), block)
+        if outer is not None and off.whole != outer.rel:
+            self._forget(found, slots)
+            return None
+        if kind == "lit" and at < 0:  # x = t holds nowhere
+            return off
         on_ctx = dict(ctx)
         on_ctx[name] = ("same", term)
-        on_ctx[_NO_SPLIT] = (None, None)
+        cells = None
+        if outer is not None or off.whole and _NE not in ctx:
+            cells = on_ctx[_AT] = _Cells(
+                off.whole, (outer.cells if outer else ()) + ((axis, term),),
+                outer.temp if outer else self._temp())
+        else:
+            on_ctx[_NO_SPLIT] = (None, None)
         branch = block.child()
         on = self.gen(f, on_ctx, depth, scope + ((name, term),), branch)
-        kind, at = term
         if kind == "lit":
-            if at < 0:  # x = t holds nowhere
-                return off
             guard = f"{at} < n"
         else:
             self.guarded.add(at)
             guard = f"k{at[1:]}"
+        if cells is not None:
+            return self._write_cells(on, off, cells, outer is None, guard,
+                                     depth, branch, block)
         if off.const is not None and on.const == off.const:
             return off
         index = ", ".join([":"] * axis + [f"{at}:{at} + 1"])
@@ -906,7 +986,8 @@ class _Lowering:
         # it is a view, a constant or too small (so nested splits make one
         # full-shape copy in all); otherwise a copy.  A SliceArray is
         # never written in place: a write on axis 0 replaces one slice,
-        # one on another axis densifies it first.
+        # one on another axis densifies it first.  (A chain's value,
+        # which may be its relation's array, is only ever a rule's root.)
         owned = not off.whole and off.const is None and \
             self._owned(off, read, block)
         t = self._temp(off.code if owned else "")
@@ -925,6 +1006,78 @@ class _Lowering:
                                       f"{value})")], [store], None)]
         block.stmts.append(("if", guard, branch.stmts + write, [], None))
         return _Val(t, True)
+
+    def _forget(self, found: int, slots: int) -> None:
+        """Forget the slot candidates met and the slots taken since the
+        first `found` and `slots`: they were lowered for nothing."""
+        del self.found[found:]
+        for slot in self.slot_objs[slots:]:
+            del self.slot_args[id(slot)]
+        del self.slot_objs[slots:]
+
+    def _write_cells(self, on: _Val, off: _Val, at: _Cells, first: bool,
+                     guard: str, depth: int, branch: _Block,
+                     block: _Block) -> _Val:
+        """The value of a split in a chain, `at.temp`: the relation array
+        `at.rel` itself, unless `on` differs from its cells that `at.cells`
+        bind.  Only the innermost split computes and compares them; then
+        one copy is made and they are written: one slice of a SliceArray
+        when axis 0 is bound, the whole array otherwise."""
+        t, rel = at.temp, at.rel
+        if on.whole == rel:  # the relation's own cells: nothing to write
+            if first:
+                return off
+            stmts = []
+        elif on.chain:  # an inner split of the chain writes
+            stmts = branch.stmts
+        else:
+            value = self.named(on, branch).code
+            stmts = branch.stmts + [
+                ("if", *self._compare_write(value, dict(at.cells), rel, t,
+                                            depth), [], t)]
+        if first:
+            block.stmts.append(("assign", t, rel))
+        if stmts:
+            block.stmts.append(("if", guard, stmts, [], t))
+        return _Val(t, True, chain=rel)
+
+    @staticmethod
+    def _compare_write(value: str, bound: dict, rel: str, t: str,
+                       depth: int) -> tuple[str, list]:
+        """The test that `value` differs from the cells of `rel` that
+        `bound` (axis -> term) binds, and the statements that assign `t`
+        a copy of `rel` with them written."""
+        scalar = len(bound) == depth
+
+        def index(keep, axes=range(depth)):
+            # an int per bound axis (a slice of length 1 when `keep`), a
+            # full slice per free axis
+            return ", ".join(
+                ":" if a not in bound else
+                f"{bound[a][1]}:{bound[a][1]} + 1" if keep(a) else
+                str(bound[a][1]) for a in axes)
+
+        # the cells, read with the value's shape but for axis 0, which a
+        # SliceArray reads by an int
+        cells = f"{rel}[{index(lambda a: a and not scalar)}]"
+        test = f"{cells} != {value}" if scalar else \
+            f"_differs({cells}, {value})"
+        dense = [("assign", t, f"_copy({rel}, {_shape(depth)})"),
+                 ("store", f"{t}[{index(lambda a: True)}]", value)]
+        if depth < 2:  # a SliceArray has ndim >= 2
+            return test, dense
+        sliced = f"{rel}.__class__ is SliceArray"
+        if 0 not in bound:  # read and written densified
+            return f"{sliced} or {test}", [
+                ("if", sliced, [("assign", t, f"{rel}.copy()")],
+                 dense[:1], t), dense[1]]
+        rest = ["slice(None)" if a not in bound else str(bound[a][1])
+                if scalar else f"slice({bound[a][1]}, {bound[a][1]} + 1)"
+                for a in range(1, depth)]
+        part = f"({', '.join(rest)},)" if len(bound) > 1 else "()"
+        return test, [("if", sliced, [("assign", t, f"{rel}.written("
+                                       f"{bound[0][1]}, {part}, {value})")],
+                       dense, t)]
 
     def _atom(self, f: Atom, ctx, depth: int, block: _Block) -> _Val:
         terms = [self._term(t, ctx) for t in f.terms]
@@ -966,7 +1119,10 @@ class _Lowering:
             code = f"({code} if {' and '.join(guards)} else " \
                 f"{_constant(False, depth) if array else 'False'})"
         v = self.val(code, array, block)
-        if axes == list(range(depth)) and len(axes) == len(terms):
+        bound = dict(ctx[_AT].cells) if _AT in ctx else {}
+        if len(terms) == depth and all(
+                term == ("axis", i) or bound.get(i) == term
+                for i, term in enumerate(terms)):
             v = replace(v, whole=r)
         return v
 
@@ -1008,15 +1164,17 @@ class _Lowering:
         if self._is_array(first, ctx) and not self._is_array(second, ctx):
             first, second = second, first
         # a split copies the formula, so only the rule's own disjunction
-        # is split, and the slice part is not split again; a disjunct with
-        # an equality known false here is false here, and a split on its
-        # other equalities would only write the base's own values back
+        # is split, and a slice is split again only in a chain; a disjunct
+        # with an equality known false here is false here, and a split on
+        # its other equalities would only write the base's own values back
         if not is_and and array and f is self.f and _NO_SPLIT not in ctx:
             ne = ctx.get(_NE, ())
             for d in _disjuncts(f):
                 eqs = self._equalities(d, ctx)
                 if eqs and all((ctx[x][1], t) not in ne for x, t in eqs):
-                    return self._split(f, *eqs[0], ctx, depth, scope, block)
+                    v = self._split(f, *eqs[0], ctx, depth, scope, block)
+                    if v is not None:
+                        return v
         # where `first` holds and implies x = t, `second` is lowered with
         # x bound to t: one axis less to compute
         implied = self._implied(first, ctx) if is_and else []
@@ -1233,8 +1391,7 @@ def _insert_dels(stmts: list, outer: tuple) -> None:
         for t in _reads(s):
             last[t] = i
     after: dict[int, list[str]] = {}
-    for s in stmts:
-        t = _defines(s)
+    for t in dict.fromkeys(map(_defines, stmts)):  # a chain's, defined twice
         if t is None or t in outer:
             continue
         i = last[t]
@@ -1272,7 +1429,35 @@ def relation_to_array(tuples, arity: int, n: int) -> np.ndarray:
     return arr
 
 
+# The tuples of each array converted that never changes, by its id: a
+# weak reference to it and its frozenset.  An entry goes with its array.
+_relations: dict[int, tuple[weakref.ref, frozenset]] = {}
+
+
+def _forget_relation(ref: weakref.ref, key: int) -> None:
+    if _relations.get(key, (None,))[0] is ref:
+        del _relations[key]
+
+
 def array_to_relation(arr) -> frozenset[tuple[int, ...]]:
+    """The tuples of a boolean array.  A SliceArray, or a read-only numpy
+    array that owns its memory, is converted once while it lives, and
+    later calls return the same frozenset; a writable array, or a view
+    whose base may be writable, may change in place while it stays the
+    same object, and is converted afresh (`_keep`'s rule)."""
+    key = id(arr)
+    hit = _relations.get(key)
+    if hit is not None and hit[0]() is arr:
+        return hit[1]
+    out = _tuples(arr)
+    if arr.__class__ is SliceArray or arr.__class__ is np.ndarray and \
+            not arr.flags.writeable and arr.base is None:
+        _relations[key] = (weakref.ref(arr, functools.partial(
+            _forget_relation, key=key)), out)
+    return out
+
+
+def _tuples(arr) -> frozenset[tuple[int, ...]]:
     if arr.__class__ is SliceArray:  # part by part, never densified
         shape, out, empty = arr.shape[1:], [], set()
         for i, part in enumerate(arr.parts):

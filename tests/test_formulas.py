@@ -296,14 +296,112 @@ def test_bulk_eval_of_a_deep_formula():
 
 def test_a_disjunct_refuted_by_an_outer_split_is_not_split_on():
     """Where z != w the second disjunct is false, so the lowering splits
-    on z = w only: a split on y = v there would copy the base and write
-    its own values back.  The one slice write replaces a slice of T's
-    SliceArray, or stores into the copy made up front."""
+    on y = v only inside z = w: a split on y = v where z != w would copy
+    the base and write its own values back.  The one write of the cells
+    (w, :, v) goes into one slice of T's SliceArray, or into a copy of a
+    dense T."""
     f = parse_formula("T(z, x, y) | z = w & E(z, x) & y = v")
     source = _Lowering(f, ("w", "v"), ("z", "x", "y")).source()
-    assert len(re.findall(r"^ +(t\d+) = \1\.replaced\(", source, re.M)) == 1, \
+    assert len(re.findall(r"^ +t\d+ = r\d+\.written\(", source, re.M)) == 1, \
         source
     assert len(re.findall(r"^ +t\d+\[.*\] = ", source, re.M)) == 1, source
+
+
+# Rules that keep T wherever their equalities fail: the kernel computes
+# them only on the cells the equalities bind, a column, a point or a row,
+# and returns T's own array when those cells hold the value already.
+CELL_RULES = [  # rule, frees, the term axis 0 is bound to (None: free)
+    ("T(x, y, z) | x = p & y = q & (U(z) | E(x, z))", ("x", "y", "z"), "p"),
+    ("T(x, y, z) | x = p & (R(y) & E(y, z)) & y = q", ("x", "y", "z"), "p"),
+    ("!(x = p) & T(x, y, z) | x = p & y = q", ("x", "y", "z"), "p"),
+    ("T(x, y, z) | x = 2 & y = p & U(z)", ("x", "y", "z"), 2),
+    ("T(z, x, y) | z = p & x = q & y = 1 & R(x)", ("z", "x", "y"), "p"),
+    ("E(x, y) | x = p & y = q & !U(x)", ("x", "y"), "p"),
+    ("!(x = p) & E(x, y) | x = p & y = q", ("x", "y"), "p"),
+    ("T(x, y, z) | y = q & z = p & R(x)", ("x", "y", "z"), None),
+]
+
+
+def _counted_copies(monkeypatch) -> dict:
+    """Count the full-shape copies kernels make: a `_copy` that returns a
+    new array, and a SliceArray densified."""
+    seen = {"n": 0}
+    copy, densify = be._copy, be.SliceArray.copy
+
+    def counted_copy(a, shape):
+        out = copy(a, shape)
+        seen["n"] += out is not a
+        return out
+
+    def counted_densify(a):
+        seen["n"] += 1
+        return densify(a)
+
+    monkeypatch.setitem(be._NAMESPACE, "_copy", counted_copy)
+    monkeypatch.setattr(be, "_copy", counted_copy)
+    monkeypatch.setattr(be.SliceArray, "copy", counted_densify)
+    return seen
+
+
+@pytest.mark.parametrize("sliced", [False, True], ids=["dense", "sliced"])
+@pytest.mark.parametrize("text,frees,at0", CELL_RULES,
+                         ids=[t for t, _, _ in CELL_RULES])
+def test_a_point_or_column_write_keeps_or_copies_its_relation(
+        text, frees, at0, sliced, monkeypatch):
+    """Each rule, on dense arrays or on SliceArrays (every array of ndim
+    >= 2 kept as slices), with p and q in range, equal, and out of range
+    (k false): the result equals `evaluate` on writable and on read-only
+    inputs, whose writable flags stay as they were.  A call that leaves
+    the bound cells as they are returns the relation's array itself, and
+    so does a second call on a result.  A call that changes them makes
+    one copy: a dense copy of the whole array, or one new slice of a
+    SliceArray that shares every other.  A SliceArray written with axis
+    0 free is densified, compared or not."""
+    if sliced:
+        monkeypatch.setattr(be, "_SHARE_MIN", 0)
+    copies = _counted_copies(monkeypatch)
+    f = parse_formula(text)
+    rel = "E" if text.count("E(x, y)") else "T"
+    keeps = not (sliced and at0 is None)
+    rng = random.Random(f"cells:{text}:{sliced}")
+    changed = unchanged = 0
+    for _ in range(40):
+        n = rng.randrange(1, 5)
+        p, q = rng.choice([(rng.randrange(n), rng.randrange(n)), (n, 0),
+                           (0, n + 1), (n - 1, n - 1)])
+        params = {"p": p, "q": q}
+        s = random_structure(rng, n, SPLIT_SCHEMA)
+        _check_bulk(f, s, params, frees, as_stored=sliced)
+        build = stored_relation if sliced else relation_to_array
+        for frozen in (False, True):
+            arrays = {r: build(tuples, ar, n)
+                      for r, (ar, tuples) in s.relations.items()}
+            if frozen:
+                arrays = _frozen(arrays)
+            old = arrays[rel]
+            copies["n"] = 0
+            got = bulk_eval(f, arrays, n, params, frees)
+            assert array_to_relation(got) == _want(f, arrays, n, params, frees)
+            if got is old:
+                assert copies["n"] == 0
+                unchanged += 1
+                continue
+            assert not got.flags.writeable
+            assert copies["n"] <= 1
+            if not keeps:
+                continue
+            assert not np.array_equal(got, old), (text, params)
+            changed += 1
+            if sliced:
+                assert copies["n"] == 0
+                at = params.get(at0, at0)
+                assert [i for i in range(n)
+                        if got.parts[i] is not old.parts[i]] == [at]
+            else:
+                assert copies["n"] == 1
+            again = bulk_eval(f, {**arrays, rel: got}, n, params, frees)
+            assert again is got, (text, params)
+    assert unchanged and (changed or not keeps)
 
 
 def _frozen(arrays):

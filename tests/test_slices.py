@@ -1,6 +1,7 @@
 """bulk_eval's SliceArray against the dense numpy array it stands for,
 and the lowering's use of named temporaries."""
 
+import gc
 import random
 import re
 
@@ -144,6 +145,42 @@ def test_cow_on_a_slice_array_matches_a_dense_write(ndim, n,
             _same(got != sliced, want != dense)
 
 
+@pytest.mark.parametrize("ndim,n", [(ndim, n) for ndim in (2, 3, 4)
+                                    for n in (1, 2, 4)])
+def test_a_cell_write_copies_one_slice_and_shares_the_others(
+        ndim, n, every_array_sliced):
+    """`written` writes a point, a column or a whole slice into a copy of
+    one slice, with the value's leading axis of length 1 or absent, and
+    shares every other slice; `replaced` hands the array itself back when
+    given its own slice.  Neither writes to the array it starts from."""
+    rng = random.Random(f"written:{ndim}:{n}")
+    for _ in range(10):
+        dense, sliced = _random_pair(rng, ndim, n)
+        for at in range(n):
+            assert sliced.replaced(at, sliced.parts[at]) is sliced
+            assert sliced.replaced(at, dense[at]) is sliced
+            cells = [rng.choice([slice(None), rng.randrange(n)])
+                     for _ in range(ndim - 1)]
+            if rng.random() < 0.3:
+                cells = [slice(None)] * (ndim - 1)
+            index = tuple(c if c.__class__ is slice else slice(c, c + 1)
+                          for c in cells)
+            shape = dense[at][index].shape
+            value = np.array([rng.random() < 0.5 for _ in
+                              range(int(np.prod(shape)))]).reshape(shape)
+            if rng.random() < 0.5:
+                value = value[None]
+            whole = all(c == slice(None) for c in index)
+            got = sliced.written(at, () if whole else index, value)
+            want = dense.copy()
+            want[at][index] = value
+            _same(got, want)
+            _same(sliced, dense)
+            assert [i for i in range(n)
+                    if got.parts[i] is not sliced.parts[i]] == [at]
+            assert not got.parts[at].flags.writeable
+
+
 def test_stored_keeps_small_arrays_and_slices_large_ones():
     small = np.zeros((3, 3), dtype=bool)
     assert stored(small, small.shape) is small and not small.flags.writeable
@@ -195,6 +232,33 @@ def test_array_to_relation_on_slices_equals_the_dense_path(ndim, n,
         assert got == array_to_relation(dense) == _cells(dense)
         assert all(type(x) is int for t in got for x in t)
     assert array_to_relation(SliceArray((zero,) * n, shape)) == frozenset()
+
+
+def test_array_to_relation_converts_an_array_that_never_changes_once(
+        every_array_sliced):
+    """A read-only array that owns its memory, and a SliceArray, are
+    converted once: a second call returns the same frozenset.  A
+    writable array, or a read-only view of one, changed in place reads
+    back changed.  An entry goes with its array."""
+    n = 3
+    dense = np.zeros((n, n), dtype=bool)
+    dense[1, 2] = True
+    dense.setflags(write=False)
+    sliced = stored_relation({(0, 1, 2)}, 3, n)
+    for a, want in ((dense, {(1, 2)}), (sliced, {(0, 1, 2)})):
+        got = array_to_relation(a)
+        assert got == want and array_to_relation(a) is got
+    writable = np.zeros((n, n), dtype=bool)
+    view = writable[1:]
+    view.setflags(write=False)
+    assert array_to_relation(writable) == array_to_relation(view) == set()
+    writable[2, 0] = True
+    assert array_to_relation(writable) == {(2, 0)}
+    assert array_to_relation(view) == {(1, 0)}
+    kept = len(be._relations)
+    del dense, sliced, a
+    gc.collect()
+    assert len(be._relations) == kept - 2
 
 
 @pytest.mark.parametrize("ndim", range(5))
