@@ -19,6 +19,13 @@ The lowering
 - checks, at run time, whether an array operand is one of the shared
   all-false / all-true constants a branch produced, and then skips the
   operation or the other operand (`x & y` with x all-false is all-false);
+- makes an atom read through a parameter or constant whose view
+  broadcasts to more axes (`E(x1, w)` as `r1[:, p0, None, None]`) that
+  all-false constant at run time when the view is all-false, so that
+  every product, XOR and disjunct built on it is skipped;
+- tests a parameter's range (`k0 = 0 <= p0 < n`) once per branch: an
+  atom inside the slice of a split on that parameter reads without it,
+  and a split inside it on the same parameter runs unguarded;
 - lowers `x = t & ψ`, x a free variable and t a parameter or constant,
   with x bound to t inside ψ, and computes a rule whose disjunction has
   such a disjunct (`!(x = t) & OLD | x = t & NEW`) as the formula with
@@ -32,11 +39,17 @@ The lowering
   splits again on an axis still free there, as long as its base stays T
   on the cells the chain binds (`T(z, x, y) | z = w & L(z, x) & y = v`
   binds the column (w, :, v), `F(z, x) | z = w & x = v & C(z)` the point
-  (w, v)).  Only the innermost split computes its value, on those cells
-  alone, and compares it with T's cells there: when they are equal the
-  rule's value is T's own array, and no copy is made.  Otherwise one
-  copy is made and the cells written: one new slice of a SliceArray when
-  axis 0 is bound (`SliceArray.written`), a dense copy otherwise;
+  (w, v)).  Inside a chain a slice is lowered in the compact shape of
+  the cells it binds, its axes numbered among the axes still free, so
+  the innermost split computes its value on those cells alone
+  (`r1[p0, :, p1] | r0[p0, :]` for the column, not a broadcast over
+  three axes).  It reads T's cells there once, for the value and for the
+  compare (an atom of T under a quantifier, which adds an axis, is read
+  as any other atom): when they are equal the rule's value is T's own array, and no
+  copy is made.  Otherwise one copy is made and the cells written: one
+  new slice of a SliceArray when axis 0 is bound (`SliceArray.written`),
+  only the slices whose cells change when it is free
+  (`SliceArray.rewritten`), a dense copy otherwise;
 - writes a slice into the base itself when the base is an array the
   kernel made and reads no more (an operation's result or an earlier
   split's), so a rule makes at most one full-shape copy however many
@@ -63,8 +76,9 @@ _SHARE_MIN cells is kept as a `SliceArray`: the tuple of its read-only
 axis-0 slices, so that a slice write on axis 0 makes one new slice and
 shares the others with the array it started from (path copying).
 Kernels read SliceArrays as they read numpy arrays: an atom with a
-constant or parameter first reads one slice, any other atom a dense
-copy made for that one read.  `stored` takes its value over, so a
+constant or parameter first reads one slice, one whose index starts with
+`:` the same cells of every slice, stacked, any other atom a dense copy
+made for that one read.  `stored` takes its value over, so a
 relation's own array leaves a kernel only as the return of an identity
 rule or of an unchanged chain, never through `stored`.
 
@@ -103,7 +117,7 @@ import sys
 import types
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -280,14 +294,24 @@ def _copy(a, shape: tuple[int, ...]):
     return out
 
 
+def _nonzero(a: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """`a`, or the all-false constant `zero` when `a` is all-false."""
+    return a if np.count_nonzero(a) else zero
+
+
 def _differs(cells: np.ndarray, value: np.ndarray) -> bool:
-    """Whether `value`, of the shape of `cells` with axes of length 1
-    added or broadcast to it, differs from `cells` somewhere.  A value of
-    as many cells holds them in the same order, and bytes compare several
-    times faster than `(cells != value).any()` at n = 128."""
+    """Whether `value`, which broadcasts to the shape of `cells`, differs
+    from `cells` somewhere.  A value of as many cells holds them in the
+    same order, and bytes compare several times faster than
+    `(cells != value).any()` at n = 128."""
+    if value is cells:
+        return False
     if value.size == cells.size:
         return cells.tobytes() != value.tobytes()
     return bool((cells != value).any())
+
+
+_ALL = slice(None)
 
 
 class SliceArray:
@@ -295,9 +319,10 @@ class SliceArray:
     axis-0 slices (`parts`), each a read-only numpy array that other
     SliceArrays may share.
 
-    An index whose first entry is an int reads one part; any other index,
-    and `np.asarray`, build a dense copy for that one use (none is kept,
-    as it would double what a state holds).  `==` and `!=` are
+    An index whose first entry is an int reads one part, and one whose
+    first entry is `:` reads the rest of it in every part; any other
+    index, and `np.asarray`, build a dense copy for that one use (none is
+    kept, as it would double what a state holds).  `==` and `!=` are
     elementwise, as on numpy arrays."""
 
     __slots__ = ("parts", "shape", "ndim", "size", "__weakref__")
@@ -314,6 +339,11 @@ class SliceArray:
         if index.__class__ is tuple:
             if index and index[0].__class__ is int:
                 return self.parts[index[0]][index[1:]]
+            if index and index[0].__class__ is slice and index[0] == _ALL \
+                    and self.parts:
+                # the same index in every part, stacked
+                rest = index[1:]
+                return np.stack([part[rest] for part in self.parts])
         elif index.__class__ is int:
             return self.parts[index]
         return self.__array__()[index]
@@ -362,6 +392,28 @@ class SliceArray:
         if not np.count_nonzero(part != value):
             return self
         return self.written(at, (), value)
+
+    def rewritten(self, index: tuple, cells: np.ndarray,
+                  value) -> "SliceArray":
+        """This array with `value` written at `index` of every slice of
+        axis 0.  `cells` holds what is there now, `self[:, *index]`, and
+        `value` broadcasts to it.  Only the slices whose cells differ are
+        copied, every other is shared, and it is itself when none do."""
+        if value is cells:
+            return self
+        differs = cells != value
+        if differs.ndim > 1:
+            differs = differs.any(axis=tuple(range(1, differs.ndim)))
+        rows = np.flatnonzero(differs)
+        if not rows.size:
+            return self
+        value = np.broadcast_to(value, cells.shape)
+        parts = list(self.parts)
+        for i in rows.tolist():
+            new = parts[i].copy()
+            new[index] = value[i]
+            parts[i] = _readonly(new)
+        return SliceArray(tuple(parts), self.shape)
 
     def written(self, at: int, index: tuple, value) -> "SliceArray":
         """This array with `value` written at `index` of its slice `at` of
@@ -463,7 +515,7 @@ _SHARE_MIN = 1 << 15
 # O<d> of shape (1,)*d are added on first use
 _NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
                     "_copy": _copy, "_stored": stored, "_keep": _keep,
-                    "_differs": _differs,
+                    "_differs": _differs, "_nonzero": _nonzero,
                     "SliceArray": SliceArray, "_diag": _diag, "_eye": _eye,
                     "_arange": _arange, "_ArityMismatch": _ArityMismatch}
 
@@ -483,23 +535,44 @@ _MAX_NEST = 40
 _MAX_LEVEL = 30
 _TEMP = re.compile(r"\bt\d+\b")
 # context keys: the (axis, term) equalities known to be false, the
-# `_Cells` of the enclosing splits of a chain, and a mark that no case
-# split may be made
+# `_Cells` of the enclosing splits of a chain, a mark that no case split
+# may be made, and the range tests that enclosing branches hold
 _NE = "!="
 _AT = "@"
 _NO_SPLIT = "-"
+_HELD = "+"
 
 
 @dataclass(frozen=True)
 class _Cells:
     """The cells that the enclosing splits of a chain bind, each base the
-    relation array `rel` itself: (axis, term) per split, outermost first.
+    relation array `rel` itself: (axis, term) per split, outermost first,
+    axes numbered as at the chain's start.  Inside the chain an axis is
+    numbered among the axes still free, `axes` (by their number at the
+    start), so a value there has the compact shape of the bound cells.
     The temporary `temp` holds the rule's value: `rel` until the
-    innermost split writes the cells."""
+    innermost split writes the cells.  The temporary `read` holds rel's
+    bound cells, read once for the value and the compare."""
 
     rel: str
     cells: tuple
     temp: str
+    axes: tuple
+    read: str
+
+    @functools.cached_property
+    def view(self) -> tuple:
+        """The term of each axis of the chain's start, here."""
+        bound = dict(self.cells)
+        return tuple(bound[a] if a in bound else ("axis", self.axes.index(a))
+                     for a in range(len(self.axes) + len(self.cells)))
+
+    def index(self) -> str:
+        """The index of the bound cells in `rel`: the term of each bound
+        axis, a full slice of each free one."""
+        bound = dict(self.cells)
+        return ", ".join(str(bound[a][1]) if a in bound else ":"
+                         for a in range(len(self.axes) + len(self.cells)))
 
 
 @dataclass(frozen=True)
@@ -593,7 +666,6 @@ class _Lowering:
         self.param_local: dict[str, str] = {}
         for p in params:
             self.ctx[p] = ("param", p)
-        self.guarded: set[str] = set()
         self.uses: dict[int, int] = {}
         self._count(f)
         self.temps = 0
@@ -607,7 +679,6 @@ class _Lowering:
         self.found: list[tuple] = []
         self.outer: list[tuple] = []            # the candidates around
         self.within_free = 0    # > 0 inside a parameter-free slot's branch
-        self.need_arange = self.need_eye = False
 
     # -- analysis: structural ids, free variables and uses, each node once
 
@@ -696,12 +767,17 @@ class _Lowering:
         args = [f"R{i}" for i in range(len(self.arities))] + \
             [f"P{i}" for i in range(len(self.param_local))] + \
             [f"S{i}" for i in range(len(self.slot_objs))]
-        lines = [f"def kernel({', '.join(['rels', 'n', 'params'] + args)}):"]
-        lines += self._preamble()
+        lines = []
         _render(body.stmts, 1, lines)
-        return "\n".join(lines) + "\n"
+        used = set(re.findall(r"\b(?:k\d+|ar|eye)\b", "\n".join(lines)))
+        return "\n".join(
+            [f"def kernel({', '.join(['rels', 'n', 'params'] + args)}):"]
+            + self._preamble(used) + lines) + "\n"
 
-    def _preamble(self) -> list[str]:
+    def _preamble(self, used: set[str]) -> list[str]:
+        """The kernel's first lines: its relations and their arity check,
+        its parameters, and the range tests and constants that `used`
+        names."""
         lines = []
         checks = []
         for i, (rel, arities) in enumerate(sorted(self.arities.items())):
@@ -712,11 +788,11 @@ class _Lowering:
             lines.append("        raise _ArityMismatch")
         for i, local in enumerate(self.param_local.values()):
             lines.append(f"    {local} = params[P{i}]")
-            if local in self.guarded:
+            if f"k{local[1:]}" in used:
                 lines.append(f"    k{local[1:]} = 0 <= {local} < n")
-        if self.need_arange:
+        if "ar" in used:
             lines.append("    ar = _arange(n)")
-        if self.need_eye:
+        if "eye" in used:
             lines.append("    eye = _eye(n)")
         return lines
 
@@ -933,10 +1009,11 @@ class _Lowering:
     def _split(self, f: Formula, name: str, term: tuple, ctx, depth: int,
                scope: tuple, block: _Block) -> _Val | None:
         """f where x != t, overwritten where x = t by f with x bound to t:
-        the slice is computed with one axis less.  A split whose base is a
-        relation's own array, outside every other split, starts a chain
-        (`_write_cells`): its slice splits again on an axis still free
-        there, as long as the base stays that relation's array on the
+        the slice is computed with one axis less, and its statements run
+        only where t is in range.  A split whose base is a relation's own
+        array, outside every other split, starts a chain (`_write_cells`):
+        its slice, lowered without x's axis, splits again on an axis still
+        free there, as long as the base stays that relation's array on the
         cells the chain binds.  None when such a split does not (its base
         is then lowered for nothing)."""
         axis = ctx[name][1]
@@ -953,30 +1030,41 @@ class _Lowering:
             return None
         if kind == "lit" and at < 0:  # x = t holds nowhere
             return off
-        on_ctx = dict(ctx)
-        on_ctx[name] = ("same", term)
-        cells = None
-        if outer is not None or off.whole and _NE not in ctx:
-            cells = on_ctx[_AT] = _Cells(
-                off.whole, (outer.cells if outer else ()) + ((axis, term),),
-                outer.temp if outer else self._temp())
-        else:
-            on_ctx[_NO_SPLIT] = (None, None)
-        branch = block.child()
-        on = self.gen(f, on_ctx, depth, scope + ((name, term),), branch)
         if kind == "lit":
             guard = f"{at} < n"
         else:
-            self.guarded.add(at)
             guard = f"k{at[1:]}"
+        held = ctx.get(_HELD, frozenset())
+        on_ctx = dict(ctx)
+        on_ctx[name] = ("same", term)
+        on_ctx[_HELD] = held | {guard}
+        cells = None
+        if outer is not None or off.whole and _NE not in ctx:
+            # a chain: the slice is lowered in its compact shape, its axes
+            # numbered among the axes still free
+            free = outer.axes if outer else tuple(range(depth))
+            on_ctx = _without_axis(on_ctx, axis)
+            cells = on_ctx[_AT] = _Cells(
+                off.whole, (outer.cells if outer else ()) + ((free[axis], term),),
+                outer.temp if outer else self._temp(),
+                free[:axis] + free[axis + 1:], self._temp())
+            self.kept.add(cells.read)
+        else:
+            on_ctx[_NO_SPLIT] = (None, None)
+        branch = block.child()
+        on = self.gen(f, on_ctx, depth - (cells is not None),
+                      scope + ((name, term),), branch)
+        if guard in held:  # an enclosing branch tested it
+            guard = None
         if cells is not None:
             return self._write_cells(on, off, cells, outer is None, guard,
-                                     depth, branch, block)
+                                     branch, block)
         if off.const is not None and on.const == off.const:
             return off
         index = ", ".join([":"] * axis + [f"{at}:{at} + 1"])
         # length n on the axes a name is bound to, 1 on those bound away
-        live = {b[1] for k, b in ctx.items() if k != _NE and b[0] == "axis"}
+        live = {b[1] for b in ctx.values()
+                if b.__class__ is tuple and b[0] == "axis"}
         shape = "(" + "".join("n, " if a in live else "1, "
                               for a in range(depth)) + ")"
         read = set(_TEMP.findall(on.code)).union(*map(_reads, branch.stmts))
@@ -1004,7 +1092,7 @@ class _Lowering:
         else:
             write = [("if", sliced, [("store", t, f"{t}.replaced({at}, "
                                       f"{value})")], [store], None)]
-        block.stmts.append(("if", guard, branch.stmts + write, [], None))
+        _guarded(block, guard, branch.stmts + write, None)
         return _Val(t, True)
 
     def _forget(self, found: int, slots: int) -> None:
@@ -1016,68 +1104,60 @@ class _Lowering:
         del self.slot_objs[slots:]
 
     def _write_cells(self, on: _Val, off: _Val, at: _Cells, first: bool,
-                     guard: str, depth: int, branch: _Block,
-                     block: _Block) -> _Val:
+                     guard: str | None, branch: _Block, block: _Block) -> _Val:
         """The value of a split in a chain, `at.temp`: the relation array
         `at.rel` itself, unless `on` differs from its cells that `at.cells`
-        bind.  Only the innermost split computes and compares them; then
-        one copy is made and they are written: one slice of a SliceArray
-        when axis 0 is bound, the whole array otherwise."""
+        bind.  Only the innermost split computes them, in their compact
+        shape, and compares them with rel's cells, read once into
+        `at.read` (a read nothing uses is dropped); then one copy is made
+        and they are written: one slice of a SliceArray when axis 0 is
+        bound, the slices whose cells differ when it is free, the whole
+        array otherwise."""
         t, rel = at.temp, at.rel
+        read = ("assign", at.read, f"{rel}[{at.index()}]")
         if on.whole == rel:  # the relation's own cells: nothing to write
             if first:
                 return off
             stmts = []
         elif on.chain:  # an inner split of the chain writes
-            stmts = branch.stmts
+            stmts = [read] + branch.stmts if branch.stmts else []
         else:
             value = self.named(on, branch).code
-            stmts = branch.stmts + [
-                ("if", *self._compare_write(value, dict(at.cells), rel, t,
-                                            depth), [], t)]
+            stmts = [read] + branch.stmts + self._compare_write(value, at)
         if first:
             block.stmts.append(("assign", t, rel))
         if stmts:
-            block.stmts.append(("if", guard, stmts, [], t))
+            _guarded(block, guard, stmts, t)
         return _Val(t, True, chain=rel)
 
     @staticmethod
-    def _compare_write(value: str, bound: dict, rel: str, t: str,
-                       depth: int) -> tuple[str, list]:
-        """The test that `value` differs from the cells of `rel` that
-        `bound` (axis -> term) binds, and the statements that assign `t`
-        a copy of `rel` with them written."""
-        scalar = len(bound) == depth
-
-        def index(keep, axes=range(depth)):
-            # an int per bound axis (a slice of length 1 when `keep`), a
-            # full slice per free axis
-            return ", ".join(
-                ":" if a not in bound else
-                f"{bound[a][1]}:{bound[a][1]} + 1" if keep(a) else
-                str(bound[a][1]) for a in axes)
-
-        # the cells, read with the value's shape but for axis 0, which a
-        # SliceArray reads by an int
-        cells = f"{rel}[{index(lambda a: a and not scalar)}]"
-        test = f"{cells} != {value}" if scalar else \
+    def _compare_write(value: str, at: _Cells) -> list:
+        """The statements that assign `at.temp` a copy of `at.rel` with
+        `value` written at the cells the chain binds, when it differs from
+        them (`at.read`)."""
+        t, rel, cells = at.temp, at.rel, at.read
+        depth = len(at.axes) + len(at.cells)
+        bound = dict(at.cells)
+        test = f"{cells} != {value}" if not at.axes else \
             f"_differs({cells}, {value})"
         dense = [("assign", t, f"_copy({rel}, {_shape(depth)})"),
-                 ("store", f"{t}[{index(lambda a: True)}]", value)]
+                 ("store", f"{t}[{at.index()}]", value)]
         if depth < 2:  # a SliceArray has ndim >= 2
-            return test, dense
+            return [("if", test, dense, [], t)]
         sliced = f"{rel}.__class__ is SliceArray"
-        if 0 not in bound:  # read and written densified
-            return f"{sliced} or {test}", [
-                ("if", sliced, [("assign", t, f"{rel}.copy()")],
-                 dense[:1], t), dense[1]]
-        rest = ["slice(None)" if a not in bound else str(bound[a][1])
-                if scalar else f"slice({bound[a][1]}, {bound[a][1]} + 1)"
-                for a in range(1, depth)]
-        part = f"({', '.join(rest)},)" if len(bound) > 1 else "()"
-        return test, [("if", sliced, [("assign", t, f"{rel}.written("
-                                       f"{bound[0][1]}, {part}, {value})")],
-                       dense, t)]
+        # the bound cells' index in one slice of axis 0
+        part = "(" + "".join(f"{bound[a][1]}, " if a in bound else
+                             "slice(None), " for a in range(1, depth)) + ")"
+        if 0 in bound:
+            if len(bound) == 1:  # the whole slice
+                part = "()"
+            return [("if", test, [("if", sliced, [(
+                "assign", t, f"{rel}.written({bound[0][1]}, {part}, {value})")],
+                dense, t)], [], t)]
+        # axis 0 free: a SliceArray compares and copies slice by slice
+        return [("if", sliced,
+                 [("assign", t, f"{rel}.rewritten({part}, {cells}, {value})")],
+                 [("if", test, dense, [], t)], t)]
 
     def _atom(self, f: Atom, ctx, depth: int, block: _Block) -> _Val:
         terms = [self._term(t, ctx) for t in f.terms]
@@ -1089,16 +1169,15 @@ class _Lowering:
             if kind == "lit":
                 guards.append(f"{value} < n")
             elif kind == "param":
-                self.guarded.add(value)
                 guards.append(f"k{value[1:]}")
         guards = list(dict.fromkeys(guards))
         r = self._rel(f.rel)
         index = [str(v) for k, v in terms if k != "axis"]
         axes = [v for k, v in terms if k == "axis"]
+        distinct = sorted(set(axes))
         if not axes:
             code = f"{r}[{', '.join(index) or '()'}]"
         else:
-            distinct = sorted(set(axes))
             # constant positions first, then the variables by axis
             order = [i for i, (k, _) in enumerate(terms) if k != "axis"] + \
                 sorted((i for i, (k, _) in enumerate(terms) if k == "axis"),
@@ -1115,16 +1194,27 @@ class _Lowering:
                 perm = ", ".join(map(str, order))
                 sub = ", ".join(index + [_pattern(distinct, depth)])
                 code = f"{r}.transpose({perm})[{sub}]"
+        at = ctx.get(_AT)
+        # the whole atom in axis order (in a chain's slice, on its bound
+        # cells and outside every quantifier, which adds an axis)
+        if (tuple(terms) == at.view and depth == len(at.axes)) if at else \
+                tuple(terms) == _axes(depth):
+            if at and r == at.rel:  # the cells the chain binds, read once
+                return _Val(at.read, array, whole=r)
+            return _Val(code, array, whole=r)
+        zero = _constant(False, depth) if array else "False"
+        may = set()
+        if array and index and len(distinct) < depth:
+            # a view through a parameter or constant, broadcast to more
+            # axes: the all-false constant when it is all-false, which
+            # prunes what is built on it
+            code = f"_nonzero({code}, {zero})"
+            may.add(False)
+        held = ctx.get(_HELD, ())  # the tests an enclosing branch holds
+        guards = [g for g in guards if g not in held]
         if guards:
-            code = f"({code} if {' and '.join(guards)} else " \
-                f"{_constant(False, depth) if array else 'False'})"
-        v = self.val(code, array, block)
-        bound = dict(ctx[_AT].cells) if _AT in ctx else {}
-        if len(terms) == depth and all(
-                term == ("axis", i) or bound.get(i) == term
-                for i, term in enumerate(terms)):
-            v = replace(v, whole=r)
-        return v
+            code = f"({code} if {' and '.join(guards)} else {zero})"
+        return self.val(code, array, block, may)
 
     def _eq(self, f: Eq, ctx, depth: int, block: _Block) -> _Val:
         left, right = self._term(f.left, ctx), self._term(f.right, ctx)
@@ -1135,7 +1225,6 @@ class _Lowering:
         if left[0] == "axis" and right[0] == "axis":
             if left[1] == right[1]:
                 return self.const(True, True, depth)
-            self.need_eye = True
             axes = sorted((left[1], right[1]))
             return self.val(f"eye[{_pattern(axes, depth)}]", True, block)
         (_, axis), (kind, c) = (left, right) if left[0] == "axis" else (right, left)
@@ -1143,7 +1232,6 @@ class _Lowering:
             return self.const(False, True, depth)
         if kind == "lit" and c < 0:
             return self.const(False, True, depth)
-        self.need_arange = True
         code = f"(ar == {c})"
         if depth > 1:
             code += f"[{_pattern([axis], depth)}]"
@@ -1307,6 +1395,32 @@ def _function(source: str, names: tuple) -> Kernel:
     return types.FunctionType(code, _NAMESPACE, "kernel", names)
 
 
+def _guarded(block: _Block, guard: str | None, stmts: list, temp) -> None:
+    """Append stmts to block under `if guard:` (the branch assigns `temp`
+    for block), or as they are when an enclosing branch holds the test
+    (guard None)."""
+    if guard is None:
+        block.stmts += stmts
+    else:
+        block.stmts.append(("if", guard, stmts, [], temp))
+
+
+def _axes(depth: int) -> tuple:
+    return tuple(("axis", a) for a in range(depth))
+
+
+def _without_axis(ctx: dict, axis: int) -> dict:
+    """ctx with `axis` bound away: every higher axis numbered one less."""
+    out = {}
+    for key, b in ctx.items():
+        if key == _NE:
+            b = frozenset((a - (a > axis), t) for a, t in b if a != axis)
+        elif b.__class__ is tuple and b[0] == "axis" and b[1] > axis:
+            b = ("axis", b[1] - 1)
+        out[key] = b
+    return out
+
+
 def _disjuncts(f: Formula) -> list[Formula]:
     if isinstance(f, Or):
         return _disjuncts(f.left) + _disjuncts(f.right)
@@ -1369,26 +1483,31 @@ def _defines(stmt) -> str | None:
     return stmt[4] if stmt[0] == "if" else None
 
 
-def _insert_dels(stmts: list, outer: tuple) -> None:
+def _insert_dels(stmts: list, outer: tuple) -> set[str]:
     """Drop every statement that only assigns a temporary nothing reads,
     then delete every other temporary defined in this block after the
     last statement of the block that reads it; `outer` are the
     temporaries this block assigns for an enclosing block.  Statements
     compute values and write only temporaries, so a dropped one changes
-    nothing."""
+    nothing.  Returns the temporaries the block reads (as `_reads` counts
+    them), so that each block is read once."""
+    reads = []
     for s in stmts:
         if s[0] == "if":
-            _insert_dels(s[2], (s[4],))
-            _insert_dels(s[3], (s[4],))
+            inner = _insert_dels(s[2], (s[4],)) | _insert_dels(s[3], (s[4],))
+            reads.append((set(_TEMP.findall(s[1])) | inner) - {s[4]})
+        else:
+            reads.append(_reads(s))
     while True:
-        live = {None, *outer}.union(*map(_reads, stmts))
-        kept = [s for s in stmts if _defines(s) in live]
+        live = {None, *outer}.union(*reads)
+        kept = [i for i, s in enumerate(stmts) if _defines(s) in live]
         if len(kept) == len(stmts):
             break
-        stmts[:] = kept
+        stmts[:] = [stmts[i] for i in kept]
+        reads = [reads[i] for i in kept]
     last: dict[str, int] = {}
-    for i, s in enumerate(stmts):
-        for t in _reads(s):
+    for i, r in enumerate(reads):
+        for t in r:
             last[t] = i
     after: dict[int, list[str]] = {}
     for t in dict.fromkeys(map(_defines, stmts)):  # a chain's, defined twice
@@ -1399,6 +1518,7 @@ def _insert_dels(stmts: list, outer: tuple) -> None:
             after.setdefault(i, []).append(t)
     for i in sorted(after, reverse=True):
         stmts.insert(i + 1, ("del", ", ".join(sorted(after[i]))))
+    return set().union(*reads)
 
 
 def _render(stmts: list, level: int, lines: list[str]) -> None:

@@ -362,6 +362,59 @@ def test_a_step_hands_on_what_it_leaves_unchanged(name, monkeypatch):
     assert handed_on
 
 
+def _chain_targets(prog) -> set:
+    """The keys of the rules lowered to a chain: kernels that return
+    the target's own array when the cells they bind are unchanged."""
+    import re
+    from dyncomplab.bulk_eval import _Lowering
+    chain = re.compile(r"^    if t\d+ is (r\d+):\n        return \1$", re.M)
+    return {key for key, rule in prog.rules.items() if chain.search(
+        _Lowering(rule.body, rule.params, rule.frees).source())}
+
+
+@pytest.mark.parametrize("entry", pg.catalog(), ids=lambda e: e.name)
+def test_a_chain_hands_on_or_copies_once(entry, monkeypatch):
+    """After seeded streams at n = 4..10 (and degree_rel_3 at n = 128,
+    where its lists are SliceArrays), every chain target that a step
+    leaves unchanged is the pre-step array itself, made with no copy; a
+    changed one copied one slice of a SliceArray, sharing every other,
+    or made one dense copy."""
+    from dyncomplab.bulk_eval import SliceArray
+    seen = _count_copies(monkeypatch)
+    prog = entry.build()
+    chains = _chain_targets(prog)
+    assert chains or entry.name == "parity"
+    sizes = [(n, 30) for n in range(4, 11)]
+    if entry.name == "degree_rel_3":
+        sizes.append((128, 60))
+    kept = changed = 0
+    for n, length in sizes:
+        st = init_state(prog, n)
+        for c in cx.random_changes(n, rels_for(prog), length,
+                                   random.Random(f"chain:{entry.name}:{n}")):
+            seen.clear()
+            new = step(st, c)
+            for op, rel, target in chains:
+                if (op, rel) != (c.op, c.relation):
+                    continue
+                body = prog.rules[(op, rel, target)].body
+                old, got = st.aux_arrays[target], new.aux_arrays[target]
+                if np.array_equal(got, old):
+                    assert got is old, (c, target)
+                    assert seen[id(body)] == 0, (c, target)
+                    kept += 1
+                    continue
+                changed += 1
+                if got.__class__ is SliceArray:
+                    assert seen[id(body)] == 0, (c, target)
+                    assert sum(a is not b for a, b in
+                               zip(got.parts, old.parts)) == 1, (c, target)
+                else:
+                    assert seen[id(body)] == 1, (c, target)
+            st = new
+    assert not chains or kept and changed
+
+
 @pytest.mark.parametrize("entry", pg.catalog(), ids=lambda e: e.name)
 def test_a_state_keeps_its_arrays_through_later_steps(entry, monkeypatch):
     """Later steps share arrays with an earlier state but never change

@@ -181,6 +181,81 @@ def test_a_cell_write_copies_one_slice_and_shares_the_others(
             assert not got.parts[at].flags.writeable
 
 
+@pytest.mark.parametrize("ndim,n", CASES)
+def test_a_write_with_axis_0_free_copies_only_the_slices_it_changes(
+        ndim, n, every_array_sliced):
+    """An index whose first entry is `:` reads the same cells of every
+    slice.  `rewritten` writes a value into those cells, with the value's
+    leading axis of length n or 1: it copies the slices whose cells
+    change, shares every other, and hands the array itself back when
+    none change.  It never writes to the array it starts from."""
+    rng = random.Random(f"rewritten:{ndim}:{n}")
+    for _ in range(10 if n else 1):
+        dense, sliced = _random_pair(rng, ndim, n)
+        rest = tuple(rng.choice([slice(None), rng.randrange(n)]) if n
+                     else slice(None) for _ in range(ndim - 1))
+        index = (slice(None),) + rest
+        cells = sliced[index]
+        _same(cells, dense[index])
+        _same(sliced[index + (None,)], dense[index + (None,)])
+        assert sliced.rewritten(rest, cells, cells) is sliced
+        assert sliced.rewritten(rest, cells, cells.copy()) is sliced
+        if not n:
+            continue
+        value = cells.copy()
+        changed = set()
+        for i in range(n):
+            if rng.random() < 0.3:
+                value[i] = ~value[i]
+                changed.add(i)
+        if rng.random() < 0.3:  # one value for every slice
+            value = value[:1]
+            changed = {i for i in range(n)
+                       if not np.array_equal(cells[i], value[0])}
+        got = sliced.rewritten(rest, cells, value)
+        want = dense.copy()
+        want[index] = value
+        _same(got, want)
+        _same(sliced, dense)
+        if not changed:
+            assert got is sliced
+            continue
+        assert {i for i in range(n)
+                if got.parts[i] is not sliced.parts[i]} == changed
+        assert not any(got.parts[i].flags.writeable for i in changed)
+
+
+def test_a_branch_does_not_test_a_range_again():
+    """Inside `if kN:`, which tests that parameter N is in range, no
+    kernel of the catalog tests kN again: degree_rel_3's insert-E List_1
+    reads `r1[p0, :, p1]` under `if k0:` / `if k1:`, not
+    `(r1[...] if k0 and k1 else Z3)`.  Two splits on one parameter test
+    it once, with no `if True:` for the inner one."""
+    rule = pg.catalog_entry("degree_rel_3").build().rules[
+        ("ins", "E", "List_1")]
+    source = _Lowering(rule.body, rule.params, rule.frees).source()
+    assert "if k1:" in source and "if k0 and k1 else" not in source, source
+    source = _Lowering(parse_formula("T(x, y, z) | x = w & y = w & E(z, w)"),
+                       ("w",), ("x", "y", "z")).source()
+    assert source.count("if k0:") == 1 and "if True" not in source, source
+    assert "r1[p0, p0, :]" in source, source
+    for entry in pg.catalog():
+        for key, rule in entry.build().rules.items():
+            source = _Lowering(rule.body, rule.params, rule.frees).source()
+            assert "if True" not in source, (key, source)
+            held = []   # (indent, test) of each enclosing `if kN:`
+            for line in source.splitlines():
+                indent = len(line) - len(line.lstrip())
+                while held and held[-1][0] >= indent:
+                    held.pop()
+                for _, k in held:
+                    assert not re.search(rf"\b{k}\b", line), \
+                        (key, k, line, source)
+                test = re.fullmatch(r" +if (k\d+):", line)
+                if test:
+                    held.append((indent, test[1]))
+
+
 def test_stored_keeps_small_arrays_and_slices_large_ones():
     small = np.zeros((3, 3), dtype=bool)
     assert stored(small, small.shape) is small and not small.flags.writeable
