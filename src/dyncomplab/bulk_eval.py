@@ -19,13 +19,28 @@ The lowering
 - checks, at run time, whether an array operand is one of the shared
   all-false / all-true constants a branch produced, and then skips the
   operation or the other operand (`x & y` with x all-false is all-false);
-- makes an atom read through a parameter or constant whose view
-  broadcasts to more axes (`E(x1, w)` as `r1[:, p0, None, None]`) that
-  all-false constant at run time when the view is all-false, so that
-  every product, XOR and disjunct built on it is skipped;
+- reads an atom through a parameter or constant whose view broadcasts
+  to more axes (`E(x1, w)` over (x1, x2, x3)) from that view, read and
+  counted once per call (`r1[:, p0]`, then `c0[:, None, None]` at each
+  position), and makes it that all-false constant at run time when the
+  view is all-false, so that every product, XOR and disjunct built on
+  it is skipped.  The count is numpy's without its array-function
+  dispatch (`_count`), about half the cost of `np.count_nonzero`;
+- computes a scalar subformula that occurs more than once (it reads
+  only parameters, constants and relations) at most once per call,
+  though sibling branches need it: the first branch that runs computes
+  it into a local `c<i>`, which later ones read;
+- reads `x = t`, t a parameter or constant, as row t of the cached
+  identity, a view (`eye[p0, None, :]`), under t's range test, since
+  `eye[-1]` would read the last row; no `(arange == t)` is allocated;
+- computes an And, Or or XOR whose operand is a plain array negation
+  `~Y` in one numpy call: `x & ~Y` is `x > Y`, `x | ~Y` is `x >= Y`
+  and `x ^ ~Y` is `x == Y` on booleans;
 - tests a parameter's range (`k0 = 0 <= p0 < n`) once per branch: an
   atom inside the slice of a split on that parameter reads without it,
-  and a split inside it on the same parameter runs unguarded;
+  and a split inside it on the same parameter runs unguarded.  What a
+  scalar test guards holds the range tests the test implies: inside
+  `if (r0[p0] if k0 else False):` no atom tests k0;
 - lowers `x = t & ψ`, x a free variable and t a parameter or constant,
   with x bound to t inside ψ, and computes a rule whose disjunction has
   such a disjunct (`!(x = t) & OLD | x = t & NEW`) as the formula with
@@ -121,6 +136,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
+
+try:  # the count without numpy's array-function dispatch
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
 
 from .formulas import (And, Atom, Const, Eq, Exists, Forall, Formula,
                        FormulaError, Not, Or, Truth, Var, Xor)
@@ -258,11 +278,6 @@ def _eye(n: int) -> np.ndarray:
     return _readonly(np.eye(n, dtype=bool))
 
 
-@functools.lru_cache(maxsize=64)
-def _arange(n: int) -> np.ndarray:
-    return _readonly(np.arange(n))
-
-
 def _diag(sub: np.ndarray, spec: str) -> np.ndarray:
     """Collapse repeated variables of an atom to their diagonal."""
     return np.einsum(spec, sub.astype(np.uint8)).astype(bool)
@@ -292,11 +307,6 @@ def _copy(a, shape: tuple[int, ...]):
     out = np.empty(shape, dtype=bool)
     out[...] = a
     return out
-
-
-def _nonzero(a: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    """`a`, or the all-false constant `zero` when `a` is all-false."""
-    return a if np.count_nonzero(a) else zero
 
 
 def _differs(cells: np.ndarray, value: np.ndarray) -> bool:
@@ -389,7 +399,7 @@ class SliceArray:
             return self
         if getattr(value, "ndim", 0) == self.ndim:
             value = value.reshape(value.shape[1:])
-        if not np.count_nonzero(part != value):
+        if not _count_nonzero(part != value):
             return self
         return self.written(at, (), value)
 
@@ -515,9 +525,9 @@ _SHARE_MIN = 1 << 15
 # O<d> of shape (1,)*d are added on first use
 _NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
                     "_copy": _copy, "_stored": stored, "_keep": _keep,
-                    "_differs": _differs, "_nonzero": _nonzero,
+                    "_differs": _differs, "_count": _count_nonzero,
                     "SliceArray": SliceArray, "_diag": _diag, "_eye": _eye,
-                    "_arange": _arange, "_ArityMismatch": _ArityMismatch}
+                    "_ArityMismatch": _ArityMismatch}
 
 
 def _constant(value: bool, depth: int) -> str:
@@ -533,7 +543,9 @@ def _constant(value: bool, depth: int) -> str:
 # deeper branches are not taken.
 _MAX_NEST = 40
 _MAX_LEVEL = 30
-_TEMP = re.compile(r"\bt\d+\b")
+# temporaries (t<i>) and the locals that hold a value once computed for
+# the rest of a call (c<i>, see `_Lowering._once`)
+_TEMP = re.compile(r"\b[tc]\d+\b")
 # context keys: the (axis, term) equalities known to be false, the
 # `_Cells` of the enclosing splits of a chain, a mark that no case split
 # may be made, and the range tests that enclosing branches hold
@@ -585,7 +597,9 @@ class _Val:
     whose value, in axis order, this is on the cells the enclosing
     splits bind (on all cells outside a split).  `chain` names the
     relation array that the temporary `code` holds unless a split wrote
-    cells of a copy."""
+    cells of a copy.  `neg` is X when `code` is the plain negation `(~X)`
+    of an array.  `implies` holds the range tests that a scalar's truth
+    implies, and those that its falsity implies."""
 
     code: str
     array: bool
@@ -594,6 +608,8 @@ class _Val:
     nest: int = 0
     whole: str = ""
     chain: str = ""
+    neg: str = ""
+    implies: tuple = (frozenset(), frozenset())
 
 
 @dataclass
@@ -679,6 +695,7 @@ class _Lowering:
         self.found: list[tuple] = []
         self.outer: list[tuple] = []            # the candidates around
         self.within_free = 0    # > 0 inside a parameter-free slot's branch
+        self.once: dict[tuple, str] = {}        # key -> c<i> (see `_once`)
 
     # -- analysis: structural ids, free variables and uses, each node once
 
@@ -769,15 +786,15 @@ class _Lowering:
             [f"S{i}" for i in range(len(self.slot_objs))]
         lines = []
         _render(body.stmts, 1, lines)
-        used = set(re.findall(r"\b(?:k\d+|ar|eye)\b", "\n".join(lines)))
+        used = set(re.findall(r"\b(?:[kc]\d+|eye)\b", "\n".join(lines)))
         return "\n".join(
             [f"def kernel({', '.join(['rels', 'n', 'params'] + args)}):"]
             + self._preamble(used) + lines) + "\n"
 
     def _preamble(self, used: set[str]) -> list[str]:
         """The kernel's first lines: its relations and their arity check,
-        its parameters, and the range tests and constants that `used`
-        names."""
+        its parameters, and the range tests, constants and values
+        computed once that `used` names."""
         lines = []
         checks = []
         for i, (rel, arities) in enumerate(sorted(self.arities.items())):
@@ -790,10 +807,11 @@ class _Lowering:
             lines.append(f"    {local} = params[P{i}]")
             if f"k{local[1:]}" in used:
                 lines.append(f"    k{local[1:]} = 0 <= {local} < n")
-        if "ar" in used:
-            lines.append("    ar = _arange(n)")
         if "eye" in used:
             lines.append("    eye = _eye(n)")
+        once = [c for c in self.once.values() if c in used]
+        if once:  # none computed yet
+            lines.append(f"    {' = '.join(once)} = None")
         return lines
 
     def _rel(self, rel: str) -> str:
@@ -832,14 +850,27 @@ class _Lowering:
             return v
         t = self._temp(v.code)
         block.stmts.append(("assign", t, v.code))
-        return _Val(t, v.array, None, v.may, whole=v.whole)
+        return _Val(t, v.array, None, v.may, whole=v.whole, implies=v.implies)
 
-    def val(self, code: str, array: bool, block: _Block,
-            may=frozenset(), nest: int = 0) -> _Val:
-        v = _Val(code, array, None, frozenset(may), nest)
+    def val(self, code: str, array: bool, block: _Block, may=frozenset(),
+            nest: int = 0, neg: str = "",
+            implies: tuple = (frozenset(), frozenset())) -> _Val:
+        v = _Val(code, array, None, frozenset(may), nest, neg=neg,
+                 implies=implies)
         if may or nest > _MAX_NEST:
             v = self.named(v, block)
         return v
+
+    def _once(self, key: tuple, stmts: Callable[[str], list],
+              block: _Block) -> str:
+        """The local c<i> of `key`, which holds one value for the rest of
+        the call once computed (None before).  The statements `stmts(c)`
+        compute it into c; they run here unless an earlier site of the
+        call ran them, so the value is computed at most once per call
+        however many sibling branches need it."""
+        name = self.once.setdefault(key, f"c{len(self.once)}")
+        block.stmts.append(("if", f"{name} is None", stmts(name), [], name))
+        return name
 
     def const(self, value: bool, array: bool, depth: int) -> _Val:
         code = _constant(value, depth) if array else repr(value)
@@ -862,18 +893,42 @@ class _Lowering:
         if hit is not None:
             return hit
         slot = self._candidate(f, ctx, depth, block)
-        if slot is None:
-            v = self._gen(f, ctx, depth, scope, block)
-        else:
+        if slot is not None:
             self.outer.append(slot[0])
             if self._takes(*slot):
                 v = self._slotted(f, ctx, depth, scope, block, *slot)
             else:
                 v = self._gen(f, ctx, depth, scope, block)
             self.outer.pop()
+        elif self.uses[key[0]] > 1 and not _trivial(f) \
+                and block.level < _MAX_LEVEL and not self._is_array(f, ctx):
+            v = self._scalar_once(f, ctx, depth, scope, block)
+        else:
+            v = self._gen(f, ctx, depth, scope, block)
         if self.uses[key[0]] > 1:
             v = self.named(v, block)
             block.memo[key] = v
+        return v
+
+    def _scalar_once(self, f, ctx, depth: int, scope: tuple,
+                     block: _Block) -> _Val:
+        """A scalar subformula that occurs more than once, computed at most
+        once per call (`_once`): its value depends only on what its free
+        variables are bound to, parameters or constants, so every site
+        of the kernel that binds them alike shares it, sibling branches
+        included."""
+        key = ("scalar", self.cid[id(f)],
+               tuple((x, self._term(Var(x), ctx)) for x in sorted(self.fv[id(f)])))
+        hit = block.lookup(key)
+        if hit is not None:
+            return hit
+        inner = block.child()
+        v = self._gen(f, ctx, depth, scope, inner)
+        if v.const is not None or not inner.stmts and not v.nest:
+            return v  # a constant or one atom: as cheap to compute again
+        name = self._once(key, lambda c: inner.stmts + [("assign", c, v.code)],
+                          block)
+        v = block.memo[key] = _Val(name, False, implies=v.implies)
         return v
 
     def _candidate(self, f, ctx, depth: int, block: _Block):
@@ -1015,19 +1070,25 @@ class _Lowering:
         its slice, lowered without x's axis, splits again on an axis still
         free there, as long as the base stays that relation's array on the
         cells the chain binds.  None when such a split does not (its base
-        is then lowered for nothing)."""
+        is then lowered for nothing, and its statements dropped)."""
         axis = ctx[name][1]
         kind, at = term
         outer = ctx.get(_AT)
         off_ctx = dict(ctx)
         off_ctx[_NE] = ctx.get(_NE, frozenset()) | {(axis, term)}
+        trial = block
         if outer is not None:
             off_ctx[_NO_SPLIT] = (None, None)
             found, slots = len(self.found), len(self.slot_objs)
-        off = self.gen(f, off_ctx, depth, scope + ((_NE, axis, term),), block)
-        if outer is not None and off.whole != outer.rel:
-            self._forget(found, slots)
-            return None
+            # lowered apart, and kept only when the chain goes on
+            trial = _Block(parent=block, level=block.level)
+        off = self.gen(f, off_ctx, depth, scope + ((_NE, axis, term),), trial)
+        if outer is not None:
+            if off.whole != outer.rel:
+                self._forget(found, slots)
+                return None
+            block.stmts += trial.stmts
+            block.memo.update(trial.memo)
         if kind == "lit" and at < 0:  # x = t holds nowhere
             return off
         if kind == "lit":
@@ -1202,19 +1263,51 @@ class _Lowering:
             if at and r == at.rel:  # the cells the chain binds, read once
                 return _Val(at.read, array, whole=r)
             return _Val(code, array, whole=r)
-        zero = _constant(False, depth) if array else "False"
-        may = set()
-        if array and index and len(distinct) < depth:
-            # a view through a parameter or constant, broadcast to more
-            # axes: the all-false constant when it is all-false, which
-            # prunes what is built on it
-            code = f"_nonzero({code}, {zero})"
-            may.add(False)
         held = ctx.get(_HELD, ())  # the tests an enclosing branch holds
-        guards = [g for g in guards if g not in held]
-        if guards:
-            code = f"({code} if {' and '.join(guards)} else {zero})"
-        return self.val(code, array, block, may)
+        tests = [g for g in guards if g not in held]
+        if array and index and len(distinct) < depth:
+            return self._view(r, terms, distinct, tests, depth, block)
+        zero = _constant(False, depth) if array else "False"
+        if tests:
+            code = f"({code} if {' and '.join(tests)} else {zero})"
+        if array:
+            return self.val(code, True, block)
+        # true only where every range test holds
+        return self.val(code, False, block,
+                        implies=(frozenset(guards), frozenset()))
+
+    def _view(self, r: str, terms: list, distinct: list, tests: list,
+              depth: int, block: _Block) -> _Val:
+        """An atom read through a parameter or constant whose view
+        broadcasts to more axes: `E(y2, w)` over four axes reads E's
+        column w as `c[None, :, None, None]`.  The view, its axes in
+        axis order, is read and counted once per call (`_once`), and is
+        False when it is all-false or a range test fails; every position
+        of it is then the all-false constant, which prunes what is built
+        on it."""
+        axes = [v for k, v in terms if k == "axis"]
+        index = ", ".join(":" if k == "axis" else str(v) for k, v in terms)
+        if len(distinct) < len(axes):  # a repeated variable: the diagonal
+            spec = "".join(chr(ord("a") + distinct.index(a)) for a in axes) \
+                + "->" + "".join(chr(ord("a") + i) for i in range(len(distinct)))
+            view = f"_diag({r}[{index}], {spec!r})"
+        elif axes == distinct:
+            view = f"{r}[{index}]"
+        else:
+            perm = sorted(range(len(axes)), key=axes.__getitem__)
+            view = f"{r}[{index}].transpose({', '.join(map(str, perm))})"
+        key = ("view", view)
+        c = block.lookup(key)
+        if c is None:
+            read = f"({view} if {' and '.join(tests)} else False)" \
+                if tests else view
+            c = block.memo[key] = _Val(self._once(key, lambda c: [
+                ("assign", c, read),
+                ("assign", c, f"{c} if _count({c}) else False")], block), True)
+        zero = _constant(False, depth)
+        return self.val(f"({zero} if {c.code} is False else "
+                        f"{c.code}[{_pattern(distinct, depth)}])", True, block,
+                        {False})
 
     def _eq(self, f: Eq, ctx, depth: int, block: _Block) -> _Val:
         left, right = self._term(f.left, ctx), self._term(f.right, ctx)
@@ -1232,18 +1325,24 @@ class _Lowering:
             return self.const(False, True, depth)
         if kind == "lit" and c < 0:
             return self.const(False, True, depth)
-        code = f"(ar == {c})"
-        if depth > 1:
-            code += f"[{_pattern([axis], depth)}]"
+        # row c of the identity, a view; all-false where c is out of range
+        # (eye[-1] would read the last row)
+        code = f"eye[{c}]" if depth == 1 else \
+            f"eye[{c}, {_pattern([axis], depth)}]"
+        test = f"{c} < n" if kind == "lit" else f"k{c[1:]}"
+        if test not in ctx.get(_HELD, ()):
+            code = f"({code} if {test} else {_constant(False, depth)})"
         return self.val(code, True, block)
 
     def negate(self, v: _Val, depth: int, block: _Block) -> _Val:
         if v.const is not None:
             return self.const(not v.const, v.array, depth)
         if not v.array:
-            return self.val(f"(not {v.code})", False, block, nest=v.nest + 1)
+            return self.val(f"(not {v.code})", False, block, nest=v.nest + 1,
+                            implies=v.implies[::-1])
         return self.val(_not_code(v, depth), True, block,
-                        {not c for c in v.may}, v.nest + 1)
+                        {not c for c in v.may}, v.nest + 1,
+                        neg="" if v.may else v.code)
 
     def _junction(self, f, is_and: bool, array: bool, ctx, depth, scope,
                   block) -> _Val:
@@ -1284,6 +1383,13 @@ class _Lowering:
         # the second operand is only evaluated when the first does not decide
         decides = (not x.array) or absorb in x.may
         branch = block.child() if decides and block.level < _MAX_LEVEL else block
+        if not x.array and branch is not block:
+            # y runs only where x did not decide: the range tests that
+            # implies hold there
+            held = ctx.get(_HELD, frozenset())
+            more = x.implies[0 if is_and else 1] - held
+            if more:
+                ctx = {**ctx, _HELD: held | more}
         y = self.gen(second, ctx, depth, scope, branch)
         if y.const == absorb:
             return self.const(absorb, array, depth)
@@ -1292,13 +1398,21 @@ class _Lowering:
         if not x.array:
             # decided: x is the absorbing value; otherwise the result is y
             test = x.code if is_and else f"(not {x.code})"
+            (xt, xf), (yt, yf) = x.implies, y.implies
             return self._select(test, branch, y.code,
                                 self.const(absorb, y.array, depth), y.array,
                                 y.may | ({absorb} if y.array else set()),
-                                max(x.nest, y.nest) + 1, block)
-        # both arrays; x may still be the identity constant, y either one
+                                max(x.nest, y.nest) + 1, block,
+                                (xt | yt, xf & yf) if is_and else
+                                (xt & yt, xf | yf))
+        # both arrays; x may still be the identity constant, y either one.
+        # x & ~Y is x > Y and x | ~Y is x >= Y: one call, not two
         op = "&" if is_and else "|"
         code = f"({x.code} {op} {y.code})"
+        for a, b in ((x, y), (y, x)):
+            if b.neg:
+                code = f"({a.code} {'>' if is_and else '>='} {b.neg})"
+                break
         may: set = set()
         for c in y.may:
             code = f"({_constant(absorb, depth) if c == absorb else x.code} " \
@@ -1315,16 +1429,17 @@ class _Lowering:
         return self.val(code, True, block, may, max(x.nest, y.nest) + 1)
 
     def _select(self, test: str, branch: _Block, code: str, otherwise: _Val,
-                array: bool, may, nest: int, block: _Block) -> _Val:
+                array: bool, may, nest: int, block: _Block,
+                implies: tuple = (frozenset(), frozenset())) -> _Val:
         """`code` when `test` holds, else `otherwise`.  Statements that
         `code` needs go into an if-statement, so they run only then."""
         if branch is block or not branch.stmts:
             return self.val(f"({code} if {test} else {otherwise.code})", array,
-                            block, may, nest)
+                            block, may, nest, implies=implies)
         t = self._temp(f"{code} {otherwise.code}")
         block.stmts.append(("if", test, branch.stmts + [("assign", t, code)],
                             [("assign", t, otherwise.code)], t))
-        return _Val(t, array, None, frozenset(may))
+        return _Val(t, array, None, frozenset(may), implies=implies)
 
     def _xor(self, f, array: bool, ctx, depth, scope, block) -> _Val:
         first, second = f.left, f.right
@@ -1344,6 +1459,10 @@ class _Lowering:
             return self.val(f"({_not_code(y, depth)} if {x.code} else {y.code})",
                             True, block, y.may | {not c for c in y.may}, nest)
         code = f"({x.code} ^ {y.code})"
+        for a, b in ((x, y), (y, x)):
+            if b.neg:  # x ^ ~Y is x == Y
+                code = f"({a.code} == {b.neg})"
+                break
         may: set = set()
         for a, b in ((y, x), (x, y)):
             for c in a.may:
@@ -1419,6 +1538,14 @@ def _without_axis(ctx: dict, axis: int) -> dict:
             b = ("axis", b[1] - 1)
         out[key] = b
     return out
+
+
+def _trivial(f: Formula) -> bool:
+    """An atomic formula or a negation of one: no cheaper to keep than to
+    compute again."""
+    while isinstance(f, Not):
+        f = f.sub
+    return isinstance(f, (Atom, Eq, Truth))
 
 
 def _disjuncts(f: Formula) -> list[Formula]:
@@ -1511,7 +1638,9 @@ def _insert_dels(stmts: list, outer: tuple) -> set[str]:
             last[t] = i
     after: dict[int, list[str]] = {}
     for t in dict.fromkeys(map(_defines, stmts)):  # a chain's, defined twice
-        if t is None or t in outer:
+        # a value computed once (c<i>) lives for the whole call: a sibling
+        # branch may read it
+        if t is None or t in outer or t[0] == "c":
             continue
         i = last[t]
         if stmts[i][0] != "return":

@@ -458,6 +458,41 @@ def test_parameter_views_and_compact_chains_match_evaluate(
         _check_bulk(f, s, params, frees, as_stored=sliced)
 
 
+# Equalities of a free variable with a parameter, which a kernel reads as
+# a row of the identity: a parameter out of range, negative ones
+# included, must read as all-false (a negative index would wrap around).
+EQ_RULES = [  # rule, frees
+    ("x = w", ("x",)),
+    ("x = w", ("y", "x")),
+    ("(x = v | x = w) & R(x)", ("x",)),
+    ("(x = v | x = w) & R(x)", ("y", "x")),
+    ("!x = w & T(x)", ("x",)),
+    ("!x = w & T(x)", ("x", "y")),
+    ("x = w & E(x, y)", ("x", "y")),
+    ("x = w & E(x, y)", ("y", "x")),
+]
+EQ_SCHEMA = {"E": 2, "R": 1, "T": 1}
+
+
+@pytest.mark.parametrize("sliced", [False, True], ids=["dense", "sliced"])
+@pytest.mark.parametrize("text,frees", EQ_RULES,
+                         ids=[f"{t} over {','.join(f)}" for t, f in EQ_RULES])
+def test_parameter_equalities_match_evaluate(text, frees, sliced,
+                                             monkeypatch):
+    """Each rule agrees with `evaluate` at n = 0, 1 and 4 for w and v each
+    of -1, 0, n - 1, n and n + 3, on dense arrays and on SliceArrays."""
+    if sliced:
+        monkeypatch.setattr(be, "_SHARE_MIN", 0)
+    f = parse_formula(text)
+    rng = random.Random(f"eq:{text}:{frees}:{sliced}")
+    for n in (0, 1, 4):
+        s = random_structure(rng, n, EQ_SCHEMA)
+        values = (-1, 0, n - 1, n, n + 3)
+        for w in values:
+            for v in values:
+                _check_bulk(f, s, {"w": w, "v": v}, frees, as_stored=sliced)
+
+
 def _frozen(arrays):
     """Read-only copies of the dense arrays of `arrays`, as a state holds
     them; a SliceArray is read-only already."""

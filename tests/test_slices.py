@@ -1,7 +1,10 @@
 """bulk_eval's SliceArray against the dense numpy array it stands for,
-and the lowering's use of named temporaries."""
+the lowering's use of named temporaries, and the shape of the catalog's
+kernels."""
 
+import ast
 import gc
+import itertools
 import random
 import re
 
@@ -9,10 +12,13 @@ import numpy as np
 import pytest
 
 from dyncomplab import bulk_eval as be
+from dyncomplab import constructions as cx
+from dyncomplab import interpreter
 from dyncomplab import programs as pg
 from dyncomplab.bulk_eval import (SliceArray, _Lowering, _diag,
                                   array_to_relation, stored, stored_relation)
 from dyncomplab.formulas import parse_formula
+from dyncomplab.interpreter import init_state, step
 
 
 @pytest.fixture
@@ -230,11 +236,32 @@ def test_a_branch_does_not_test_a_range_again():
     kernel of the catalog tests kN again: degree_rel_3's insert-E List_1
     reads `r1[p0, :, p1]` under `if k0:` / `if k1:`, not
     `(r1[...] if k0 and k1 else Z3)`.  Two splits on one parameter test
-    it once, with no `if True:` for the inner one."""
+    it once, with no `if True:` for the inner one.  Nor does what runs
+    only where a scalar test holds test the ranges that the test implies:
+    prop_4's insert-E P_0_4 reads E's column w with no `k0` under
+    `if (r0[p0] if k0 else False):`, and degree_rel_3's delete-E First_1
+    reads `(r1[p0, p1, :] if t4 else Z1)`, t4 being
+    `(r0[p0, p1] if k1 else False)`, not `((r1[...] if k1 else Z1) if
+    t4 else Z1)`."""
     rule = pg.catalog_entry("degree_rel_3").build().rules[
         ("ins", "E", "List_1")]
     source = _Lowering(rule.body, rule.params, rule.frees).source()
     assert "if k1:" in source and "if k0 and k1 else" not in source, source
+    rule = pg.catalog_entry("parity_exists_prop_4").build().rules[
+        ("ins", "E", "P_0_4")]
+    lines = _Lowering(rule.body, rule.params, rule.frees).source().splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.strip() == "if (r0[p0] if k0 else False):")
+    indent = len(lines[at]) - len(lines[at].lstrip())
+    inside = list(itertools.takewhile(
+        lambda line: len(line) - len(line.lstrip()) > indent, lines[at + 1:]))
+    assert "r1[:, p0]" in "\n".join(inside), lines
+    assert not any(re.search(r"\bk0\b", line) for line in inside), inside
+    rule = pg.catalog_entry("degree_rel_3").build().rules[
+        ("del", "E", "First_1")]
+    source = _Lowering(rule.body, rule.params, rule.frees).source()
+    assert "(r1[p0, p1, :] if t" in source and "if k1 else Z1" not in source, \
+        source
     source = _Lowering(parse_formula("T(x, y, z) | x = w & y = w & E(z, w)"),
                        ("w",), ("x", "y", "z")).source()
     assert source.count("if k0:") == 1 and "if True" not in source, source
@@ -254,6 +281,46 @@ def test_a_branch_does_not_test_a_range_again():
                 test = re.fullmatch(r" +if (k\d+):", line)
                 if test:
                     held.append((indent, test[1]))
+            _assert_scalar_tests_hold_their_range_tests(key, source)
+
+
+def _range_tests(test: ast.expr, guarded: dict) -> set[str]:
+    """The range tests kN that `test` being true implies: those of an atom
+    `(r[...] if kN and ... else False)`, directly or through the temporary
+    it was assigned to (`guarded`)."""
+    if isinstance(test, ast.Name):
+        return guarded.get(test.id, set())
+    if isinstance(test, ast.IfExp) and isinstance(test.orelse, ast.Constant) \
+            and test.orelse.value is False \
+            and isinstance(test.body, ast.Subscript):
+        names = test.test.values if isinstance(test.test, ast.BoolOp) \
+            else [test.test]
+        return {t.id for t in names
+                if isinstance(t, ast.Name) and re.fullmatch(r"k\d+", t.id)}
+    return set()
+
+
+def _assert_scalar_tests_hold_their_range_tests(key, source: str) -> None:
+    """What runs only where a scalar test holds reads no range test that
+    the test implies: not in `if (r0[p0] if k0 else False):`, and not in
+    `(r1[p0, p1, :] if t4 else Z1)` where t4 is `(r0[p0, p1] if k1 else
+    False)`."""
+    tree = ast.parse(source)
+    guarded = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            tests = _range_tests(node.value, {})
+            if tests:
+                guarded[node.targets[0].id] = tests
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.IfExp)):
+            inside = node.body if isinstance(node, ast.If) else [node.body]
+            for k in _range_tests(node.test, guarded):
+                for part in inside:
+                    assert not any(isinstance(n, ast.Name) and n.id == k
+                                   for n in ast.walk(part)), \
+                        (key, k, ast.unparse(node), source)
 
 
 def test_stored_keeps_small_arrays_and_slices_large_ones():
@@ -407,3 +474,88 @@ def test_kernel_results_are_stored_as_slices_when_large(every_array_sliced):
             _same(got, want)
     for name, a in dense.items():
         _same(rels[name], a)
+
+
+@pytest.fixture(scope="module")
+def planned_sources():
+    """The source of every catalog kernel as `interpreter._plan` lowers
+    it, by (program, op, relation, target)."""
+    sources = []
+    function = be._function
+
+    def keep(source, names):
+        sources.append(source)
+        return function(source, names)
+
+    out = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(be, "_function", keep)
+        for entry in pg.catalog():
+            prog = entry.build()
+            for op, rel in dict.fromkeys((op, rel) for op, rel, _ in prog.rules):
+                del sources[:]
+                interpreter._plan(prog, op, rel)   # one kernel per target
+                for target, source in zip(prog.aux_schema, sources, strict=True):
+                    out[(entry.name, op, rel, target)] = source
+    return out
+
+
+def test_no_kernel_compares_a_range_with_a_parameter(planned_sources):
+    """`x = p` reads row p of the cached identity, a view, and allocates
+    no `(ar == p)`."""
+    assert len(planned_sources) == 718
+    for key, source in planned_sources.items():
+        assert not re.search(r"\bar\b|_arange", source), (key, source)
+
+
+def test_no_kernel_combines_an_array_with_a_plain_negation(planned_sources):
+    """`x & ~Y` is `x > Y`, `x | ~Y` is `x >= Y` and `x ^ ~Y` is `x == Y`:
+    one numpy call each, not two."""
+    ops = (ast.BitAnd, ast.BitOr, ast.BitXor)
+    for key, source in planned_sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ops):
+                for side in (node.left, node.right):
+                    assert not (isinstance(side, ast.UnaryOp) and
+                                isinstance(side.op, ast.Invert)), \
+                        (key, ast.unparse(node))
+
+
+class _Reads(np.ndarray):
+    """An array that counts the reads of its cells."""
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.view(np.ndarray)[index]
+
+
+def test_a_kernel_reads_a_parameter_view_and_a_parameter_test_once():
+    """prop_4's insert-E P_0_4, as `interpreter._plan` lowers it, reads
+    E's column w in four broadcast positions of each of its five
+    disjuncts, and tests `!Nc_1(w) & ... & !Nc_gt(w)` in five sibling
+    branches: it reads and counts the column at most once per call, and
+    each Nc relation at most once, over a seeded stream that reaches
+    both."""
+    prog = pg.catalog_entry("parity_exists_prop_4").build()
+    rule = prog.rules[("ins", "E", "P_0_4")]
+    interpreter._plan(prog, "ins", "E")
+    n = 6
+    state = init_state(prog, n)
+    most = {}
+    for c in cx.random_changes(n, list(prog.input_schema.items()), 400,
+                               random.Random(1)):
+        if (c.op, c.relation) == ("ins", "E"):
+            env = {**state.input_arrays, **state.builtin_arrays,
+                   **state.aux_arrays}
+            counted = {}
+            for name in ["E", "Nc_gt"] + [f"Nc_{i}" for i in range(1, 6)]:
+                counted[name] = env[name].view(_Reads)
+                counted[name].reads = 0
+            got = be.bulk_eval(rule.body, {**env, **counted}, n,
+                               dict(zip(rule.params, c.args)), rule.frees)
+            assert np.array_equal(got, be.bulk_eval(
+                rule.body, env, n, dict(zip(rule.params, c.args)), rule.frees))
+            for name, a in counted.items():
+                most[name] = max(most.get(name, 0), a.reads)
+        state = step(state, c)
+    assert set(most.values()) == {1}, most
