@@ -26,10 +26,6 @@ The lowering
   view is all-false, so that every product, XOR and disjunct built on
   it is skipped.  The count is numpy's without its array-function
   dispatch (`_count`), about half the cost of `np.count_nonzero`;
-- computes a scalar subformula that occurs more than once (it reads
-  only parameters, constants and relations) at most once per call,
-  though sibling branches need it: the first branch that runs computes
-  it into a local `c<i>`, which later ones read;
 - reads `x = t`, t a parameter or constant, as row t of the cached
   identity, a view (`eye[p0, None, :]`), under t's range test, since
   `eye[-1]` would read the last row; no `(arange == t)` is allocated;
@@ -139,8 +135,11 @@ import numpy as np
 
 try:  # the count without numpy's array-function dispatch
     from numpy._core.multiarray import count_nonzero as _count_nonzero
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import count_nonzero as _count_nonzero
+except ImportError:
+    try:  # numpy < 2
+        from numpy.core.multiarray import count_nonzero as _count_nonzero
+    except ImportError:  # the same count, dispatched
+        _count_nonzero = np.count_nonzero
 
 from .formulas import (And, Atom, Const, Eq, Exists, Forall, Formula,
                        FormulaError, Not, Or, Truth, Var, Xor)
@@ -543,8 +542,8 @@ def _constant(value: bool, depth: int) -> str:
 # deeper branches are not taken.
 _MAX_NEST = 40
 _MAX_LEVEL = 30
-# temporaries (t<i>) and the locals that hold a value once computed for
-# the rest of a call (c<i>, see `_Lowering._once`)
+# temporaries (t<i>) and the locals that hold a parameter view for the
+# rest of a call once read (c<i>, see `_Lowering._view`)
 _TEMP = re.compile(r"\b[tc]\d+\b")
 # context keys: the (axis, term) equalities known to be false, the
 # `_Cells` of the enclosing splits of a chain, a mark that no case split
@@ -695,7 +694,7 @@ class _Lowering:
         self.found: list[tuple] = []
         self.outer: list[tuple] = []            # the candidates around
         self.within_free = 0    # > 0 inside a parameter-free slot's branch
-        self.once: dict[tuple, str] = {}        # key -> c<i> (see `_once`)
+        self.once: dict[tuple, str] = {}        # view -> c<i> (see `_view`)
 
     # -- analysis: structural ids, free variables and uses, each node once
 
@@ -793,8 +792,8 @@ class _Lowering:
 
     def _preamble(self, used: set[str]) -> list[str]:
         """The kernel's first lines: its relations and their arity check,
-        its parameters, and the range tests, constants and values
-        computed once that `used` names."""
+        its parameters, and the range tests, constants and parameter
+        views read once that `used` names."""
         lines = []
         checks = []
         for i, (rel, arities) in enumerate(sorted(self.arities.items())):
@@ -810,7 +809,7 @@ class _Lowering:
         if "eye" in used:
             lines.append("    eye = _eye(n)")
         once = [c for c in self.once.values() if c in used]
-        if once:  # none computed yet
+        if once:  # none read yet
             lines.append(f"    {' = '.join(once)} = None")
         return lines
 
@@ -861,17 +860,6 @@ class _Lowering:
             v = self.named(v, block)
         return v
 
-    def _once(self, key: tuple, stmts: Callable[[str], list],
-              block: _Block) -> str:
-        """The local c<i> of `key`, which holds one value for the rest of
-        the call once computed (None before).  The statements `stmts(c)`
-        compute it into c; they run here unless an earlier site of the
-        call ran them, so the value is computed at most once per call
-        however many sibling branches need it."""
-        name = self.once.setdefault(key, f"c{len(self.once)}")
-        block.stmts.append(("if", f"{name} is None", stmts(name), [], name))
-        return name
-
     def const(self, value: bool, array: bool, depth: int) -> _Val:
         code = _constant(value, depth) if array else repr(value)
         return _Val(code, array, value)
@@ -893,42 +881,18 @@ class _Lowering:
         if hit is not None:
             return hit
         slot = self._candidate(f, ctx, depth, block)
-        if slot is not None:
+        if slot is None:
+            v = self._gen(f, ctx, depth, scope, block)
+        else:
             self.outer.append(slot[0])
             if self._takes(*slot):
                 v = self._slotted(f, ctx, depth, scope, block, *slot)
             else:
                 v = self._gen(f, ctx, depth, scope, block)
             self.outer.pop()
-        elif self.uses[key[0]] > 1 and not _trivial(f) \
-                and block.level < _MAX_LEVEL and not self._is_array(f, ctx):
-            v = self._scalar_once(f, ctx, depth, scope, block)
-        else:
-            v = self._gen(f, ctx, depth, scope, block)
         if self.uses[key[0]] > 1:
             v = self.named(v, block)
             block.memo[key] = v
-        return v
-
-    def _scalar_once(self, f, ctx, depth: int, scope: tuple,
-                     block: _Block) -> _Val:
-        """A scalar subformula that occurs more than once, computed at most
-        once per call (`_once`): its value depends only on what its free
-        variables are bound to, parameters or constants, so every site
-        of the kernel that binds them alike shares it, sibling branches
-        included."""
-        key = ("scalar", self.cid[id(f)],
-               tuple((x, self._term(Var(x), ctx)) for x in sorted(self.fv[id(f)])))
-        hit = block.lookup(key)
-        if hit is not None:
-            return hit
-        inner = block.child()
-        v = self._gen(f, ctx, depth, scope, inner)
-        if v.const is not None or not inner.stmts and not v.nest:
-            return v  # a constant or one atom: as cheap to compute again
-        name = self._once(key, lambda c: inner.stmts + [("assign", c, v.code)],
-                          block)
-        v = block.memo[key] = _Val(name, False, implies=v.implies)
         return v
 
     def _candidate(self, f, ctx, depth: int, block: _Block):
@@ -1236,25 +1200,25 @@ class _Lowering:
         index = [str(v) for k, v in terms if k != "axis"]
         axes = [v for k, v in terms if k == "axis"]
         distinct = sorted(set(axes))
-        if not axes:
-            code = f"{r}[{', '.join(index) or '()'}]"
-        else:
-            # constant positions first, then the variables by axis
-            order = [i for i, (k, _) in enumerate(terms) if k != "axis"] + \
-                sorted((i for i, (k, _) in enumerate(terms) if k == "axis"),
-                       key=lambda i: terms[i][1])
-            if len(distinct) < len(axes):
-                letters = "".join(chr(ord("a") + distinct.index(a)) for a in axes)
-                spec = letters + "->" + "".join(
-                    chr(ord("a") + i) for i in range(len(distinct)))
-                sub = ", ".join(":" if k == "axis" else str(v) for k, v in terms)
-                code = f"_diag({r}[{sub}], {spec!r})[{_pattern(distinct, depth)}]"
-            elif axes == distinct:
+        # the atom's value over its own axes, in axis order (`view`),
+        # and the read of it in the node's broadcast shape (`code`)
+        sub = ", ".join(":" if k == "axis" else str(v) for k, v in terms)
+        view = code = f"{r}[{sub or '()'}]"
+        if axes == distinct:  # one index: constants, slices and None
+            if axes:
                 code = f"{r}[{', '.join(_interleave(terms, depth))}]"
+        else:
+            if len(distinct) < len(axes):  # a repeated variable: the diagonal
+                spec = "".join(chr(ord("a") + distinct.index(a)) for a in axes) \
+                    + "->" + "".join(chr(ord("a") + i)
+                                     for i in range(len(distinct)))
+                view = f"_diag({view}, {spec!r})"
             else:
-                perm = ", ".join(map(str, order))
-                sub = ", ".join(index + [_pattern(distinct, depth)])
-                code = f"{r}.transpose({perm})[{sub}]"
+                perm = sorted(range(len(axes)), key=axes.__getitem__)
+                view = f"{view if index else r}.transpose(" \
+                    f"{', '.join(map(str, perm))})"
+            code = view if len(distinct) == depth else \
+                f"{view}[{_pattern(distinct, depth)}]"
         at = ctx.get(_AT)
         # the whole atom in axis order (in a chain's slice, on its bound
         # cells and outside every quantifier, which adds an axis)
@@ -1266,7 +1230,7 @@ class _Lowering:
         held = ctx.get(_HELD, ())  # the tests an enclosing branch holds
         tests = [g for g in guards if g not in held]
         if array and index and len(distinct) < depth:
-            return self._view(r, terms, distinct, tests, depth, block)
+            return self._view(view, distinct, tests, depth, block)
         zero = _constant(False, depth) if array else "False"
         if tests:
             code = f"({code} if {' and '.join(tests)} else {zero})"
@@ -1276,34 +1240,28 @@ class _Lowering:
         return self.val(code, False, block,
                         implies=(frozenset(guards), frozenset()))
 
-    def _view(self, r: str, terms: list, distinct: list, tests: list,
-              depth: int, block: _Block) -> _Val:
+    def _view(self, view: str, distinct: list, tests: list, depth: int,
+              block: _Block) -> _Val:
         """An atom read through a parameter or constant whose view
         broadcasts to more axes: `E(y2, w)` over four axes reads E's
         column w as `c[None, :, None, None]`.  The view, its axes in
-        axis order, is read and counted once per call (`_once`), and is
-        False when it is all-false or a range test fails; every position
-        of it is then the all-false constant, which prunes what is built
-        on it."""
-        axes = [v for k, v in terms if k == "axis"]
-        index = ", ".join(":" if k == "axis" else str(v) for k, v in terms)
-        if len(distinct) < len(axes):  # a repeated variable: the diagonal
-            spec = "".join(chr(ord("a") + distinct.index(a)) for a in axes) \
-                + "->" + "".join(chr(ord("a") + i) for i in range(len(distinct)))
-            view = f"_diag({r}[{index}], {spec!r})"
-        elif axes == distinct:
-            view = f"{r}[{index}]"
-        else:
-            perm = sorted(range(len(axes)), key=axes.__getitem__)
-            view = f"{r}[{index}].transpose({', '.join(map(str, perm))})"
+        axis order, is read and counted at most once per call, however
+        many sibling branches need it: a local c<i>, None until the first
+        site that runs reads it, holds it for the rest of the call.  It
+        is False when it is all-false or a range test fails; every
+        position of it is then the all-false constant, which prunes what
+        is built on it."""
         key = ("view", view)
         c = block.lookup(key)
         if c is None:
+            name = self.once.setdefault(key, f"c{len(self.once)}")
             read = f"({view} if {' and '.join(tests)} else False)" \
                 if tests else view
-            c = block.memo[key] = _Val(self._once(key, lambda c: [
-                ("assign", c, read),
-                ("assign", c, f"{c} if _count({c}) else False")], block), True)
+            block.stmts.append(("if", f"{name} is None", [
+                ("assign", name, read),
+                ("assign", name, f"{name} if _count({name}) else False")],
+                [], name))
+            c = block.memo[key] = _Val(name, True)
         zero = _constant(False, depth)
         return self.val(f"({zero} if {c.code} is False else "
                         f"{c.code}[{_pattern(distinct, depth)}])", True, block,
@@ -1540,14 +1498,6 @@ def _without_axis(ctx: dict, axis: int) -> dict:
     return out
 
 
-def _trivial(f: Formula) -> bool:
-    """An atomic formula or a negation of one: no cheaper to keep than to
-    compute again."""
-    while isinstance(f, Not):
-        f = f.sub
-    return isinstance(f, (Atom, Eq, Truth))
-
-
 def _disjuncts(f: Formula) -> list[Formula]:
     if isinstance(f, Or):
         return _disjuncts(f.left) + _disjuncts(f.right)
@@ -1638,8 +1588,8 @@ def _insert_dels(stmts: list, outer: tuple) -> set[str]:
             last[t] = i
     after: dict[int, list[str]] = {}
     for t in dict.fromkeys(map(_defines, stmts)):  # a chain's, defined twice
-        # a value computed once (c<i>) lives for the whole call: a sibling
-        # branch may read it
+        # a parameter view read once (c<i>) lives for the whole call: a
+        # sibling branch may read it
         if t is None or t in outer or t[0] == "c":
             continue
         i = last[t]
