@@ -4,10 +4,9 @@ Computes { b̄ : φ(params; b̄) } for a whole free-variable space at once.
 The first call for a formula object, a set of parameter names and an
 order of free variables lowers the formula into one straight-line numpy
 kernel (generated Python source, compiled once) and caches it by the
-formula's id; later calls look it up once and run it.  `lower_group`
-lowers the rules of one change together and caches their kernels the
-same way.  Semantically identical to formulas.evaluate, which stays the
-slow reference (property-tested against it).
+formula's id; later calls look it up once and run it.  Semantically
+identical to formulas.evaluate, which stays the slow reference
+(property-tested against it).
 
 The lowering
 - gives every atom a precomputed transpose and broadcast index, so an
@@ -18,7 +17,9 @@ The lowering
 - evaluates a repeated subformula once (structural hash-consing);
 - checks, at run time, whether an array operand is one of the shared
   all-false / all-true constants a branch produced, and then skips the
-  operation or the other operand (`x & y` with x all-false is all-false);
+  operation or the other operand (`x & y` with x all-false is all-false).
+  An operand that both outcomes of such a test read is named first, so
+  the source grows linearly with the formula;
 - reads an atom through a parameter or constant whose view broadcasts
   to more axes (`E(x1, w)` over (x1, x2, x3)) from that view, read and
   counted once per call (`r1[:, p0]`, then `c0[:, None, None]` at each
@@ -93,26 +94,11 @@ made for that one read.  `stored` takes its value over, so a
 relation's own array leaves a kernel only as the return of an identity
 rule or of an unchanged chain, never through `stored`.
 
-Value slots.  A slot keeps the last value of one array-valued
-subformula (not an atom, an equality or a rule's root) in one axis
-context, with its key: n, the values of the parameters it reads, and the
-arrays of the relations it reads, compared by identity.  A kernel reads
-the value when the key matches, and otherwise computes it and keeps it
-there.  States hand an unchanged array on as the same object, so a
-slot's value serves every later change that leaves its arrays alone (a
-prop_k guard `R(x1) & !R(y1) & ...` is recomputed only when R changes),
-and a slot that several rules of one change share serves them all.  A
-subformula lowered alone takes a slot when it reads no parameter;
-`lower_group` decides for a group (see there).  A value is kept only
-when it has fewer than _SHARE_MIN cells and every array it read is a
-dense read-only array that owns its memory (see `_keep`); it is made
-read-only and is never written in place.  A kernel holds one value per
-slot, so the slots go with the kernel, and no slot holds a rule's root,
-whose value `stored` keeps.
+A kernel keeps nothing from one call to the next: every call computes
+its value from `rels`, `n` and `params` alone.
 
-Kernels hold no program names: relation and parameter names and slots
-are bound as default arguments, so rules of the same shape share one
-code object.
+Kernels hold no program names: relation and parameter names are bound
+as default arguments, so rules of the same shape share one code object.
 """
 
 from __future__ import annotations
@@ -128,7 +114,7 @@ import sys
 import types
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -154,9 +140,9 @@ CACHE_SIZE = 4096
 # lowered again, and its new kernel replaces the old one.
 _kernels: dict[int, tuple[Formula, tuple[str, ...], frozenset, Kernel]] = {}
 # Compiled code by the digest of its source.  Relation and parameter
-# names and slots are arguments of the code, bound per kernel, so rules
-# of the same shape share one code object (the catalog's 718 rules have
-# 238 shapes).
+# names are arguments of the code, bound per kernel, so rules of the
+# same shape share one code object (the catalog's 718 rules have 238
+# shapes).
 _codes: OrderedDict[bytes, types.CodeType] = OrderedDict()
 
 
@@ -184,59 +170,17 @@ def bulk_eval(f: Formula, rels: Mapping[str, np.ndarray], n: int,
 
 
 def _kernel(f: Formula, params: tuple[str, ...], frees: tuple[str, ...]):
-    """The cache entry of f for these parameter names and frees, lowered
-    alone (slots only for its parameter-free subformulas) when the cache
-    has none."""
-    hit = _kernels.get(id(f))
-    if hit is not None and hit[0] is f and hit[1] == frees \
-            and hit[2] == frozenset(params):
-        return hit
-    return _install(f, params, frees, _deep(
-        f, lambda: _function(*_Lowering(f, params, frees).finish())))
-
-
-def _install(f: Formula, params: tuple[str, ...], frees: tuple[str, ...],
-             kernel: Kernel) -> tuple:
+    """The cache entry of f for these parameter names and frees, made
+    now: f lowered on its own into one kernel, which replaces any entry
+    of f.  `bulk_eval` calls it when the cache has no entry for the
+    call, and `interpreter._plan` for each rule of a change before the
+    change's first step, so that the step finds every kernel made."""
+    kernel = _deep(f, lambda: _function(*_Lowering(f, params, frees).finish()))
     _kernels.pop(id(f), None)
     entry = _kernels[id(f)] = (f, frees, frozenset(params), kernel)
     if len(_kernels) > CACHE_SIZE:
         del _kernels[next(iter(_kernels))]
     return entry
-
-
-def lower_group(rules, rewritten) -> None:
-    """Lower rules that run on the same change together, and cache each
-    kernel where `bulk_eval(body, ...)` looks it up.  `rules` holds
-    (body, parameter names, frees) triples whose parameters are bound by
-    position to the same values; the change may rewrite the relations
-    `rewritten` (the changed input relation and the targets of rules
-    that are not identities).
-
-    A first pass finds where each rule meets each slot candidate (see
-    `_Lowering._candidate`).  Taking the largest candidates first, one
-    takes a slot that the rules share when at least two rules meet it
-    outside every candidate that took one.  Any other candidate takes a
-    slot only when it reads no parameter and no relation of `rewritten`,
-    whose arrays are new at (almost) every change of the group."""
-    table = _Table(frozenset(rewritten))
-    rules = [(f, tuple(params), tuple(frees)) for f, params, frees in rules]
-    met: dict[tuple, list] = {}
-    lowered = []    # per rule: the keys it met, and its source and names
-    for i, (f, params, frees) in enumerate(rules):
-        lowering = _Lowering(f, params, frees, table)
-        finished = _deep(f, lowering.finish)
-        for key, outer in lowering.found:
-            met.setdefault(key, []).append((i, outer))
-        lowered.append(({key for key, _ in lowering.found}, finished))
-    for key in sorted(met, key=lambda k: -k[0]):  # a part has a smaller id
-        if len({i for i, outer in met[key]
-                if table.multi.isdisjoint(outer)}) > 1:
-            table.multi.add(key)
-    for (f, params, frees), (keys, finished) in zip(rules, lowered):
-        # a rule that meets no shared key was lowered as it will be
-        if not keys.isdisjoint(table.multi):
-            finished = _deep(f, _Lowering(f, params, frees, table).finish)
-        _install(f, params, frees, _function(*finished))
 
 
 def _deep(f: Formula, fn: Callable):
@@ -477,23 +421,6 @@ def stored_relation(tuples, arity: int, n: int):
         else zero for i in range(n)), shape)
 
 
-def _keep(slot: list, value: np.ndarray, key: tuple, arrays: tuple) -> None:
-    """Keep `value` in `slot` under `key` (n, the parameter values and the
-    arrays the subformula reads), made read-only.  Keep it only when it
-    has fewer than _SHARE_MIN cells and every one of `arrays` is a
-    read-only numpy array that owns its memory.  A writable array, or a
-    view whose base may be writable, may change in place while it stays
-    the same object.  A SliceArray never changes, but the key would keep
-    it alive, and with it every slice that later states have replaced."""
-    if value.size < _SHARE_MIN:
-        for a in arrays:
-            if a.__class__ is not np.ndarray or a.flags.writeable \
-                    or a.base is not None:
-                return
-        value.setflags(False)
-        slot[:] = (value, *key)
-
-
 class _ArityMismatch(Exception):
     """A kernel was given an array whose ndim is not its atom's arity."""
 
@@ -523,7 +450,7 @@ _SHARE_MIN = 1 << 15
 # namespace of every kernel; the all-false / all-true constants Z<d> and
 # O<d> of shape (1,)*d are added on first use
 _NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
-                    "_copy": _copy, "_stored": stored, "_keep": _keep,
+                    "_copy": _copy, "_stored": stored,
                     "_differs": _differs, "_count": _count_nonzero,
                     "SliceArray": SliceArray, "_diag": _diag, "_eye": _eye,
                     "_ArityMismatch": _ArityMismatch}
@@ -630,45 +557,22 @@ class _Block:
         return None
 
 
-class _Table:
-    """What the lowerings of one rule or one group of rules share: what
-    they learn of their formulas once (structural ids, free variables and
-    the relations each reads), the slot of each slot key, the keys that
-    several rules share (`multi`) and the relations whose readers take no
-    slot of their own (`rewritten`).  A kernel holds its slots as
-    arguments, so the table goes once the kernels are made."""
-
-    def __init__(self, rewritten: frozenset = frozenset()):
-        # by id of a formula the table's owner keeps: structural id and
-        # free variables; by structural id: the atoms (relation, arity)
-        # and the relations it reads
-        self.cid: dict[int, int] = {}
-        self.fv: dict[int, frozenset[str]] = {}
-        self.interned: dict[tuple, int] = {}
-        self.atoms: dict[int, frozenset[tuple[str, int]]] = {}
-        self.relations: dict[int, frozenset[str]] = {}
-        self.slots: dict[tuple, list] = {}
-        # one object per distinct set or slot key of the above
-        self.same: dict = {}
-        self.multi: set = set()
-        self.rewritten = rewritten
-
-
 class _Lowering:
     """Lowers one formula for one set of parameter names and one order of
     free variables into a kernel `(rels, n, params) -> array`."""
 
     def __init__(self, f: Formula, params: tuple[str, ...],
-                 frees: tuple[str, ...], table: _Table | None = None):
+                 frees: tuple[str, ...]):
         self.f = f
-        self.params = params
         self.frees = frees
-        self.table = table = table or _Table()
-        self.fv = table.fv
-        self.cid = table.cid
-        self.interned = table.interned
+        # by id of a subformula of f: structural id and free variables; by
+        # structural id: the atoms (relation, arity) it reads
+        self.cid: dict[int, int] = {}
+        self.fv: dict[int, frozenset[str]] = {}
+        self.interned: dict[tuple, int] = {}
+        self.atoms: dict[int, frozenset[tuple[str, int]]] = {}
         self.arities: dict[str, set[int]] = {}
-        for rel, arity in table.atoms[self._scan(f)]:
+        for rel, arity in self.atoms[self._scan(f)]:
             self.arities.setdefault(rel, set()).add(arity)
         unbound = self.fv[id(f)] - set(params) - set(frees)
         if unbound:
@@ -686,25 +590,20 @@ class _Lowering:
         self.temps = 0
         # temporary -> the temporaries whose array its value may be
         self.aliases: dict[str, set[str]] = {}
-        # temporaries that hold a slot's value: never written in place
+        # temporaries that hold a chain's read of its relation's cells:
+        # never written in place
         self.kept: set[str] = set()
-        self.slot_args: dict[int, str] = {}     # id(slot) -> S<i>
-        self.slot_objs: list[list] = []
-        # (slot key, keys of the candidates around it) per candidate met
-        self.found: list[tuple] = []
-        self.outer: list[tuple] = []            # the candidates around
-        self.within_free = 0    # > 0 inside a parameter-free slot's branch
         self.once: dict[tuple, str] = {}        # view -> c<i> (see `_view`)
 
     # -- analysis: structural ids, free variables and uses, each node once
 
     def _scan(self, f: Formula) -> int:
-        """f's structural id; its free variables, and the atoms (relation,
-        arity) and relations it reads, go into the table once."""
+        """f's structural id; its free variables and the atoms (relation,
+        arity) it reads are recorded once."""
         i = id(f)
         if i in self.cid:
             return self.cid[i]
-        atoms = self.table.atoms
+        atoms = self.atoms
         if isinstance(f, Atom):
             fv = frozenset(t.name for t in f.terms if isinstance(t, Var))
             key, reads = (Atom, f.rel, f.terms), frozenset([(f.rel, len(f.terms))])
@@ -726,13 +625,9 @@ class _Lowering:
             key, reads = (type(f), f.var, body), atoms[body]
         else:
             raise FormulaError(f"unknown node {f!r}")
-        same = self.table.same.setdefault
-        self.fv[i] = same(fv, fv)
+        self.fv[i] = fv
         self.cid[i] = c = self.interned.setdefault(key, len(self.interned))
-        if c not in atoms:
-            atoms[c] = same(reads, reads)
-            rels = frozenset(rel for rel, _ in reads)
-            self.table.relations[c] = same(rels, rels)
+        atoms.setdefault(c, reads)
         return c
 
     def _count(self, f: Formula) -> None:
@@ -758,10 +653,9 @@ class _Lowering:
 
     def finish(self) -> tuple[str, tuple]:
         """The kernel's source and the values of its arguments after
-        `rels, n, params`: relation names, parameter names and slots."""
+        `rels, n, params`: relation names and parameter names."""
         source = self.source()
-        return source, tuple(sorted(self.arities)) + \
-            tuple(self.param_local) + tuple(self.slot_objs)
+        return source, tuple(sorted(self.arities)) + tuple(self.param_local)
 
     def source(self) -> str:
         depth = len(self.frees)
@@ -778,11 +672,9 @@ class _Lowering:
             ret = f"return _stored({value}, {_shape(depth)})"
         body.stmts.append(("return", ret))
         _insert_dels(body.stmts, ())
-        # the names of the relations (R<i>) and parameters (P<i>) it
-        # reads, and its slots (S<i>)
+        # the names of the relations (R<i>) and parameters (P<i>) it reads
         args = [f"R{i}" for i in range(len(self.arities))] + \
-            [f"P{i}" for i in range(len(self.param_local))] + \
-            [f"S{i}" for i in range(len(self.slot_objs))]
+            [f"P{i}" for i in range(len(self.param_local))]
         lines = []
         _render(body.stmts, 1, lines)
         used = set(re.findall(r"\b(?:[kc]\d+|eye)\b", "\n".join(lines)))
@@ -836,7 +728,7 @@ class _Lowering:
     def _owned(self, v: _Val, read: set[str], block: _Block) -> bool:
         """Whether v's array, if the kernel made it, may be written in
         place: it may be no temporary in `read` (those read later), none
-        a memo entry holds and no slot's value."""
+        a memo entry holds and no chain's read of its relation's cells."""
         held = read | self.kept
         b = block
         while b is not None:
@@ -850,6 +742,17 @@ class _Lowering:
         t = self._temp(v.code)
         block.stmts.append(("assign", t, v.code))
         return _Val(t, v.array, None, v.may, whole=v.whole, implies=v.implies)
+
+    def shared(self, v: _Val, block: _Block) -> _Val:
+        """v with code that another branch of an expression may repeat: a
+        name, or the negation of a name when v is a plain negation, so
+        that `x & ~Y` still folds.  An operand repeated in each branch of
+        a run-time constant test is named first; otherwise the source
+        would double with each operand of a chain of them."""
+        if not v.neg:
+            return self.named(v, block)
+        t = self.named(_Val(v.neg, True), block).code
+        return replace(v, code=f"(~{t})", neg=t)
 
     def val(self, code: str, array: bool, block: _Block, may=frozenset(),
             nest: int = 0, neg: str = "",
@@ -880,101 +783,11 @@ class _Lowering:
         hit = block.lookup(key)
         if hit is not None:
             return hit
-        slot = self._candidate(f, ctx, depth, block)
-        if slot is None:
-            v = self._gen(f, ctx, depth, scope, block)
-        else:
-            self.outer.append(slot[0])
-            if self._takes(*slot):
-                v = self._slotted(f, ctx, depth, scope, block, *slot)
-            else:
-                v = self._gen(f, ctx, depth, scope, block)
-            self.outer.pop()
+        v = self._gen(f, ctx, depth, scope, block)
         if self.uses[key[0]] > 1:
             v = self.named(v, block)
             block.memo[key] = v
         return v
-
-    def _candidate(self, f, ctx, depth: int, block: _Block):
-        """(slot key, parameter positions read) when f is a slot candidate
-        here, else None.  A candidate is an array-valued subformula that
-        is neither the rule's root nor an atomic formula.  Its key is its
-        structure, the depth and what each of its free variables is bound
-        to here (an axis, a parameter by position or a constant), with the
-        equalities known false on its axes."""
-        if f is self.f or isinstance(f, (Atom, Eq, Truth)) \
-                or block.level >= _MAX_LEVEL or not self._is_array(f, ctx):
-            return None
-        binds, read, axes = [], set(), set()
-        for v in sorted(self.fv[id(f)]):
-            kind, where = ctx[v]
-            if kind == "axis":
-                axes.add(where)
-            else:
-                where = ("param", self.params.index(where)) \
-                    if kind == "param" else self._canonical(where)
-                if where[0] == "param":
-                    read.add(where[1])
-            binds.append((v, kind, where))
-        ne = frozenset((a, self._canonical(t)) for a, t in ctx.get(_NE, ())
-                       if a in axes)
-        key = (self.cid[id(f)], depth, tuple(binds), ne)
-        key = self.table.same.setdefault(key, key)
-        self.found.append((key, tuple(self.outer)))
-        return key, sorted(read)
-
-    def _takes(self, key: tuple, read: list[int]) -> bool:
-        """Whether a candidate takes a slot: when its key is in
-        the table's `multi`, or when it reads no parameter and no relation
-        of its `rewritten` and lies in no other such slot's branch."""
-        return key in self.table.multi or not (
-            read or self.within_free
-            or self.table.relations[key[0]] & self.table.rewritten)
-
-    def _canonical(self, term: tuple) -> tuple:
-        """A resolved term with a parameter named by its position."""
-        if term[0] != "param":
-            return term
-        name = next(p for p, local in self.param_local.items()
-                    if local == term[1])
-        return ("param", self.params.index(name))
-
-    def _slotted(self, f, ctx, depth: int, scope: tuple, block: _Block,
-                 key: tuple, read: list[int]) -> _Val:
-        """f read from its slot when the slot's key matches: n, the
-        parameter values f reads and (by identity) the arrays it reads;
-        otherwise computed and kept there.  A slot's value is read-only
-        and never written in place."""
-        inner = block.child()
-        self.within_free += not read
-        v = self._gen(f, ctx, depth, scope, inner)
-        self.within_free -= not read
-        if v.const is not None:
-            return v
-        if not v.array:
-            block.stmts += inner.stmts
-            block.memo.update(inner.memo)
-            return v
-        items = ["n"] + [self._param(self.params[i]) for i in read]
-        arrays = [self._rel(r) for r in
-                  sorted(self.table.relations[self.cid[id(f)]])]
-        slot = self.table.slots.setdefault(
-            key, [None] * (1 + len(items) + len(arrays)))
-        if id(slot) not in self.slot_args:
-            self.slot_args[id(slot)] = f"S{len(self.slot_objs)}"
-            self.slot_objs.append(slot)
-        s = self.slot_args[id(slot)]
-        test = " and ".join(
-            [f"{s}[{i}] == {item}" for i, item in enumerate(items, 1)] +
-            [f"{s}[{i}] is {r}" for i, r in enumerate(arrays, 1 + len(items))])
-        t = self._temp(v.code)
-        self.kept.add(t)
-        keep = f"_keep({s}, {t}, ({', '.join(items + arrays)},), " \
-            f"({''.join(r + ', ' for r in arrays)}))"
-        block.stmts.append(("if", test, [("assign", t, f"{s}[0]")],
-                            inner.stmts + [("assign", t, v.code),
-                                           ("call", keep)], t))
-        return _Val(t, True, None, v.may)
 
     def _gen(self, f, ctx, depth, scope, block) -> _Val:
         if isinstance(f, Truth):
@@ -1043,13 +856,11 @@ class _Lowering:
         trial = block
         if outer is not None:
             off_ctx[_NO_SPLIT] = (None, None)
-            found, slots = len(self.found), len(self.slot_objs)
             # lowered apart, and kept only when the chain goes on
             trial = _Block(parent=block, level=block.level)
         off = self.gen(f, off_ctx, depth, scope + ((_NE, axis, term),), trial)
         if outer is not None:
             if off.whole != outer.rel:
-                self._forget(found, slots)
                 return None
             block.stmts += trial.stmts
             block.memo.update(trial.memo)
@@ -1119,14 +930,6 @@ class _Lowering:
                                       f"{value})")], [store], None)]
         _guarded(block, guard, branch.stmts + write, None)
         return _Val(t, True)
-
-    def _forget(self, found: int, slots: int) -> None:
-        """Forget the slot candidates met and the slots taken since the
-        first `found` and `slots`: they were lowered for nothing."""
-        del self.found[found:]
-        for slot in self.slot_objs[slots:]:
-            del self.slot_args[id(slot)]
-        del self.slot_objs[slots:]
 
     def _write_cells(self, on: _Val, off: _Val, at: _Cells, first: bool,
                      guard: str | None, branch: _Block, block: _Block) -> _Val:
@@ -1363,7 +1166,11 @@ class _Lowering:
                                 max(x.nest, y.nest) + 1, block,
                                 (xt | yt, xf & yf) if is_and else
                                 (xt & yt, xf | yf))
-        # both arrays; x may still be the identity constant, y either one.
+        # both arrays; x may still be the identity constant, y either one
+        if ident in y.may:
+            x = self.shared(x, block)
+        if ident in x.may:
+            y = self.shared(y, branch)
         # x & ~Y is x > Y and x | ~Y is x >= Y: one call, not two
         op = "&" if is_and else "|"
         code = f"({x.code} {op} {y.code})"
@@ -1416,6 +1223,10 @@ class _Lowering:
             y = self.named(y, block)
             return self.val(f"({_not_code(y, depth)} if {x.code} else {y.code})",
                             True, block, y.may | {not c for c in y.may}, nest)
+        if y.may:
+            x = self.shared(x, block)
+        if x.may:
+            y = self.shared(y, block)
         code = f"({x.code} ^ {y.code})"
         for a, b in ((x, y), (y, x)):
             if b.neg:  # x ^ ~Y is x == Y
@@ -1545,7 +1356,7 @@ def _reads(stmt) -> set[str]:
         return set(_TEMP.findall(stmt[2]))
     if stmt[0] == "store":
         return set(_TEMP.findall(stmt[1] + " " + stmt[2]))
-    if stmt[0] in ("return", "call"):
+    if stmt[0] == "return":
         return set(_TEMP.findall(stmt[1]))
     out = set(_TEMP.findall(stmt[1]))
     for s in stmt[2] + stmt[3]:
@@ -1607,7 +1418,7 @@ def _render(stmts: list, level: int, lines: list[str]) -> None:
             lines.append(f"{pad}{s[1]} = {s[2]}")
         elif s[0] == "del":
             lines.append(f"{pad}del {s[1]}")
-        elif s[0] in ("return", "call"):
+        elif s[0] == "return":
             lines.append(f"{pad}{s[1]}")
         else:
             lines.append(f"{pad}if {s[1]}:")
@@ -1639,11 +1450,12 @@ def _forget_relation(ref: weakref.ref, key: int) -> None:
 
 
 def array_to_relation(arr) -> frozenset[tuple[int, ...]]:
-    """The tuples of a boolean array.  A SliceArray, or a read-only numpy
-    array that owns its memory, is converted once while it lives, and
-    later calls return the same frozenset; a writable array, or a view
-    whose base may be writable, may change in place while it stays the
-    same object, and is converted afresh (`_keep`'s rule)."""
+    """The tuples of a boolean array.  An array whose cells cannot change
+    while it stays the same object is converted once while it lives, and
+    later calls return the same frozenset: a SliceArray, or a read-only
+    numpy array that owns its memory.  Any other array is converted
+    afresh on each call: a writable one may be written in place, and a
+    read-only view changes when its base, which may be writable, is."""
     key = id(arr)
     hit = _relations.get(key)
     if hit is not None and hit[0]() is arr:

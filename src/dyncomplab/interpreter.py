@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import formulas as fm
-from .bulk_eval import (_full, array_to_relation, bulk_eval, lower_group,
+from .bulk_eval import (_full, _kernel, array_to_relation, bulk_eval,
                         relation_to_array, stored, stored_relation)
 from .structures import (INSERT, Change, DynLabError, ScriptSyntaxError,
                          Structure, ValidationError, apply_change, check_fits,
@@ -262,14 +262,13 @@ def _changed_input(state: ProgramState, c: Change, mode: str) -> Structure | Non
 def _plan(p: DynamicProgram, op: str, relation: str) -> tuple:
     """The plan of the rules on an `op` change of `relation`: the distinct
     tuples of their parameter names, and per target in aux_schema order
-    (target, body, frees, index of its parameter names).  The rules are
-    lowered together, so that they share the slots of their common
-    subformulas (`bulk_eval.lower_group`)."""
+    (target, body, frees, index of its parameter names).  Each rule is
+    lowered here, on its own, into the kernel its `bulk_eval` calls
+    look up (`bulk_eval._kernel`)."""
     rules = [p.rules[(op, relation, target)] for target in p.aux_schema]
     names = list(dict.fromkeys(r.params for r in rules))
-    rewritten = {relation} | {r.target for r in rules if r.body != fm.Atom(
-        r.target, tuple(map(fm.Var, r.frees)))}
-    lower_group([(r.body, r.params, r.frees) for r in rules], rewritten)
+    for r in rules:
+        _kernel(r.body, r.params, r.frees)
     plan = p.plans[(op, relation)] = (names, tuple(
         (r.target, r.body, r.frees, names.index(r.params)) for r in rules))
     return plan

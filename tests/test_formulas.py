@@ -1,4 +1,3 @@
-import math
 import random
 import re
 
@@ -189,8 +188,8 @@ def test_bulk_eval_matches_evaluate():
             b for b in __import__("itertools").product(range(n),
                                                        repeat=len(frees))
             if evaluate(f, s, dict(zip(frees, b))))
-        # writable arrays, which no slot keeps; then read-only ones, twice,
-        # so that the second call reads what the first kept
+        # writable arrays; then read-only ones, twice, so that a value
+        # kept from the first call would show in the second
         frozen = _frozen(arrays)
         for rels in (arrays, frozen, frozen):
             got = array_to_relation(bulk_eval(f, rels, n, {}, frees))
@@ -292,6 +291,42 @@ def test_bulk_eval_of_a_deep_formula():
               for i in range(900)])
     s = Structure.make(3, SCHEMA, {"U": [(0,), (2,)], "E": [(2, 1)]})
     _check_bulk(f, s, {"u": 1}, ("x",))
+
+
+def _and_chain(depth):
+    """`!x = v & !L0(x, v) & ... & !L<depth-1>(x, v) & E(x, y)`: each
+    conjunct may be all-false at run time, so each `&` tests its operands."""
+    return parse_formula(" & ".join(
+        ["!x = v"] + [f"!L{i}(x, v)" for i in range(depth)] + ["E(x, y)"]))
+
+
+def _xor_chain(depth):
+    """φ_0 = `E(x, y)`, φ_{i+1} = `(φ_i & !x = v) ^ L_i(x, v)`."""
+    text = "E(x, y)"
+    for i in range(depth):
+        text = f"(({text}) & !x = v) ^ L{i}(x, v)"
+    return parse_formula(text)
+
+
+@pytest.mark.parametrize("chain", [_and_chain, _xor_chain])
+def test_kernel_source_grows_linearly_with_the_formula(chain, monkeypatch):
+    """An operand that an `&`, `|` or `^` repeats in each branch of a
+    run-time constant test is named first, so the source grows by at most
+    a constant per conjunct, not twice per operand.  Each value matches
+    `evaluate`, dense and with every base sliced."""
+    sizes = [len(_Lowering(chain(d), ("v",), ("x", "y")).source())
+             for d in (4, 8, 12)]
+    assert all(b - a <= 4 * 400 for a, b in zip(sizes, sizes[1:])), sizes
+    monkeypatch.setattr(be, "_SHARE_MIN", 0)
+    schema = {"E": 2, **{f"L{i}": 2 for i in range(12)}}
+    rng = random.Random(f"linear:{chain.__name__}")
+    for d in (4, 8, 12):
+        f = chain(d)
+        for n in (1, 3, 4):
+            s = random_structure(rng, n, schema)
+            for v in range(n + 1):
+                for as_stored in (False, True):
+                    _check_bulk(f, s, {"v": v}, ("x", "y"), as_stored)
 
 
 def test_a_disjunct_refuted_by_an_outer_split_is_not_split_on():
@@ -510,7 +545,7 @@ def _check_bulk(f, s, params, frees, as_stored=False):
     were, writable flag included, and returns a read-only array or one of
     them.  The inputs are dense arrays, or as a state stores them when
     `as_stored`; then read-only copies of them, evaluated twice, so that
-    the second call reads the slots the first one filled."""
+    a value kept from the first call would show in the second."""
     build = stored_relation if as_stored else relation_to_array
     arrays = {rel: build(tuples, ar, s.n)
               for rel, (ar, tuples) in s.relations.items()}
@@ -532,10 +567,11 @@ def _check_bulk(f, s, params, frees, as_stored=False):
         assert array_to_relation(got) == want, (pretty(f), params, frees, s.n)
 
 
-# ---------------------------------------------------------------- slots
+# ------------------------------------------- arrays that change in place
 
 def _slots_of(f):
-    """The slots of f's cached kernel."""
+    """The list-valued default arguments of f's cached kernel, where it
+    would keep a value from one call to the next: there are none."""
     return [a for a in be._kernels[id(f)][3].__defaults__
             if a.__class__ is list]
 
@@ -557,30 +593,9 @@ def _arrays(rng, n, schema=SCHEMA, writeable=False):
     return out
 
 
-def test_a_slot_follows_a_read_array_replaced_by_another():
-    """The same formula object and parameters, with R's array replaced by
-    another read-only array with other cells: the parameter-free
-    subformula's slot must not answer with R's old value."""
-    f = parse_formula("E(x, y) & !(R(x) | U(y)) | x = u")
-    rng = random.Random(41)
-    n, frees, params = 4, ("x", "y"), {"u": 1}
-    rels = _arrays(rng, n)
-    got = bulk_eval(f, rels, n, params, frees)
-    assert array_to_relation(got) == _want(f, rels, n, params, frees)
-    (slot,) = _slots_of(f)
-    assert slot[0] is not None and slot[1] == n
-    for _ in range(5):
-        other = np.array([not v for v in rels["R"]])
-        other.setflags(write=False)
-        rels = {**rels, "R": other}
-        got = bulk_eval(f, rels, n, params, frees)
-        assert array_to_relation(got) == _want(f, rels, n, params, frees)
-        assert slot[0] is not None and any(a is other for a in slot)
-
-
 def test_a_slot_keeps_no_value_of_a_writable_array():
     """A writable array changed in place between two calls: the result
-    follows the change, as no slot kept a value read from it."""
+    follows the change, as no kernel keeps a value read from it."""
     f = parse_formula("E(x, y) & !(R(x) | U(y))")
     rng = random.Random(43)
     n, frees = 4, ("x", "y")
@@ -591,12 +606,13 @@ def test_a_slot_keeps_no_value_of_a_writable_array():
         assert array_to_relation(got) == _want(f, rels, n, {}, frees)
         rels["R"][x] = not rels["R"][x]
         rels["U"][(x + 1) % n] = not rels["U"][(x + 1) % n]
-    assert all(slot[0] is None for slot in _slots_of(f))
+    assert not _slots_of(f)
 
 
 def test_a_slot_keeps_no_value_of_a_view():
     """A read-only view of a writable array changes when its base does:
-    the result follows the base, as no slot kept a value read from it."""
+    the result follows the base, as no kernel keeps a value read from
+    it."""
     f = parse_formula("E(x, y) & !(R(x) | U(y))")
     rng = random.Random(59)
     n, frees = 4, ("x", "y")
@@ -608,60 +624,7 @@ def test_a_slot_keeps_no_value_of_a_view():
         got = bulk_eval(f, rels, n, {}, frees)
         assert array_to_relation(got) == _want(f, rels, n, {}, frees)
         base[0, x] = True
-    assert all(slot[0] is None for slot in _slots_of(f))
-
-
-def test_rules_lowered_together_share_slots_per_axis_context():
-    """Two rules hold `E(u, x) | R(y)` with frees (x, y), two with (y, x):
-    each pair shares one slot, keyed by u, and the pairs do not share.
-    Called with the same arrays and other parameters, every rule follows
-    the parameter."""
-    texts = ["T(x, y, x) & (E(u, x) | R(y))", "E(y, x) & (E(u, x) | R(y))"]
-    rules = [(parse_formula(t), ("u",), frees)
-             for frees in (("x", "y"), ("y", "x")) for t in texts]
-    be.lower_group(rules, ())
-    slots = [_slots_of(f) for f, _, _ in rules]
-    assert all(len(s) == 1 for s in slots)
-    assert slots[0][0] is slots[1][0] and slots[2][0] is slots[3][0]
-    assert slots[0][0] is not slots[2][0]
-    n = 4
-    rels = _arrays(random.Random(47), n, SPLIT_SCHEMA)
-    for u in (1, 2, 1, 3, 3, 0, 5):
-        for f, params, frees in rules:
-            got = bulk_eval(f, rels, n, {"u": u}, frees)
-            assert array_to_relation(got) == \
-                _want(f, rels, n, {"u": u}, frees), (pretty(f), frees, u)
-
-
-def test_a_slot_keeps_no_value_read_from_a_slice_array():
-    """A SliceArray never changes, but a key that held one would keep
-    alive every slice that later states replace: a value read from one
-    is not kept, and one read from dense arrays only is."""
-    f = parse_formula("E(x, y) & !(T(x, y, 0) | R(x)) | E(y, x) & !(R(y) | U(x))")
-    n = 32
-    rels = _arrays(random.Random(61), n, SPLIT_SCHEMA)
-    rels["T"] = stored_relation(array_to_relation(rels["T"]), 3, n)
-    assert rels["T"].__class__ is be.SliceArray
-    for _ in range(2):
-        got = bulk_eval(f, rels, n, {}, ("x", "y"))
-        assert array_to_relation(got) == _want(f, rels, n, {}, ("x", "y"))
-    slots = _slots_of(f)
-    assert len(slots) == 2 and sum(s[0] is not None for s in slots) == 1
-    assert not any(a is rels["T"] for s in slots for a in s)
-
-
-def test_a_slot_keeps_no_value_of_share_min_cells():
-    """At n = 32 a subformula over three axes has _SHARE_MIN cells: its
-    slot keeps nothing, while one over two axes keeps its value."""
-    f = parse_formula("T(x, y, z) & !(R(x) | U(y)) | E(x, y) & !(R(y) | U(x))")
-    n = 32
-    assert n ** 3 >= be._SHARE_MIN > n ** 2
-    rels = _arrays(random.Random(53), n, SPLIT_SCHEMA)
-    got = bulk_eval(f, rels, n, {}, ("x", "y", "z"))
-    assert array_to_relation(got) == _want(f, rels, n, {}, ("x", "y", "z"))
-    kept = [s[0].shape for s in _slots_of(f) if s[0] is not None]
-    assert kept and all(math.prod(shape) < be._SHARE_MIN for shape in kept)
-    assert len(kept) < len(_slots_of(f))
+    assert not _slots_of(f)
 
 
 @given(st.integers(0, 2 ** 30))

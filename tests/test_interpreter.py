@@ -307,27 +307,6 @@ def test_a_shared_step_matches_reference(builder, n, monkeypatch):
     test_step_matches_reference(builder, n)
 
 
-def test_slots_keep_small_values_and_are_few():
-    """After a stream over every catalog program, some at n = 32 where a
-    value over three axes has _SHARE_MIN cells, no slot holds a value of
-    _SHARE_MIN cells or more, and the cached kernels hold no more slots
-    than there are kernels."""
-    from dyncomplab import bulk_eval as be
-    for entry in pg.catalog():
-        prog = entry.build()
-        n = 32 if entry.name in ("degree_rel_3", "parity_degree_div3") else 6
-        st = init_state(prog, n)
-        for c in cx.random_changes(n, rels_for(prog), 30,
-                                   random.Random(f"slots:{entry.name}")):
-            st = step(st, c)
-    slots = {id(a): a for entry in be._kernels.values()
-             for a in entry[3].__defaults__ if a.__class__ is list}.values()
-    assert slots and len(slots) <= len(be._kernels)
-    kept = [s[0] for s in slots if s[0] is not None]
-    assert kept and all(v.size < be._SHARE_MIN for v in kept)
-    assert all(not v.flags.writeable for v in kept)
-
-
 @pytest.mark.parametrize("name", ["degree_rel_1", "degree_rel_3",
                                   "parity_exists_prop_3"])
 def test_a_step_hands_on_what_it_leaves_unchanged(name, monkeypatch):

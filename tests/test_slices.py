@@ -555,3 +555,32 @@ def test_a_kernel_reads_a_parameter_view_once():
                 most[name] = max(most.get(name, 0), a.reads)
         state = step(state, c)
     assert set(most.values()) == {1}, most
+
+
+def test_no_kernel_keeps_a_value_between_calls(planned_sources):
+    """A kernel computes its value from its arguments alone: none takes a
+    slot argument (`S<i>`) or keeps a value for a later call."""
+    for key, source in planned_sources.items():
+        head = source.split(":", 1)[0]
+        assert not re.search(r"\bS\d+\b", head), (key, head)
+        assert "_keep" not in source, (key, source)
+
+
+def test_planning_lowers_each_rule_once(monkeypatch):
+    """Planning every (op, input relation) of the catalog lowers each of
+    its 718 rules once, on its own."""
+    made = []
+
+    class Counted(be._Lowering):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(be, "_Lowering", Counted)
+    rules = 0
+    for entry in pg.catalog():
+        prog = entry.build()
+        rules += len(prog.rules)
+        for op, rel in dict.fromkeys((op, rel) for op, rel, _ in prog.rules):
+            interpreter._plan(prog, op, rel)
+    assert rules == len(made) == 718
