@@ -627,6 +627,57 @@ def test_a_slot_keeps_no_value_of_a_view():
     assert not _slots_of(f)
 
 
+def test_a_slot_follows_a_read_array_replaced_by_another():
+    """The same formula object and parameters, with R's array replaced by
+    another read-only array with other cells: the parameter-free
+    subformula is computed again from the new array, not answered with
+    R's old value."""
+    f = parse_formula("E(x, y) & !(R(x) | U(y)) | x = u")
+    rng = random.Random(41)
+    n, frees, params = 4, ("x", "y"), {"u": 1}
+    rels = _arrays(rng, n)
+    got = bulk_eval(f, rels, n, params, frees)
+    assert array_to_relation(got) == _want(f, rels, n, params, frees)
+    for _ in range(5):
+        other = np.array([not v for v in rels["R"]])
+        other.setflags(write=False)
+        rels = {**rels, "R": other}
+        got = bulk_eval(f, rels, n, params, frees)
+        assert array_to_relation(got) == _want(f, rels, n, params, frees)
+    assert not _slots_of(f)
+
+
+def test_a_slot_keeps_no_value_read_from_a_slice_array():
+    """A formula over a SliceArray and dense arrays, called twice with
+    the same inputs: both results match `evaluate`, and the kernel keeps
+    nothing that would hold the SliceArray alive after a later state
+    replaces it."""
+    f = parse_formula("E(x, y) & !(T(x, y, 0) | R(x)) | E(y, x) & !(R(y) | U(x))")
+    n = 32
+    rels = _arrays(random.Random(61), n, SPLIT_SCHEMA)
+    rels["T"] = stored_relation(array_to_relation(rels["T"]), 3, n)
+    assert rels["T"].__class__ is be.SliceArray
+    for _ in range(2):
+        got = bulk_eval(f, rels, n, {}, ("x", "y"))
+        assert array_to_relation(got) == _want(f, rels, n, {}, ("x", "y"))
+    assert not _slots_of(f)
+
+
+def test_a_slot_keeps_no_value_of_share_min_cells():
+    """At n = 32 a subformula over three axes has _SHARE_MIN cells and
+    one over two axes fewer: the value matches `evaluate` over both, and
+    the kernel keeps neither."""
+    f = parse_formula("T(x, y, z) & !(R(x) | U(y)) | E(x, y) & !(R(y) | U(x))")
+    n = 32
+    assert n ** 3 >= be._SHARE_MIN > n ** 2
+    rels = _arrays(random.Random(53), n, SPLIT_SCHEMA)
+    for _ in range(2):
+        got = bulk_eval(f, rels, n, {}, ("x", "y", "z"))
+        assert array_to_relation(got) == \
+            _want(f, rels, n, {}, ("x", "y", "z"))
+    assert not _slots_of(f)
+
+
 @given(st.integers(0, 2 ** 30))
 @settings(max_examples=100, deadline=None)
 def test_bit_matches_binary(v):
