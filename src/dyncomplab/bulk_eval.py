@@ -27,6 +27,21 @@ The lowering
   view is all-false, so that every product, XOR and disjunct built on
   it is skipped.  The count is numpy's without its array-function
   dispatch (`_count`), about half the cost of `np.count_nonzero`;
+- reads a relation whole, in axis order over every axis of ndim >= 2
+  and outside a chain (`P(y1, y2, y3)` over (y1, y2, y3)), as that
+  all-false constant at run time when the relation holds no true cell
+  (`_any`, which counts a SliceArray part by part and never densifies
+  it), where the constant skips a computation (`_order`): an operand
+  of an And whose other operand is a full computation over every axis
+  (a parameter-free mask, `!R(y1) & !R(y2) & !y1 = y2`), and, through
+  it, the operands of an And, and of an Or, XOR or quantifier whose
+  operands may all be all-false.  Such an And lowers first the operand
+  that may be all-false, so the mask of `mask & (P ^ X)` (prop_k's
+  P_{l,m} rules) is computed only in a call where P or X holds a true
+  cell.  A read of one axis stays uncounted, as its count costs what
+  it would skip;
+- returns `stored(False, shape)`, the shared constant, from a root that
+  is all-false at run time, not a copy of that constant;
 - reads `x = t`, t a parameter or constant, as row t of the cached
   identity, a view (`eye[p0, None, :]`), under t's range test, since
   `eye[-1]` would read the last row; no `(arange == t)` is allocated;
@@ -82,7 +97,8 @@ whose chain finds its bound cells unchanged, and `stored(value, shape)`
 of its value otherwise.  `stored` is the one place that decides how a
 value is kept, for kernels and states alike (`stored_relation` builds a
 relation's array by the same rule): a SliceArray as it is, a bool as
-the shared read-only constant array, any other array copied unless it
+the shared read-only constant array (one object per shape and value, a
+SliceArray when large), any other array copied unless it
 is fresh and then made read-only.  An array of ndim >= 2 with at least
 _SHARE_MIN cells is kept as a `SliceArray`: the tuple of its read-only
 axis-0 slices, so that a slice write on axis 0 makes one new slice and
@@ -207,7 +223,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 # room for a zero array per shape of the catalog's relations at the n
-# of its runs (n 4..12 and arities 0..4 give 37 shapes)
+# of its runs (n 4..12 and arities 0..4 give 37 shapes, all dense), and
+# for the part of each large shape that `_full_slices` keeps
 @functools.lru_cache(maxsize=128)
 def _full(shape: tuple[int, ...], value: bool) -> np.ndarray:
     """The read-only constant array of a rule whose value is one bool or of
@@ -380,13 +397,32 @@ class SliceArray:
                           + self.parts[at + 1:], self.shape)
 
 
+@functools.lru_cache(maxsize=128)
+def _full_slices(shape: tuple[int, ...], value: bool) -> SliceArray:
+    """The SliceArray a state keeps of a constant value of a large shape:
+    every part the one read-only `_full` part, and one object per shape,
+    so that a relation that stays constant is handed on as itself."""
+    return SliceArray((_full(shape[1:], value),) * shape[0], shape)
+
+
+def _any(a) -> bool:
+    """Whether array `a` holds a true cell; a SliceArray counted part by
+    part, never densified, its shared zero part skipped."""
+    if a.__class__ is SliceArray:
+        zero = _full(a.shape[1:], False)
+        return any(part is not zero and _count_nonzero(part)
+                   for part in a.parts)
+    return bool(_count_nonzero(a))
+
+
 def stored(a, shape: tuple[int, ...]):
     """The value `a` of shape `shape` as a state keeps it, and as every
     kernel but an identity rule's returns it; `a` is taken over.  A
     SliceArray is kept as it is.  A bool becomes the shared read-only
-    constant array.  Any other array is taken as `_take` takes it (copied
-    unless it is fresh), made read-only, and kept as a SliceArray of
-    views of it when large: ndim >= 2 and at least _SHARE_MIN cells."""
+    constant array (`_full`, or `_full_slices` when large).  Any other
+    array is taken as `_take` takes it (copied unless it is fresh), made
+    read-only, and kept as a SliceArray of views of it when large: ndim
+    >= 2 and at least _SHARE_MIN cells."""
     if a.__class__ is np.ndarray:
         # _take's test, inline, so that a kernel's result costs one call
         flags = a.flags
@@ -401,17 +437,19 @@ def stored(a, shape: tuple[int, ...]):
         return a
     if len(shape) < 2 or math.prod(shape) < _SHARE_MIN:
         return _full(shape, a)
-    return SliceArray((_full(shape[1:], a),) * shape[0], shape)
+    return _full_slices(shape, a)
 
 
 def stored_relation(tuples, arity: int, n: int):
-    """The array of a relation as `stored` keeps it.  A large one is
-    built slice by slice, never as one array of n**arity cells, and
-    every empty slice is one shared read-only zero part."""
+    """The array of a relation as `stored` keeps it.  An empty one is
+    the constant `stored` keeps of False; a large one is built slice by
+    slice, never as one array of n**arity cells, and every empty slice
+    is one shared read-only zero part."""
     shape = (n,) * arity
+    if not tuples:
+        return stored(False, shape)
     if arity < 2 or n ** arity < _SHARE_MIN:
-        return stored(relation_to_array(tuples, arity, n) if tuples else False,
-                      shape)
+        return stored(relation_to_array(tuples, arity, n), shape)
     rows: dict[int, list] = {}
     for t in tuples:
         rows.setdefault(t[0], []).append(t[1:])
@@ -450,7 +488,7 @@ _SHARE_MIN = 1 << 15
 # namespace of every kernel; the all-false / all-true constants Z<d> and
 # O<d> of shape (1,)*d are added on first use
 _NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
-                    "_copy": _copy, "_stored": stored,
+                    "_copy": _copy, "_stored": stored, "_any": _any,
                     "_differs": _differs, "_count": _count_nonzero,
                     "SliceArray": SliceArray, "_diag": _diag, "_eye": _eye,
                     "_ArityMismatch": _ArityMismatch}
@@ -474,11 +512,13 @@ _MAX_LEVEL = 30
 _TEMP = re.compile(r"\b[tc]\d+\b")
 # context keys: the (axis, term) equalities known to be false, the
 # `_Cells` of the enclosing splits of a chain, a mark that no case split
-# may be made, and the range tests that enclosing branches hold
+# may be made, the range tests that enclosing branches hold, and a mark
+# that an all-false value here skips a computation (see `_order`)
 _NE = "!="
 _AT = "@"
 _NO_SPLIT = "-"
 _HELD = "+"
+_SKIPS = "0"
 
 
 @dataclass(frozen=True)
@@ -594,6 +634,7 @@ class _Lowering:
         # never written in place
         self.kept: set[str] = set()
         self.once: dict[tuple, str] = {}        # view -> c<i> (see `_view`)
+        self.falsy: dict[tuple, bool] = {}      # see `_falsy`
 
     # -- analysis: structural ids, free variables and uses, each node once
 
@@ -669,6 +710,9 @@ class _Lowering:
             ret = f"return _stored({root.code}, {_shape(depth)})"
         else:
             value = root.code if root.const is None else root.const
+            if False in root.may:  # the shared constant, not a copy of Z<d>
+                value = f"False if {value} is {_constant(False, depth)} " \
+                    f"else {value}"
             ret = f"return _stored({value}, {_shape(depth)})"
         body.stmts.append(("return", ret))
         _insert_dels(body.stmts, ())
@@ -797,7 +841,9 @@ class _Lowering:
         if isinstance(f, Eq):
             return self._eq(f, ctx, depth, block)
         array = self._is_array(f, ctx)
-        if isinstance(f, Not):
+        if isinstance(f, Not):  # ~Z is all-true: it skips nothing
+            if _SKIPS in ctx:
+                ctx = _marked(ctx, False)
             return self.negate(self.gen(f.sub, ctx, depth, scope, block),
                                depth, block)
         if isinstance(f, (And, Or)):
@@ -1029,7 +1075,13 @@ class _Lowering:
                 tuple(terms) == _axes(depth):
             if at and r == at.rel:  # the cells the chain binds, read once
                 return _Val(at.read, array, whole=r)
-            return _Val(code, array, whole=r)
+            if at or _SKIPS not in ctx:
+                return _Val(code, array, whole=r)
+            # the all-false constant when the relation holds no true cell
+            zero = _constant(False, depth)
+            v = self.val(f"({code} if _any({r}) else {zero})", True, block,
+                         {False})
+            return replace(v, whole=r)
         held = ctx.get(_HELD, ())  # the tests an enclosing branch holds
         tests = [g for g in guards if g not in held]
         if array and index and len(distinct) < depth:
@@ -1130,7 +1182,9 @@ class _Lowering:
             implied = self._implied(second, ctx)
             if implied:
                 first, second = second, first
-        x = self.gen(first, ctx, depth, scope, block)
+        first, second, x_ctx, ctx = self._order(first, second, is_and,
+                                                not implied, ctx, depth, scope)
+        x = self.gen(first, x_ctx, depth, scope, block)
         if implied:
             ctx = dict(ctx)
             for name, term in implied:
@@ -1193,6 +1247,82 @@ class _Lowering:
                                 block)
         return self.val(code, True, block, may, max(x.nest, y.nest) + 1)
 
+    def _order(self, first, second, is_and: bool, swap: bool, ctx, depth,
+               scope) -> tuple:
+        """An And's or Or's operands in the order to lower them, and the
+        context of each: with the mark _SKIPS, under which a whole read
+        is counted (`_atom`), where its all-false value skips a
+        computation.  An And's operand is so marked when the other one is
+        a full computation (`_full`) or the And is marked; an Or's (and
+        an Xor's) when the node is marked and both may be all-false.  An
+        And with `swap` lowers first an operand that may be all-false
+        when the other, a full computation, may not: the other is then
+        computed only where the first is not all-false.  An array of one
+        axis is marked nowhere: the count costs what it skips."""
+        if depth < 2:
+            return first, second, ctx, ctx
+        marked = _SKIPS in ctx
+        if not is_and:
+            if marked and not (self._falsy(first, ctx, depth, scope)
+                               and self._falsy(second, ctx, depth, scope)):
+                ctx = _marked(ctx, False)
+            return first, second, ctx, ctx
+        if swap and self._full(first, ctx, depth) \
+                and self._falsy(second, ctx, depth, scope) \
+                and not self._falsy(first, ctx, depth, scope):
+            first, second = second, first
+        if marked:
+            return first, second, ctx, ctx
+        return (first, second, _marked(ctx, self._full(second, ctx, depth)),
+                _marked(ctx, self._full(first, ctx, depth)))
+
+    def _full(self, f: Formula, ctx, depth: int) -> bool:
+        """Whether f is an operation over every axis here: a computation
+        of n**depth cells, not an atom or equality read as a view."""
+        fv = self.fv[id(f)]
+        if len(fv) < depth or f.__class__ in (Atom, Eq, Truth):
+            return False
+        return depth == len({ctx[v][1] for v in fv if ctx[v][0] == "axis"})
+
+    def _falsy(self, f: Formula, ctx, depth: int, scope: tuple) -> bool:
+        """Whether f, an array lowered with the mark _SKIPS, may be the
+        all-false constant at run time: a parameter view (`_view`), a
+        whole read of ndim >= 2 outside a chain, and an And of one, or an
+        Or, Xor or quantifier of such operands.  Memoised by structural
+        id and scope, as `gen` is."""
+        key = (self.cid[id(f)], scope)
+        out = self.falsy.get(key)
+        if out is not None:
+            return out
+        if isinstance(f, Truth):  # all-false or all-true, known now
+            out = not f.value
+        elif not self._is_array(f, ctx):
+            out = False
+        elif isinstance(f, Atom):
+            terms = [("lit", t.value) if isinstance(t, Const) else
+                     ctx[t.name] for t in f.terms]
+            terms = [b[1] if b[0] == "same" else b for b in terms]
+            axes = [v for k, v in terms if k == "axis"]
+            if any(k == "lit" and v < 0 for k, v in terms):
+                out = False  # a constant
+            elif len(axes) < len(terms):  # a view when it broadcasts
+                out = len(set(axes)) < depth
+            else:
+                out = _AT not in ctx and axes == list(range(depth))
+        elif isinstance(f, And):
+            out = self._falsy(f.left, ctx, depth, scope) \
+                or self._falsy(f.right, ctx, depth, scope)
+        elif isinstance(f, (Or, Xor)):
+            out = self._falsy(f.left, ctx, depth, scope) \
+                and self._falsy(f.right, ctx, depth, scope)
+        elif isinstance(f, (Exists, Forall)):
+            out = self._falsy(f.body, {**ctx, f.var: ("axis", depth)},
+                              depth + 1, scope + (f.var,))
+        else:  # an equality or a negation
+            out = False
+        self.falsy[key] = out
+        return out
+
     def _select(self, test: str, branch: _Block, code: str, otherwise: _Val,
                 array: bool, may, nest: int, block: _Block,
                 implies: tuple = (frozenset(), frozenset())) -> _Val:
@@ -1210,6 +1340,9 @@ class _Lowering:
         first, second = f.left, f.right
         if self._is_array(first, ctx) and not self._is_array(second, ctx):
             first, second = second, first
+        # marked as an Or's operands are
+        first, second, ctx, _ = self._order(first, second, False, False, ctx,
+                                            depth, scope)
         x = self.gen(first, ctx, depth, scope, block)
         y = self.gen(second, ctx, depth, scope, block)
         for a, b in ((x, y), (y, x)):
@@ -1281,6 +1414,15 @@ def _function(source: str, names: tuple) -> Kernel:
             _codes.popitem(last=False)
     _codes.move_to_end(digest)
     return types.FunctionType(code, _NAMESPACE, "kernel", names)
+
+
+def _marked(ctx: dict, skips: bool) -> dict:
+    """ctx with the mark _SKIPS when `skips`, else without it."""
+    if (_SKIPS in ctx) == skips:
+        return ctx
+    if skips:
+        return {**ctx, _SKIPS: (None, None)}
+    return {k: b for k, b in ctx.items() if k != _SKIPS}
 
 
 def _guarded(block: _Block, guard: str | None, stmts: list, temp) -> None:

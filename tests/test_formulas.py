@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -526,6 +527,71 @@ def test_parameter_equalities_match_evaluate(text, frees, sliced,
         for w in values:
             for v in values:
                 _check_bulk(f, s, {"w": w, "v": v}, frees, as_stored=sliced)
+
+
+def _masked_rules(depth: int) -> list[str]:
+    """Rules shaped as prop_k's P_{l,m} updates, `mask & (T ^ X)`, and
+    the two orders of `T & mask`: T a whole read over `depth` axes, the
+    mask parameter-free (the free variables uncoloured and pairwise
+    distinct) and X a product of views of E's column w."""
+    xs = [f"x{i}" for i in range(depth)]
+    t = f"T{depth}({', '.join(xs)})"
+    mask = " & ".join([f"!R({x})" for x in xs] + [
+        f"!{a} = {b}" for a, b in itertools.combinations(xs, 2)])
+    view = " & ".join(f"E({x}, w)" for x in xs)
+    return [f"{mask} & ({t} ^ ({view}))", f"{t} & ({mask})", f"{mask} & {t}"]
+
+
+MASKED_RULES = [(d, text) for d in (2, 3, 4) for text in _masked_rules(d)]
+MASKED_SCHEMA = {"T2": 2, "T3": 3, "T4": 4, "R": 1, "E": 2}
+
+
+@pytest.mark.parametrize("sliced", [False, True], ids=["dense", "sliced"])
+@pytest.mark.parametrize("depth,text", MASKED_RULES,
+                         ids=[t for _, t in MASKED_RULES])
+def test_a_counted_whole_read_matches_evaluate(depth, text, sliced,
+                                               monkeypatch):
+    """Each rule counts its whole read of T (`_any`), and agrees with
+    `evaluate` at n = 0..5 with T empty and not, and X (E's column w)
+    empty and not, on dense arrays and with every base sliced."""
+    if sliced:
+        monkeypatch.setattr(be, "_SHARE_MIN", 0)
+    f = parse_formula(text)
+    frees = tuple(f"x{i}" for i in range(depth))
+    assert "_any(" in _Lowering(f, ("w",), frees).source()
+    rng = random.Random(f"masked:{text}:{sliced}")
+    for n in range(6):
+        w = rng.randrange(n) if n else 0
+        s = random_structure(rng, n, MASKED_SCHEMA)
+        contents = {rel: set(s.tuples(rel)) for rel in MASKED_SCHEMA}
+        contents["R"] = {t for t in contents["R"] if rng.random() < 0.3}
+        t_rel = f"T{depth}"
+        for t_empty, x_empty in itertools.product((True, False), repeat=2):
+            t = set() if t_empty or not n else \
+                contents[t_rel] | {(n - 1,) * depth}
+            e = {(a, b) for a, b in contents["E"] if b != w}
+            if not x_empty and n:
+                e |= {(a, w) for a in range(n) if rng.random() < 0.7}
+                e.add((0, w))
+            world = Structure.make(n, MASKED_SCHEMA,
+                                   {**contents, t_rel: t, "E": e})
+            _check_bulk(f, world, {"w": w}, frees, as_stored=sliced)
+
+
+def test_a_slice_array_is_counted_part_by_part(monkeypatch):
+    """`_any` reads a SliceArray part by part and never densifies it: all
+    parts the shared zero part, and one true cell in the last part."""
+    monkeypatch.setattr(be, "_SHARE_MIN", 0)
+    n = 4
+    empty = stored_relation((), 3, n)
+    cell = stored_relation([(n - 1, 2, 1)], 3, n)
+    calls = []
+    monkeypatch.setattr(be.SliceArray, "__array__",
+                        lambda *args, **kw: calls.append(args))
+    assert not be._any(empty) and be._any(cell)
+    assert not calls
+    assert not be._any(np.zeros((n, n), dtype=bool))
+    assert be._any(be._full((n, n), True))
 
 
 def _frozen(arrays):

@@ -4,9 +4,12 @@ kernels."""
 
 import ast
 import gc
+import hashlib
 import itertools
+import json
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from dyncomplab.bulk_eval import (SliceArray, _Lowering, _diag,
                                   array_to_relation, stored, stored_relation)
 from dyncomplab.formulas import parse_formula
 from dyncomplab.interpreter import init_state, step
+from dyncomplab.structures import Change
 
 
 @pytest.fixture
@@ -348,6 +352,30 @@ def test_stored_keeps_small_arrays_and_slices_large_ones():
     assert len({id(p) for p in ones.parts}) == 1
 
 
+def test_a_constant_value_is_one_shared_array_per_shape(monkeypatch):
+    """`stored` of a bool, and `stored_relation` of no tuples, are one
+    read-only object per (shape, value) at every size: the `_full` array
+    when small, one SliceArray of `_full` parts when large (or when every
+    array is kept as slices), so that a relation that stays constant is
+    handed on as itself."""
+    n = 32                                            # 32**3 = _SHARE_MIN
+    for shape in ((n,) * 3, (3, 3), (n,)):
+        for value in (False, True):
+            got = stored(value, shape)
+            assert stored(value, shape) is got and not got.flags.writeable
+            assert array_to_relation(got) == (
+                set(itertools.product(range(shape[0]), repeat=len(shape)))
+                if value else set())
+    assert stored_relation((), 3, n) is stored(False, (n,) * 3)
+    assert isinstance(stored(False, (n,) * 3), SliceArray)
+    assert stored(False, (n,) * 3) is not stored(True, (n,) * 3)
+    assert stored_relation([], 2, 3) is be._full((3, 3), False)
+    monkeypatch.setattr(be, "_SHARE_MIN", 0)
+    for shape in ((0, 0), (1, 1), (4, 4, 4)):
+        got = stored_relation((), len(shape), shape[0])
+        assert isinstance(got, SliceArray) and got is stored(False, shape)
+
+
 def _cells(dense):
     return {idx for idx in np.ndindex(dense.shape) if dense[idx]}
 
@@ -555,6 +583,85 @@ def test_a_kernel_reads_a_parameter_view_once():
                 most[name] = max(most.get(name, 0), a.reads)
         state = step(state, c)
     assert set(most.values()) == {1}, most
+
+
+@pytest.mark.parametrize("sliced", [False, True], ids=["dense", "sliced"])
+def test_an_empty_p_skips_the_parameter_free_mask(sliced, monkeypatch):
+    """prop_4's insert-E P_0_4 is `mask & (P_0_4 ^ X)`: the mask says its
+    four nodes are uncoloured and pairwise distinct and reads no
+    parameter; X reads E's column w.  Called on a state where P_0_4 and
+    E's column w are empty, the kernel returns the shared all-false
+    constant itself (`_full` of the shape, or with every array sliced
+    the one SliceArray `stored` keeps of False), and its source computes
+    the mask (the identity read with no parameter) only where a test
+    `... is not Z4` holds."""
+    if sliced:
+        monkeypatch.setattr(be, "_SHARE_MIN", 0)
+    prog = pg.catalog_entry("parity_exists_prop_4").build()
+    rule = prog.rules[("ins", "E", "P_0_4")]
+    n, w = 6, 4
+    state = init_state(prog, n)
+    for c in [Change("ins", "E", (a, b)) for a, b in
+              ((0, 1), (2, 1), (3, 5), (1, 2))] + [Change("ins", "R", (3,))]:
+        state = step(state, c)
+    assert not array_to_relation(state.aux_arrays["P_0_4"])
+    assert not state.input_arrays["E"][:, w].any()
+    env = {**state.input_arrays, **state.builtin_arrays, **state.aux_arrays}
+    params = dict(zip(rule.params, (0, w)))
+    shape = (n,) * 4
+    want = stored(False, shape)
+    assert want is (be._full(shape, False) if not sliced else want)
+    for _ in range(2):
+        assert be.bulk_eval(rule.body, env, n, params, rule.frees) is want
+    source = _Lowering(rule.body, rule.params, rule.frees).source()
+    reads = _mask_reads(ast.parse(source), False)
+    assert reads and all(reads), source
+
+
+def _mask_reads(node, guarded: bool) -> list[bool]:
+    """For each read of the identity with no parameter under `node`
+    (`eye[:, :, None, None]`, a conjunct of a parameter-free mask),
+    whether a test `t is not Z<d>` guards it: it is in the body of such
+    an if-statement or conditional expression."""
+    if isinstance(node, (ast.If, ast.IfExp)):
+        test = node.test
+        holds = isinstance(test, ast.Compare) and \
+            isinstance(test.ops[0], ast.IsNot) and \
+            re.fullmatch(r"Z\d+", getattr(test.comparators[0], "id", ""))
+        body = node.body if isinstance(node.body, list) else [node.body]
+        orelse = node.orelse if isinstance(node.orelse, list) \
+            else [node.orelse]
+        inside = guarded or bool(holds)
+        return _mask_reads(test, guarded) + \
+            [r for b in body for r in _mask_reads(b, inside)] + \
+            [r for b in orelse for r in _mask_reads(b, guarded)]
+    if isinstance(node, ast.Subscript) \
+            and getattr(node.value, "id", "") == "eye" \
+            and not any(isinstance(m, ast.Name) for m in ast.walk(node.slice)):
+        return [guarded]
+    return [r for child in ast.iter_child_nodes(node)
+            for r in _mask_reads(child, guarded)]
+
+
+def test_the_large_graph_kernels_are_the_parents(planned_sources):
+    """The 80 kernels of degree_rel_3 and parity_degree_div3, the programs
+    of the large-n graph workload, read no relation whole outside a chain
+    and so count none: each source equals, up to the numbering of its
+    temporaries, the one recorded in graph_large_n_kernels.json (the
+    first 16 hex digits of the sha256 of the source with its t<i> and
+    c<i> renumbered in order of first use)."""
+    with open(Path(__file__).with_name("graph_large_n_kernels.json")) as fh:
+        want = json.load(fh)
+    got = {}
+    for (name, op, rel, target), source in planned_sources.items():
+        if name in ("degree_rel_3", "parity_degree_div3"):
+            names: dict = {}
+            source = re.sub(r"\b[tc]\d+\b", lambda m: names.setdefault(
+                m[0], f"{m[0][0]}{len(names)}"), source)
+            got[f"{name} {op} {rel} {target}"] = hashlib.sha256(
+                source.encode()).hexdigest()[:16]
+    assert len(got) == 80
+    assert {k for k in got if got[k] != want.get(k)} == set()
 
 
 def test_no_kernel_keeps_a_value_between_calls(planned_sources):
