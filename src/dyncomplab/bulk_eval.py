@@ -72,21 +72,18 @@ The lowering
   (`r1[p0, :, p1] | r0[p0, :]` for the column, not a broadcast over
   three axes).  It reads T's cells there once, for the value and for the
   compare (an atom of T under a quantifier, which adds an axis, is read
-  as any other atom): when they are equal the rule's value is T's own array, and no
-  copy is made.  Otherwise one copy is made and the cells written: one
-  new slice of a SliceArray when axis 0 is bound (`SliceArray.written`),
-  only the slices whose cells change when it is free
-  (`SliceArray.rewritten`), a dense copy otherwise;
+  as any other atom): when they are equal the rule's value is T's own
+  array, and no copy is made.  Otherwise one copy is made and the cells
+  written: one new slice of a SliceArray when axis 0 is bound
+  (`SliceArray.written`, the one write a SliceArray has), a dense copy
+  otherwise;
 - writes a slice into the base itself when the base is an array the
   kernel made and reads no more (an operation's result or an earlier
   split's), so a rule makes at most one full-shape copy however many
   splits it nests;
 - starts any other split whose base is a whole atom of one relation
-  from that relation's array: a SliceArray itself, a dense array copied
-  up front;
-- writes a slice into a SliceArray base as one new slice when it is on
-  axis 0 (`SliceArray.replaced`, which hands the array itself back when
-  the slice holds the value already), and into a dense copy otherwise;
+  from a dense copy of that relation's array, made up front, and
+  writes its slice into that copy;
 - drops a named intermediate that nothing reads, and frees every other
   one after its last use.
 
@@ -101,12 +98,12 @@ the shared read-only constant array (one object per shape and value, a
 SliceArray when large), any other array copied unless it
 is fresh and then made read-only.  An array of ndim >= 2 with at least
 _SHARE_MIN cells is kept as a `SliceArray`: the tuple of its read-only
-axis-0 slices, so that a slice write on axis 0 makes one new slice and
-shares the others with the array it started from (path copying).
+axis-0 slices, so that a chain's write on axis 0 makes one new slice
+and shares the others with the array it started from (path copying).
+Every other write goes into a dense copy, which `stored` slices again.
 Kernels read SliceArrays as they read numpy arrays: an atom with a
-constant or parameter first reads one slice, one whose index starts with
-`:` the same cells of every slice, stacked, any other atom a dense copy
-made for that one read.  `stored` takes its value over, so a
+constant or parameter first reads one slice, any other atom a dense
+copy made for that one read.  `stored` takes its value over, so a
 relation's own array leaves a kernel only as the return of an identity
 rule or of an unchanged chain, never through `stored`.
 
@@ -244,12 +241,10 @@ def _diag(sub: np.ndarray, spec: str) -> np.ndarray:
 
 
 def _take(a, shape: tuple[int, ...]):
-    """`a` itself when it is a SliceArray (never written in place) or a
-    fresh, full-shape, contiguous, writable array (an operation's own
-    output); otherwise a broadcast copy.  Atoms are views and the shared
-    constants are read-only, so neither is ever handed out."""
-    if a.__class__ is SliceArray:
-        return a
+    """`a` itself when it is a fresh, full-shape, contiguous, writable
+    array (an operation's own output); otherwise a broadcast copy.  Atoms
+    are views and the shared constants are read-only, so neither is ever
+    handed out."""
     flags = a.flags
     if a.base is None and a.shape == shape and flags.writeable \
             and flags.c_contiguous:
@@ -258,10 +253,7 @@ def _take(a, shape: tuple[int, ...]):
 
 
 def _copy(a, shape: tuple[int, ...]):
-    """A new writable array of `a` broadcast to `shape`, or `a` itself
-    when it is a SliceArray."""
-    if a.__class__ is SliceArray:
-        return a
+    """A new writable, dense array of `a` broadcast to `shape`."""
     if a.shape == shape:
         return a.copy()  # C order; twice as fast as a broadcast fill
     out = np.empty(shape, dtype=bool)
@@ -281,19 +273,16 @@ def _differs(cells: np.ndarray, value: np.ndarray) -> bool:
     return bool((cells != value).any())
 
 
-_ALL = slice(None)
-
-
 class SliceArray:
     """A read-only boolean array of ndim >= 2 kept as the tuple of its
     axis-0 slices (`parts`), each a read-only numpy array that other
     SliceArrays may share.
 
-    An index whose first entry is an int reads one part, and one whose
-    first entry is `:` reads the rest of it in every part; any other
-    index, and `np.asarray`, build a dense copy for that one use (none is
-    kept, as it would double what a state holds).  `==` and `!=` are
-    elementwise, as on numpy arrays."""
+    An index whose first entry is an int reads one part; any other index,
+    and `np.asarray`, build a dense copy for that one use (none is kept,
+    as it would double what a state holds).  `==` and `!=` are
+    elementwise, as on numpy arrays.  `written` is its one write: a new
+    SliceArray with one part copied and written."""
 
     __slots__ = ("parts", "shape", "ndim", "size", "__weakref__")
     dtype = np.dtype(bool)
@@ -309,11 +298,6 @@ class SliceArray:
         if index.__class__ is tuple:
             if index and index[0].__class__ is int:
                 return self.parts[index[0]][index[1:]]
-            if index and index[0].__class__ is slice and index[0] == _ALL \
-                    and self.parts:
-                # the same index in every part, stacked
-                rest = index[1:]
-                return np.stack([part[rest] for part in self.parts])
         elif index.__class__ is int:
             return self.parts[index]
         return self.__array__()[index]
@@ -349,41 +333,6 @@ class SliceArray:
         for i, (a, b) in enumerate(zip(self.parts, other.parts)):
             out[i] = op(a, b) if a is not b else op is operator.eq
         return out
-
-    def replaced(self, at: int, value) -> "SliceArray":
-        """This array with `value` as its slice `at` of axis 0 (`value`
-        broadcasts to the slice, with that axis of length 1 or absent):
-        itself when the slice is `value` or holds it already."""
-        part = self.parts[at]
-        if value is part:
-            return self
-        if getattr(value, "ndim", 0) == self.ndim:
-            value = value.reshape(value.shape[1:])
-        if not _count_nonzero(part != value):
-            return self
-        return self.written(at, (), value)
-
-    def rewritten(self, index: tuple, cells: np.ndarray,
-                  value) -> "SliceArray":
-        """This array with `value` written at `index` of every slice of
-        axis 0.  `cells` holds what is there now, `self[:, *index]`, and
-        `value` broadcasts to it.  Only the slices whose cells differ are
-        copied, every other is shared, and it is itself when none do."""
-        if value is cells:
-            return self
-        differs = cells != value
-        if differs.ndim > 1:
-            differs = differs.any(axis=tuple(range(1, differs.ndim)))
-        rows = np.flatnonzero(differs)
-        if not rows.size:
-            return self
-        value = np.broadcast_to(value, cells.shape)
-        parts = list(self.parts)
-        for i in rows.tolist():
-            new = parts[i].copy()
-            new[index] = value[i]
-            parts[i] = _readonly(new)
-        return SliceArray(tuple(parts), self.shape)
 
     def written(self, at: int, index: tuple, value) -> "SliceArray":
         """This array with `value` written at `index` of its slice `at` of
@@ -893,7 +842,9 @@ class _Lowering:
         its slice, lowered without x's axis, splits again on an axis still
         free there, as long as the base stays that relation's array on the
         cells the chain binds.  None when such a split does not (its base
-        is then lowered for nothing, and its statements dropped)."""
+        is then lowered for nothing, and its statements dropped).  Any
+        other split's base is a dense array, and the slice is written into
+        it with one store."""
         axis = ctx[name][1]
         kind, at = term
         outer = ctx.get(_AT)
@@ -950,31 +901,21 @@ class _Lowering:
         shape = "(" + "".join("n, " if a in live else "1, "
                               for a in range(depth)) + ")"
         read = set(_TEMP.findall(on.code)).union(*map(_reads, branch.stmts))
-        # the base: the relation's own array for a whole atom of it,
-        # which _copy copies unless it is a SliceArray; an array the
-        # kernel made and nothing else reads, which _take hands on unless
-        # it is a view, a constant or too small (so nested splits make one
-        # full-shape copy in all); otherwise a copy.  A SliceArray is
-        # never written in place: a write on axis 0 replaces one slice,
-        # one on another axis densifies it first.  (A chain's value,
-        # which may be its relation's array, is only ever a rule's root.)
+        # the base, always a dense array: a copy of the relation's own
+        # array for a whole atom of it (`_copy` densifies a SliceArray);
+        # an array the kernel made and nothing else reads, which _take
+        # hands on unless it is a view, a constant or too small (so nested
+        # splits make one full-shape copy in all); otherwise a copy.  (A
+        # chain's value, which may be its relation's array, is only ever
+        # a rule's root.)
         owned = not off.whole and off.const is None and \
             self._owned(off, read, block)
         t = self._temp(off.code if owned else "")
         block.stmts.append(("assign", t, f"{'_take' if owned else '_copy'}"
                             f"({off.whole or off.code}, {shape})"))
         value = self.named(on, branch).code
-        # each `store` rebinds t or writes into it, and t stays the one
-        # temporary of the base
-        sliced = f"{t}.__class__ is SliceArray"
-        store = ("store", f"{t}[{index}]", value)
-        if axis:
-            write = [("if", sliced, [("store", t, f"{t}.copy()")], [], None),
-                     store]
-        else:
-            write = [("if", sliced, [("store", t, f"{t}.replaced({at}, "
-                                      f"{value})")], [store], None)]
-        _guarded(block, guard, branch.stmts + write, None)
+        write = ("store", f"{t}[{index}]", value)
+        _guarded(block, guard, branch.stmts + [write], None)
         return _Val(t, True)
 
     def _write_cells(self, on: _Val, off: _Val, at: _Cells, first: bool,
@@ -985,8 +926,7 @@ class _Lowering:
         shape, and compares them with rel's cells, read once into
         `at.read` (a read nothing uses is dropped); then one copy is made
         and they are written: one slice of a SliceArray when axis 0 is
-        bound, the slices whose cells differ when it is free, the whole
-        array otherwise."""
+        bound, a dense copy of the whole array otherwise."""
         t, rel = at.temp, at.rel
         read = ("assign", at.read, f"{rel}[{at.index()}]")
         if on.whole == rel:  # the relation's own cells: nothing to write
@@ -1014,24 +954,19 @@ class _Lowering:
         bound = dict(at.cells)
         test = f"{cells} != {value}" if not at.axes else \
             f"_differs({cells}, {value})"
-        dense = [("assign", t, f"_copy({rel}, {_shape(depth)})"),
+        write = [("assign", t, f"_copy({rel}, {_shape(depth)})"),
                  ("store", f"{t}[{at.index()}]", value)]
-        if depth < 2:  # a SliceArray has ndim >= 2
-            return [("if", test, dense, [], t)]
-        sliced = f"{rel}.__class__ is SliceArray"
-        # the bound cells' index in one slice of axis 0
-        part = "(" + "".join(f"{bound[a][1]}, " if a in bound else
-                             "slice(None), " for a in range(1, depth)) + ")"
-        if 0 in bound:
+        # a SliceArray has ndim >= 2; with axis 0 bound it copies one slice
+        if depth >= 2 and 0 in bound:
+            # the bound cells' index in that slice
+            part = "(" + "".join(f"{bound[a][1]}, " if a in bound else
+                                 "slice(None), " for a in range(1, depth)) + ")"
             if len(bound) == 1:  # the whole slice
                 part = "()"
-            return [("if", test, [("if", sliced, [(
+            write = [("if", f"{rel}.__class__ is SliceArray", [(
                 "assign", t, f"{rel}.written({bound[0][1]}, {part}, {value})")],
-                dense, t)], [], t)]
-        # axis 0 free: a SliceArray compares and copies slice by slice
-        return [("if", sliced,
-                 [("assign", t, f"{rel}.rewritten({part}, {cells}, {value})")],
-                 [("if", test, dense, [], t)], t)]
+                write, t)]
+        return [("if", test, write, [], t)]
 
     def _atom(self, f: Atom, ctx, depth: int, block: _Block) -> _Val:
         terms = [self._term(t, ctx) for t in f.terms]

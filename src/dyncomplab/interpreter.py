@@ -161,13 +161,15 @@ class ProgramState:
     Every array of a state is read-only, and states share them.  The
     auxiliary and built-in arrays are kept as `bulk_eval.stored` keeps a
     value: an array of ndim >= 2 with at least `bulk_eval._SHARE_MIN`
-    cells is a `bulk_eval.SliceArray`, shared slice by slice, so a step
-    that rewrites one slice on axis 0 (one owner's list) makes one new
-    slice and the next state shares all the others; a step that leaves
-    an array unchanged hands it on as it is, as it does the array of an
-    identity rule.  `input_arrays` holds the input relations as dense
-    arrays, which `step` hands on with the changed relation's array
-    copied and its one cell written.
+    cells is a `bulk_eval.SliceArray`, shared slice by slice, so a rule
+    that keeps its relation but for cells on one slice of axis 0 (a
+    chain: one owner's list) makes one new slice and the next state
+    shares all the others; any other rule's value is a dense array that
+    `stored` slices again.  A step that leaves an array unchanged hands
+    it on as it is, as it does the array of an identity rule.
+    `input_arrays` holds the input relations as dense arrays, which
+    `step` hands on with the changed relation's array copied and its one
+    cell written.
     """
 
     program: DynamicProgram

@@ -137,14 +137,16 @@ def test_initial_state_on_a_small_domain_audits_clean(entry, n):
     assert pg.audit_program_state(init_state(entry.build(), n)) == []
 
 
-@pytest.mark.parametrize("name", ["degree_rel_3", "parity_degree_div3"])
-def test_one_flipped_cell_of_a_sliced_relation_fails_the_audit(name):
-    """At n = 128 the arity-3 relations are SliceArrays, which the
-    exhaustive corruption sweep (dense at its sizes) never reads back: a
-    clean state audits clean, and one flipped cell in the first, a middle
-    or the last part of any of them fails the audit."""
+@pytest.mark.parametrize("name,n", [
+    pytest.param(name, n, id=name) for name, n in
+    (("degree_rel_3", 128), ("parity_degree_div3", 128), ("size_2", 182))])
+def test_one_flipped_cell_of_a_sliced_relation_fails_the_audit(name, n):
+    """At n = 128 the arity-3 relations are SliceArrays, and at n = 182
+    size_2's lists are, which the exhaustive corruption sweep (dense at
+    its sizes) never reads back: a clean state audits clean, and one
+    flipped cell in the first, a middle or the last part of any of them
+    fails the audit."""
     prog = pg.catalog_entry(name).build()
-    n = 128
     st = init_state(prog, n)
     for c in cx.random_changes(n, rels_for(prog), 256,
                                random.Random(f"real-size:{name}"),
@@ -162,7 +164,7 @@ def test_one_flipped_cell_of_a_sliced_relation_fails_the_audit(name):
                          tuple(rng.randrange(n) for _ in arr.shape[1:])):
                 part = arr.parts[at].copy()
                 part[cell] ^= True
-                st.aux_arrays[rel] = arr.replaced(at, part)
+                st.aux_arrays[rel] = arr.written(at, (), part)
                 found = pg.audit_program_state(st)
                 assert any(d.relation.startswith(rel) for d in found), \
                     (rel, at, cell)

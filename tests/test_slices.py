@@ -104,10 +104,11 @@ def test_a_slice_array_reads_as_its_dense_array(ndim, n, every_array_sliced):
 @pytest.mark.parametrize("ndim,n", CASES)
 def test_cow_on_a_slice_array_matches_a_dense_write(ndim, n,
                                                     every_array_sliced):
-    """A slice write on axis 0 is `SliceArray.replaced`: one new part, the
-    others shared, the array itself when the slice holds the value.  A
-    kernel's write on another axis densifies the relation's SliceArray
-    first.  Neither writes to the array it starts from."""
+    """A kernel's slice write, `!(v = p) & T(..) | v = p & V(..)`, on
+    axis 0 is a chain's `SliceArray.written`: one new part, the others
+    shared, the array itself when the slice holds the value.  Its write
+    on another axis goes into a dense copy of the relation's SliceArray.
+    Neither writes to the array it starts from."""
     rng = random.Random(f"cow:{ndim}:{n}")
     frees = tuple("abcd"[:ndim])
     for _ in range(20 if n else 1):
@@ -123,26 +124,27 @@ def test_cow_on_a_slice_array_matches_a_dense_write(ndim, n,
             continue
         axis, at = rng.randrange(ndim), rng.randrange(n)
         index = (slice(None),) * axis + (slice(at, at + 1),)
-        if axis == 0:
+        # the new slice is V's, read by the kernel as V(.., p, ..)
+        values = [other_dense, dense]
+        if axis == 0:  # V's slice a bool, T's own slice or a broadcast
             shape = [1] + [1 if rng.random() < 0.3 else n
                            for _ in range(ndim - 1)]
-            values = [rng.random() < 0.5, dense[index].copy(),
-                      np.array([rng.random() < 0.5 for _ in
-                                range(int(np.prod(shape)))]).reshape(shape)]
-        else:  # the new slice is V's, read by the kernel as V(.., p, ..)
-            values = [other_dense, dense]
-            v = frees[axis]
-            rule = parse_formula(f"!({v} = p) & T({', '.join(frees)}) | "
-                                 f"{v} = p & V({', '.join(frees)})")
+            for cells in (rng.random() < 0.5, dense[index].copy(),
+                          np.array([rng.random() < 0.5 for _ in
+                                    range(int(np.prod(shape)))]
+                                   ).reshape(shape)):
+                value = other_dense.copy()
+                value[index] = cells
+                values.append(value)
+        v = frees[axis]
+        rule = parse_formula(f"!({v} = p) & T({', '.join(frees)}) | "
+                             f"{v} = p & V({', '.join(frees)})")
         for value in values:
             want = dense.copy()
-            want[index] = value[index] if axis else value
-            if axis:
-                got = be.bulk_eval(rule, {"T": sliced,
-                                          "V": stored(value, value.shape)},
-                                   n, {"p": at}, frees)
-            else:
-                got = sliced.replaced(at, value)
+            want[index] = value[index]
+            got = be.bulk_eval(rule, {"T": sliced,
+                                      "V": stored(value, value.shape)},
+                               n, {"p": at}, frees)
             _same(got, want)
             _same(sliced, dense)                     # left unwritten
             if axis == 0 and np.array_equal(want, dense):
@@ -161,14 +163,12 @@ def test_a_cell_write_copies_one_slice_and_shares_the_others(
         ndim, n, every_array_sliced):
     """`written` writes a point, a column or a whole slice into a copy of
     one slice, with the value's leading axis of length 1 or absent, and
-    shares every other slice; `replaced` hands the array itself back when
-    given its own slice.  Neither writes to the array it starts from."""
+    shares every other slice.  It never writes to the array it starts
+    from."""
     rng = random.Random(f"written:{ndim}:{n}")
     for _ in range(10):
         dense, sliced = _random_pair(rng, ndim, n)
         for at in range(n):
-            assert sliced.replaced(at, sliced.parts[at]) is sliced
-            assert sliced.replaced(at, dense[at]) is sliced
             cells = [rng.choice([slice(None), rng.randrange(n)])
                      for _ in range(ndim - 1)]
             if rng.random() < 0.3:
@@ -192,47 +192,18 @@ def test_a_cell_write_copies_one_slice_and_shares_the_others(
 
 
 @pytest.mark.parametrize("ndim,n", CASES)
-def test_a_write_with_axis_0_free_copies_only_the_slices_it_changes(
+def test_an_index_with_axis_0_free_reads_the_dense_cells(
         ndim, n, every_array_sliced):
     """An index whose first entry is `:` reads the same cells of every
-    slice.  `rewritten` writes a value into those cells, with the value's
-    leading axis of length n or 1: it copies the slices whose cells
-    change, shares every other, and hands the array itself back when
-    none change.  It never writes to the array it starts from."""
+    slice, through a dense copy of the whole array."""
     rng = random.Random(f"rewritten:{ndim}:{n}")
     for _ in range(10 if n else 1):
         dense, sliced = _random_pair(rng, ndim, n)
         rest = tuple(rng.choice([slice(None), rng.randrange(n)]) if n
                      else slice(None) for _ in range(ndim - 1))
         index = (slice(None),) + rest
-        cells = sliced[index]
-        _same(cells, dense[index])
+        _same(sliced[index], dense[index])
         _same(sliced[index + (None,)], dense[index + (None,)])
-        assert sliced.rewritten(rest, cells, cells) is sliced
-        assert sliced.rewritten(rest, cells, cells.copy()) is sliced
-        if not n:
-            continue
-        value = cells.copy()
-        changed = set()
-        for i in range(n):
-            if rng.random() < 0.3:
-                value[i] = ~value[i]
-                changed.add(i)
-        if rng.random() < 0.3:  # one value for every slice
-            value = value[:1]
-            changed = {i for i in range(n)
-                       if not np.array_equal(cells[i], value[0])}
-        got = sliced.rewritten(rest, cells, value)
-        want = dense.copy()
-        want[index] = value
-        _same(got, want)
-        _same(sliced, dense)
-        if not changed:
-            assert got is sliced
-            continue
-        assert {i for i in range(n)
-                if got.parts[i] is not sliced.parts[i]} == changed
-        assert not any(got.parts[i].flags.writeable for i in changed)
 
 
 def test_a_branch_does_not_test_a_range_again():
@@ -662,6 +633,27 @@ def test_the_large_graph_kernels_are_the_parents(planned_sources):
                 source.encode()).hexdigest()[:16]
     assert len(got) == 80
     assert {k for k in got if got[k] != want.get(k)} == set()
+
+
+def test_a_kernel_writes_a_slice_array_only_through_written(planned_sources):
+    """A SliceArray has one write, `written`, which a chain calls when it
+    binds axis 0; every other write goes into a dense copy.  No catalog
+    kernel names `replaced` or `rewritten`, and each `... is SliceArray`
+    test is the test of an if-statement whose body calls `.written(`."""
+    for key, source in planned_sources.items():
+        assert not re.search(r"\.(replaced|rewritten)\(", source), \
+            (key, source)
+        tree = ast.parse(source)
+        tests = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Compare) and
+                 any(getattr(c, "id", "") == "SliceArray"
+                     for c in node.comparators)]
+        writes = [node.test for node in ast.walk(tree)
+                  if isinstance(node, ast.If) and
+                  any(isinstance(c, ast.Call) and
+                      getattr(c.func, "attr", "") == "written"
+                      for part in node.body for c in ast.walk(part))]
+        assert all(any(t is w for w in writes) for t in tests), (key, source)
 
 
 def test_no_kernel_keeps_a_value_between_calls(planned_sources):
