@@ -11,12 +11,18 @@ input x adds (or subtracts) counter A to counter A∖{x} for every tracked
 A containing x, as one vectorised index update: x is in every A and in
 no A∖{x}, so no counter read in a flip is written in it, and A ↦ A∖{x}
 is injective on the sets containing x, so no counter is written twice.
+
+`sym_init` builds the counters and the rows with array operations.  It
+keys every subset of every distinct gate by its inputs, packed into as
+many 64-bit words as m needs, and one sort of all keys gives each subset
+its id, in order of first appearance.  The (A∖{x}, A) rows of each input
+x are one view of a single column-major array.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -37,8 +43,17 @@ class SymCircuit:
     h: tuple[bool, ...]                     # output table, length gates+1
 
 
+def _index(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise CircuitError(f"{what} must be an int, got {value!r}") from None
+
+
 def make_circuit(m: int, fanin: int, gates, h) -> SymCircuit:
-    gates = tuple(frozenset(g) for g in gates)
+    m = _index(m, "the number of inputs")
+    fanin = _index(fanin, "the fan-in bound")
+    gates = tuple(frozenset(_index(i, "a gate input") for i in g) for g in gates)
     h = tuple(bool(b) for b in h)
     if m < 0 or fanin < 1:
         raise CircuitError("need m >= 0 and fan-in bound >= 1")
@@ -55,43 +70,65 @@ def make_circuit(m: int, fanin: int, gates, h) -> SymCircuit:
     return SymCircuit(m, fanin, gates, h)
 
 
-def _submasks(mask: int):
-    """Every submask of mask, mask itself first and 0 last."""
-    sub = mask
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
-
-
 @dataclass
 class SymState:
+    """The counter table of a circuit under an assignment.
+
+    `subsets[i]` is the packed key of subset i (`_digit_bits`): its
+    inputs in increasing order, one digit each; `values[i]` is its
+    counter.  `affected[x]` holds one (id(A∖{x}), id(A)) row for every
+    tracked A containing x, in order of id(A); all of them are views of
+    one column-major array of the circuit's rows, grouped by x."""
     circuit: SymCircuit
     assignment: list[bool]
-    subsets: list[tuple[int, ...]]          # subset id -> sorted inputs of A
+    subsets: np.ndarray                     # subset id -> packed key (words)
     values: np.ndarray                      # subset id -> counter (int64)
-    # per input x: (id(A∖{x}), id(A)) rows, shape (pairs, 2)
     affected: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
 
     @property
     def counters(self) -> dict[frozenset[int], int]:
         """The counters keyed by subset, as a fresh dict: writing to it
         changes no state."""
-        return {frozenset(a): int(v) for a, v in zip(self.subsets, self.values)}
+        bits = _digit_bits(self.circuit.m)
+        shifts = np.arange(63 // bits) * bits
+        count, words = self.subsets.shape
+        digits = (self.subsets[:, :, None] >> shifts) & ((1 << bits) - 1)
+        return {frozenset(d - 1 for d in row if d): int(v) for row, v in
+                zip(digits.reshape(count, words * len(shifts)).tolist(),
+                    self.values)}
 
     @property
     def activated(self) -> int:
-        return int(self.values[0]) if self.subsets else 0
+        return int(self.values[0]) if self.circuit.gates else 0
+
+
+def _digit_bits(m: int) -> int:
+    """Bits per digit of a subset key over m inputs.  A key lists its
+    subset's inputs in increasing order, input i as the digit i + 1 and
+    an empty slot as 0, in as many 64-bit words as it needs; each word
+    holds as many digits as fit in its low 63 bits, so that keys are
+    exact and non-negative at every m."""
+    return max(m.bit_length(), 1)
+
+
+def _popcounts(k: int) -> np.ndarray:
+    """The number of set bits of each r < 2^k."""
+    count = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        count = np.concatenate((count, count + 1))
+    return count
 
 
 # Peak bytes sym_init allocates in all (small fixed tables), per input
-# (its row buffer and its affected array), per tracked subset (its
-# id-table entry and key, its counter, its slots in the per-gate tables)
-# and per (A∖{x}, A) pair (a key slot, the staged and the final affected
-# row).  Fitted to tracemalloc peaks on single gates of 1..16 inputs
-# among up to 1000 (about 8 KiB, 320, 134 and 42 bytes) and rounded up;
-# the bound stayed at least 1.15 times every measured peak.
+# (its row bounds and its view in `affected`), per tracked subset (its
+# key words and their sorted copy, its sort order, id and weight, its
+# counter) and per (A∖{x}, A) pair (its subset, input and bit, their
+# sort order and its final row).  Fitted to tracemalloc peaks on single
+# gates of 1..16 inputs among up to 1000 when subsets were keyed by
+# Python tuples.  With packed keys the same gates peak at about 8.4 KiB
+# in all, 228 bytes per input and, at 10..16 inputs, 43 to 56 bytes per
+# pair with the subsets' bytes included; the bound is at least 1.5 times
+# every measured peak.
 _FIXED_BYTES, _INPUT_BYTES, _SUBSET_BYTES, _PAIR_BYTES = 16384, 384, 160, 48
 
 
@@ -112,46 +149,130 @@ def footprint(c: SymCircuit) -> dict[str, int]:
                count * _gate_bytes(k) for k, count in sorted(sizes.items())}}
 
 
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct columns of keys, shape (words, n), in order of
+    first occurrence: the id of every column, and the first column of
+    every id."""
+    # word by word, every sort after the first stable, as np.lexsort does;
+    # a key's first occurrence is the least position among its equals
+    order = np.argsort(keys[0])
+    for more in keys[1:]:
+        order = order[np.argsort(more[order], kind="stable")]
+    ranked = keys[:, order]
+    new = np.ones(len(order), dtype=bool)   # in key order: a new key
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
+    del ranked
+    heads = np.minimum.reduceat(order, np.flatnonzero(new))
+    first = np.zeros(len(order), dtype=bool)
+    first[heads] = True
+    # a key's id: the first occurrences before its own
+    run = np.cumsum(new)
+    run -= 1
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = (np.cumsum(first) - 1)[heads][run]
+    return ids, np.flatnonzero(first)
+
+
 def sym_init(c: SymCircuit, assignment) -> SymState:
-    """Give every tracked subset an id (the empty set gets 0) and count,
-    for each, the gates containing it whose inputs outside it are all set.
-    A subset is keyed by the sorted tuple of its inputs, so a key's size
-    does not grow with m, and enumerated per gate as a bitmask r over the
-    gate's sorted inputs."""
+    """Give every tracked subset an id and count, for each, the gates
+    containing it whose inputs outside it are all set.
+
+    Each distinct gate of k inputs lays out its 2^k subsets, the empty
+    one first, in the order of the bitmasks r over its sorted inputs; the
+    gates follow each other in order of first appearance.  Every subset
+    is keyed by its inputs packed into 64-bit words (`_digit_bits`), and
+    one sort of all keys finds each subset's first occurrence: ids number
+    the first occurrences in layout order, so the empty set is 0.  The
+    first occurrence of a subset A gives one (id(A∖{x}), id(A)) row per
+    input x of A, in order of id(A), and a stable sort by x groups them
+    into `affected[x]`, views of one array."""
     assignment = [bool(b) for b in assignment]
     if len(assignment) != c.m:
         raise CircuitError(f"assignment must have {c.m} bits")
     check_fits("the symmetric-circuit counters", footprint(c))
-    gates = Counter(tuple(sorted(g)) for g in c.gates)
-    ids: dict[tuple[int, ...], int] = {(): 0} if gates else {}
-    counts = [0] * len(ids)
-    # rows staged flat in typed arrays, with no Python object per pair
-    rows = {x: array("q") for x in range(c.m)}
-    for members, copies in gates.items():
-        full = (1 << len(members)) - 1
-        keys = [()] * (full + 1)            # r -> key of its subset
-        local = [0] * (full + 1)            # r -> id of its subset
-        for r in range(1, full + 1):
-            low = r & -r
-            keys[r] = key = (members[low.bit_length() - 1],) + keys[r ^ low]
-            i = local[r] = ids.setdefault(key, len(ids))
-            if i == len(counts):            # a new subset: add its rows
-                counts.append(0)
-                rest = r
-                while rest:
-                    bit = rest & -rest
-                    row = rows[members[bit.bit_length() - 1]]
-                    row.append(local[r ^ bit])
-                    row.append(i)
-                    rest ^= bit
-        on = sum(1 << j for j, x in enumerate(members) if assignment[x])
-        for extra in _submasks(on):
-            counts[local[(full & ~on) | extra]] += copies
-    values = np.array(counts, dtype=np.int64)
-    # column-major, so that the two columns a flip reads are contiguous
-    affected = {x: np.frombuffer(r, dtype=np.int64).reshape(-1, 2)
-                .astype(np.intp, order="F") for x, r in rows.items()}
-    return SymState(c, assignment, list(ids), values, affected)
+    gates = Counter(c.gates)
+    sizes = np.fromiter(map(len, gates), dtype=np.intp, count=len(gates))
+    widest = int(sizes.max(initial=0))
+    bits = _digit_bits(c.m)
+    per = 63 // bits                        # digits per word
+    words = max(-(-widest // per), 1)
+    # place[w, r]: the multiple of a digit that puts it in word w of a
+    # key, in the slot after the last input of subset r (0 in other words)
+    word, slot = np.divmod(_popcounts(max(widest - 1, 0)), per)
+    place = np.where(word == np.arange(words)[:, None],
+                     np.left_shift(1, slot * bits), 0)
+    flat = np.fromiter(itertools.chain.from_iterable(gates), dtype=np.intp,
+                       count=int(sizes.sum()))
+    # each gate's inputs in increasing order
+    flat = flat[np.lexsort((flat, np.repeat(np.arange(len(sizes)), sizes)))]
+    lead = np.cumsum(sizes) - sizes         # gate -> index of its first input
+    spans = np.left_shift(1, sizes)
+    ends = np.cumsum(spans)
+    starts = ends - spans                   # gate -> position of its ∅
+    total = int(spans.sum())
+    # subset r + 2^j of a gate, for r < 2^j, is subset r with the gate's
+    # input j added
+    keys = np.zeros((words, total), dtype=np.int64)
+    for j in range(widest):
+        wide = np.flatnonzero(sizes > j)
+        low = starts[wide, None] + np.arange(1 << j)
+        keys[:, low + (1 << j)] = keys[:, low] + \
+            (flat[lead[wide] + j, None] + 1) * place[:, None, :1 << j]
+
+    ids, home = _first_occurrences(keys)
+    subsets = keys[:, home].T
+    del keys
+
+    # subset r of a gate counts the gate's copies when r holds every
+    # input of the gate that is not set
+    unset = ~np.array(assignment, dtype=bool)[flat]
+    off = np.add.reduceat(unset << (np.arange(len(flat)) - np.repeat(lead, sizes)),
+                          lead)
+    r = np.arange(total)
+    r -= np.repeat(starts, spans)
+    off = np.repeat(off, spans)
+    np.bitwise_and(r, off, out=r)
+    counted = r == off
+    del r, off
+    weights = np.repeat(np.fromiter(gates.values(), dtype=np.float64,
+                                    count=len(gates)), spans)
+    weights *= counted
+    del counted
+    values = np.bincount(ids, weights, minlength=len(home)).astype(np.int64)
+    del weights
+
+    # the rows: pair p is input j of subset `of[p]`, in order of id, then j
+    gate = np.searchsorted(ends, home, side="right")
+    r = (home - starts[gate]).astype("<i8")
+    of = np.flatnonzero(np.unpackbits(r.view(np.uint8).reshape(-1, 8), axis=1,
+                                      count=widest, bitorder="little"))
+    del r
+    j = (of % max(widest, 1)).astype(np.uint8)
+    of //= max(widest, 1)
+    at = lead[gate][of]
+    at += j
+    owner = flat.astype(np.min_scalar_type(c.m))[at]
+    del gate, at
+    rows = np.argsort(owner, kind="stable")
+    bounds = np.zeros(c.m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner, minlength=c.m), out=bounds[1:])
+    del owner
+    # column-major, so that the two columns a flip reads are contiguous;
+    # each column is written in place (take writes to out unbuffered in
+    # mode "clip", which never clips here: every index is in range)
+    table = np.empty((2, len(rows)), dtype=np.intp)
+    np.take(of, rows, out=table[1], mode="clip")
+    del of
+    j = j[rows]
+    del rows
+    at = home[table[1]]
+    at -= np.left_shift(np.intp(1), j)      # the position of A∖{x}
+    del j
+    np.take(ids, at, out=table[0], mode="clip")
+    table = table.T
+    lows, highs = bounds[:-1].tolist(), bounds[1:].tolist()
+    affected = {x: table[lo:hi] for x, (lo, hi) in enumerate(zip(lows, highs))}
+    return SymState(c, assignment, subsets, values, affected)
 
 
 def sym_flip(state: SymState, x: int) -> SymState:

@@ -63,6 +63,16 @@ def test_make_circuit_validation():
         sc.make_circuit(3, 3, [frozenset({0})], [False])
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+def test_make_circuit_rejects_values_that_are_not_ints(bad):
+    with pytest.raises(sc.CircuitError, match="must be an int"):
+        sc.make_circuit(3, 3, [frozenset({0, bad})], [False, True])
+    with pytest.raises(sc.CircuitError, match="must be an int"):
+        sc.make_circuit(bad, 3, [frozenset({0})], [False, True])
+    with pytest.raises(sc.CircuitError, match="must be an int"):
+        sc.make_circuit(3, bad, [frozenset({0})], [False, True])
+
+
 def test_format_parse_round_trip():
     circ = _majority3()
     text = sc.format_circuit(circ)
@@ -129,6 +139,29 @@ def test_flips_match_the_frozenset_reference():
                 assert st.counters == sc.counters_reference(circ, st.assignment)
 
 
+def test_keys_stay_exact_on_wide_circuits():
+    # at m = 20000 six inputs do not fit one base-(m+1) word; gates over
+    # the highest inputs, some repeated, many overlapping
+    m = 20000
+    rng = random.Random(43)
+    gates = [frozenset(rng.sample(range(m - 40, m), 6)) for _ in range(30)]
+    gates += gates[:5] + [frozenset(range(m - 6, m)),
+                          frozenset(range(m - 9, m - 3))] * 2
+    circ = sc.make_circuit(m, 6, gates, [False] * (len(gates) + 1))
+    st = sc.sym_init(circ, [rng.random() < 0.5 for _ in range(m)])
+    reference = sc.counters_reference(circ, st.assignment)
+    assert st.counters == reference
+    inputs = sorted(set().union(*gates))
+    for x in inputs:
+        assert len(st.affected[x]) == sum(
+            1 for a in reference if x in a and a - {x} in reference), x
+    for f in range(300):
+        sc.sym_flip(st, rng.choice(inputs))
+        assert st.activated == sum(
+            all(st.assignment[i] for i in g) for g in circ.gates), f
+    assert st.counters == sc.counters_reference(circ, st.assignment)
+
+
 def test_counters_is_a_copy():
     st = sc.sym_init(_majority3(), [True] * 3)
     view = st.counters
@@ -141,7 +174,8 @@ def test_init_refuses_subsets_beyond_physical_memory(monkeypatch):
     from dyncomplab.structures import DynLabError
     big = sc.make_circuit(60, 60, [frozenset(range(60))], [False, True])
     with monkeypatch.context() as patch:
-        patch.setattr(sc, "array", None)   # staging any row would fail
+        # the popcount table is the first array the enumeration allocates
+        patch.setattr(sc, "_popcounts", None)
         with pytest.raises(DynLabError, match=r"1 distinct gate\(s\) of 60 "):
             sc.sym_init(big, [False] * 60)
     need = sum(sc.footprint(_majority3()).values())
