@@ -45,6 +45,16 @@ The lowering
 - reads `x = t`, t a parameter or constant, as row t of the cached
   identity, a view (`eye[p0, None, :]`), under t's range test, since
   `eye[-1]` would read the last row; no `(arange == t)` is allocated;
+- reads `x = y`, x and y free variables, over three or more axes of
+  length n from the cached, read-only table of its node's shape
+  (`_diagonal(n, 4, 0, 1)`), so that an operation with it is one of two
+  arrays of the same shape, not a broadcast of the identity; over two it
+  is a view of the identity (`eye[:, :, None]` where the third axis is
+  bound away);
+- computes every scalar as a Python bool: a read of one cell, a point
+  chain's read of its bound cell (`bool(r0[p0, p1])`) and a scalar
+  quantifier's count of its body (`_count(t) != 0`), so that a scalar
+  test, compare or XOR is a Python operation, not a numpy call;
 - computes an And, Or or XOR whose operand is a plain array negation
   `~Y` in one numpy call: `x & ~Y` is `x > Y`, `x | ~Y` is `x >= Y`
   and `x ^ ~Y` is `x == Y` on booleans;
@@ -52,7 +62,7 @@ The lowering
   atom inside the slice of a split on that parameter reads without it,
   and a split inside it on the same parameter runs unguarded.  What a
   scalar test guards holds the range tests the test implies: inside
-  `if (r0[p0] if k0 else False):` no atom tests k0;
+  `if (bool(r0[p0]) if k0 else False):` no atom tests k0;
 - lowers `x = t & ψ`, x a free variable and t a parameter or constant,
   with x bound to t inside ψ, and computes a rule whose disjunction has
   such a disjunct (`!(x = t) & OLD | x = t & NEW`) as the formula with
@@ -228,6 +238,25 @@ def _full(shape: tuple[int, ...], value: bool) -> np.ndarray:
     an empty relation, or the one part of every slice of such a
     SliceArray."""
     return _readonly(np.full(shape, value, dtype=bool))
+
+
+# room for the tables of the catalog's runs: prop_4 reads six at four
+# axes and three at three, at each n 4..12
+@functools.lru_cache(maxsize=128)
+def _diagonal(n: int, depth: int, i: int, j: int, *dead: int) -> np.ndarray:
+    """The read-only, C-contiguous table of `x_i = x_j` over `depth` axes,
+    each of length n but the `dead` ones, of length 1; one object per
+    key.  An operation of it with a value of that shape is one of two
+    arrays of the same shape, not a broadcast.  It holds as many cells as
+    the result of such an operation, and no value of a state.  At two
+    axes it equals `_eye(n)`."""
+    table = np.empty(tuple(1 if a in dead else n for a in range(depth)),
+                     dtype=bool)
+    line = np.arange(n)
+    np.equal(line.reshape([n if a == i else 1 for a in range(depth)]),
+             line.reshape([n if a == j else 1 for a in range(depth)]),
+             out=table)
+    return _readonly(table)
 
 
 @functools.lru_cache(maxsize=64)
@@ -440,7 +469,7 @@ _NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
                     "_copy": _copy, "_stored": stored, "_any": _any,
                     "_differs": _differs, "_count": _count_nonzero,
                     "SliceArray": SliceArray, "_diag": _diag, "_eye": _eye,
-                    "_ArityMismatch": _ArityMismatch}
+                    "_diagonal": _diagonal, "_ArityMismatch": _ArityMismatch}
 
 
 def _constant(value: bool, depth: int) -> str:
@@ -896,8 +925,7 @@ class _Lowering:
             return off
         index = ", ".join([":"] * axis + [f"{at}:{at} + 1"])
         # length n on the axes a name is bound to, 1 on those bound away
-        live = {b[1] for b in ctx.values()
-                if b.__class__ is tuple and b[0] == "axis"}
+        live = _live(ctx)
         shape = "(" + "".join("n, " if a in live else "1, "
                               for a in range(depth)) + ")"
         read = set(_TEMP.findall(on.code)).union(*map(_reads, branch.stmts))
@@ -928,7 +956,8 @@ class _Lowering:
         and they are written: one slice of a SliceArray when axis 0 is
         bound, a dense copy of the whole array otherwise."""
         t, rel = at.temp, at.rel
-        read = ("assign", at.read, f"{rel}[{at.index()}]")
+        read = f"{rel}[{at.index()}]"
+        read = ("assign", at.read, read if at.axes else _bool(read))
         if on.whole == rel:  # the relation's own cells: nothing to write
             if first:
                 return off
@@ -988,6 +1017,8 @@ class _Lowering:
         # and the read of it in the node's broadcast shape (`code`)
         sub = ", ".join(":" if k == "axis" else str(v) for k, v in terms)
         view = code = f"{r}[{sub or '()'}]"
+        if not array:  # one cell, read as a Python bool (`_bool`)
+            code = _bool(code)
         if axes == distinct:  # one index: constants, slices and None
             if axes:
                 code = f"{r}[{', '.join(_interleave(terms, depth))}]"
@@ -1067,7 +1098,14 @@ class _Lowering:
             if left[1] == right[1]:
                 return self.const(True, True, depth)
             axes = sorted((left[1], right[1]))
-            return self.val(f"eye[{_pattern(axes, depth)}]", True, block)
+            # the table of the node's shape: length n on the axes a name is
+            # bound to, 1 on those bound away.  With two such axes it is a
+            # view of the identity; with more, the cached `_diagonal`
+            dead = [a for a in range(depth) if a not in _live(ctx)]
+            if depth - len(dead) == 2:
+                return self.val(f"eye[{_pattern(axes, depth)}]", True, block)
+            return self.val(f"_diagonal(n, {depth}, {axes[0]}, {axes[1]}"
+                            f"{''.join(f', {a}' for a in dead)})", True, block)
         (_, axis), (kind, c) = (left, right) if left[0] == "axis" else (right, left)
         if (axis, (kind, c)) in ctx.get(_NE, ()):
             return self.const(False, True, depth)
@@ -1085,9 +1123,10 @@ class _Lowering:
     def negate(self, v: _Val, depth: int, block: _Block) -> _Val:
         if v.const is not None:
             return self.const(not v.const, v.array, depth)
-        if not v.array:
-            return self.val(f"(not {v.code})", False, block, nest=v.nest + 1,
-                            implies=v.implies[::-1])
+        if not v.array:  # `not` of a numpy bool is a Python bool
+            code = _BOOL_READ.fullmatch(v.code)
+            return self.val(f"(not {code[1] if code else v.code})", False,
+                            block, nest=v.nest + 1, implies=v.implies[::-1])
         return self.val(_not_code(v, depth), True, block,
                         {not c for c in v.may}, v.nest + 1,
                         neg="" if v.may else v.code)
@@ -1322,8 +1361,12 @@ class _Lowering:
                     return self.const(body.const, False, depth)
                 return self.val(f"({nonempty})", False, block)
             reduce = body.code
-            if body.array:
-                reduce += f".{'any' if exists else 'all'}()"
+            if body.array:  # a count, so a Python bool, not `.any()`
+                if exists:
+                    reduce = f"(_count({reduce}) != 0)"
+                else:
+                    t = self.named(body, block).code
+                    reduce = f"(_count({t}) == {t}.size)"
             return self.val(f"({nonempty} {'and' if exists else 'or'} {reduce})",
                             False, block, nest=body.nest + 1)
         # an array result has an axis of length n, so n > 0 or it is empty
@@ -1370,6 +1413,13 @@ def _guarded(block: _Block, guard: str | None, stmts: list, temp) -> None:
         block.stmts.append(("if", guard, stmts, [], temp))
 
 
+def _live(ctx: dict) -> set[int]:
+    """The axes a name is bound to: a value has length n on each of them,
+    and 1 on every other."""
+    return {b[1] for b in ctx.values()
+            if b.__class__ is tuple and b[0] == "axis"}
+
+
 def _axes(depth: int) -> tuple:
     return tuple(("axis", a) for a in range(depth))
 
@@ -1394,6 +1444,17 @@ def _disjuncts(f: Formula) -> list[Formula]:
 
 def _shape(depth: int) -> str:
     return "(" + "n, " * depth + ")"
+
+
+# a read of one cell as `_bool` makes it, unguarded
+_BOOL_READ = re.compile(r"bool\((r\d+\[[^\]]*\])\)")
+
+
+def _bool(read: str) -> str:
+    """A read of one cell as a Python bool.  A test, compare or XOR of
+    two costs a Python operation, where one of two numpy scalars is a
+    numpy call (about 0.1 against 0.85 µs at the catalog's sizes)."""
+    return f"bool({read})"
 
 
 def _not_code(v: _Val, depth: int) -> str:

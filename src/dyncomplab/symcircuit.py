@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import structures
 from .structures import DynLabError, ValidationError, check_fits, directives
 
 
@@ -124,12 +125,10 @@ def _popcounts(k: int) -> np.ndarray:
 # key words and their sorted copy, its sort order, id and weight, its
 # counter) and per (A∖{x}, A) pair (its subset, input and bit, their
 # sort order and its final row).  Fitted to tracemalloc peaks on single
-# gates of 1..16 inputs among up to 1000 when subsets were keyed by
-# Python tuples.  With packed keys the same gates peak at about 8.4 KiB
-# in all, 228 bytes per input and, at 10..16 inputs, 43 to 56 bytes per
-# pair with the subsets' bytes included; the bound is at least 1.5 times
-# every measured peak.
-_FIXED_BYTES, _INPUT_BYTES, _SUBSET_BYTES, _PAIR_BYTES = 16384, 384, 160, 48
+# gates of 1..16 inputs among k, 1000, 20000 and 2^20 inputs, which read
+# about 8.4 KiB in all and 228 bytes per input: the bound is 1.15 to 1.48
+# times every one of those peaks.
+_FIXED_BYTES, _INPUT_BYTES, _SUBSET_BYTES, _PAIR_BYTES = 9728, 264, 24, 52
 
 
 def _gate_bytes(k: int) -> int:
@@ -189,9 +188,14 @@ def sym_init(c: SymCircuit, assignment) -> SymState:
     assignment = [bool(b) for b in assignment]
     if len(assignment) != c.m:
         raise CircuitError(f"assignment must have {c.m} bits")
-    check_fits("the symmetric-circuit counters", footprint(c))
     gates = Counter(c.gates)
     sizes = np.fromiter(map(len, gates), dtype=np.intp, count=len(gates))
+    # the sum of footprint(c), whose labels are built only for the report
+    need = _FIXED_BYTES + _INPUT_BYTES * c.m + sum(
+        count * _gate_bytes(k)
+        for k, count in enumerate(np.bincount(sizes).tolist()) if count)
+    if need > structures.PHYSICAL_MEMORY:
+        check_fits("the symmetric-circuit counters", footprint(c))
     widest = int(sizes.max(initial=0))
     bits = _digit_bits(c.m)
     per = 63 // bits                        # digits per word

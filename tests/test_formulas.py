@@ -206,6 +206,20 @@ def test_bulk_eval_matches_evaluate():
         k = rng.randrange(len(names) + 1)
         params = {v: rng.randrange(n + 2) for v in names[:k]}
         _check_bulk(f, random_structure(rng, n), params, tuple(names[k:]))
+    # x = y over three axes (the diagonal table) under a negation, with
+    # the third axis free or quantified, at n = 0 and n = 1
+    rng = random.Random(37)
+    for n in (0, 1):
+        for _ in range(40):
+            x, y, z = rng.sample(VARS, 3)
+            g = Not(eq(x, y))
+            f = rng.choice((And, Or, Xor))(*rng.sample(
+                [g, random_formula(rng, 2)], 2))
+            if rng.random() < 0.3:
+                _check_bulk(Exists(z, And(f, atom("R", z))),
+                            random_structure(rng, n), {}, (x, y))
+            else:
+                _check_bulk(f, random_structure(rng, n), {}, (x, y, z))
     fixed = [
         ("E(x, u) & !U(u) | u = y", {"u": 1}, ("x", "y"), 3),
         ("exists u. E(u, x) & R(u)", {"u": 2}, ("x",), 3),

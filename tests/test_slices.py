@@ -214,10 +214,10 @@ def test_a_branch_does_not_test_a_range_again():
     it once, with no `if True:` for the inner one.  Nor does what runs
     only where a scalar test holds test the ranges that the test implies:
     prop_4's insert-E P_0_4 reads E's column w with no `k0` under
-    `if (r0[p0] if k0 else False):`, and degree_rel_3's delete-E First_1
-    reads `(r1[p0, p1, :] if t4 else Z1)`, t4 being
-    `(r0[p0, p1] if k1 else False)`, not `((r1[...] if k1 else Z1) if
-    t4 else Z1)`."""
+    `if (bool(r0[p0]) if k0 else False):`, and degree_rel_3's delete-E
+    First_1 reads `(r1[p0, p1, :] if t4 else Z1)`, t4 being
+    `(bool(r0[p0, p1]) if k1 else False)`, not `((r1[...] if k1 else Z1)
+    if t4 else Z1)`."""
     rule = pg.catalog_entry("degree_rel_3").build().rules[
         ("ins", "E", "List_1")]
     source = _Lowering(rule.body, rule.params, rule.frees).source()
@@ -226,7 +226,7 @@ def test_a_branch_does_not_test_a_range_again():
         ("ins", "E", "P_0_4")]
     lines = _Lowering(rule.body, rule.params, rule.frees).source().splitlines()
     at = next(i for i, line in enumerate(lines)
-              if line.strip() == "if (r0[p0] if k0 else False):")
+              if line.strip() == "if (bool(r0[p0]) if k0 else False):")
     indent = len(lines[at]) - len(lines[at].lstrip())
     inside = list(itertools.takewhile(
         lambda line: len(line) - len(line.lstrip()) > indent, lines[at + 1:]))
@@ -261,13 +261,15 @@ def test_a_branch_does_not_test_a_range_again():
 
 def _range_tests(test: ast.expr, guarded: dict) -> set[str]:
     """The range tests kN that `test` being true implies: those of an atom
-    `(r[...] if kN and ... else False)`, directly or through the temporary
-    it was assigned to (`guarded`)."""
+    `(bool(r[...]) if kN and ... else False)`, directly or through the
+    temporary it was assigned to (`guarded`)."""
     if isinstance(test, ast.Name):
         return guarded.get(test.id, set())
     if isinstance(test, ast.IfExp) and isinstance(test.orelse, ast.Constant) \
             and test.orelse.value is False \
-            and isinstance(test.body, ast.Subscript):
+            and isinstance(test.body, ast.Call) \
+            and getattr(test.body.func, "id", "") == "bool" \
+            and isinstance(test.body.args[0], ast.Subscript):
         names = test.test.values if isinstance(test.test, ast.BoolOp) \
             else [test.test]
         return {t.id for t in names
@@ -277,9 +279,9 @@ def _range_tests(test: ast.expr, guarded: dict) -> set[str]:
 
 def _assert_scalar_tests_hold_their_range_tests(key, source: str) -> None:
     """What runs only where a scalar test holds reads no range test that
-    the test implies: not in `if (r0[p0] if k0 else False):`, and not in
-    `(r1[p0, p1, :] if t4 else Z1)` where t4 is `(r0[p0, p1] if k1 else
-    False)`."""
+    the test implies: not in `if (bool(r0[p0]) if k0 else False):`, and
+    not in `(r1[p0, p1, :] if t4 else Z1)` where t4 is `(bool(r0[p0, p1])
+    if k1 else False)`."""
     tree = ast.parse(source)
     guarded = {}
     for node in ast.walk(tree):
@@ -564,8 +566,8 @@ def test_an_empty_p_skips_the_parameter_free_mask(sliced, monkeypatch):
     E's column w are empty, the kernel returns the shared all-false
     constant itself (`_full` of the shape, or with every array sliced
     the one SliceArray `stored` keeps of False), and its source computes
-    the mask (the identity read with no parameter) only where a test
-    `... is not Z4` holds."""
+    the mask (the diagonal tables, which read no parameter) only where a
+    test `... is not Z4` holds."""
     if sliced:
         monkeypatch.setattr(be, "_SHARE_MIN", 0)
     prog = pg.catalog_entry("parity_exists_prop_4").build()
@@ -591,9 +593,10 @@ def test_an_empty_p_skips_the_parameter_free_mask(sliced, monkeypatch):
 
 def _mask_reads(node, guarded: bool) -> list[bool]:
     """For each read of the identity with no parameter under `node`
-    (`eye[:, :, None, None]`, a conjunct of a parameter-free mask),
-    whether a test `t is not Z<d>` guards it: it is in the body of such
-    an if-statement or conditional expression."""
+    (`eye[:, :, None]`, or the diagonal table `_diagonal(n, 4, 0, 1)`,
+    a conjunct of a parameter-free mask), whether a test `t is not Z<d>`
+    guards it: it is in the body of such an if-statement or conditional
+    expression."""
     if isinstance(node, (ast.If, ast.IfExp)):
         test = node.test
         holds = isinstance(test, ast.Compare) and \
@@ -609,6 +612,9 @@ def _mask_reads(node, guarded: bool) -> list[bool]:
     if isinstance(node, ast.Subscript) \
             and getattr(node.value, "id", "") == "eye" \
             and not any(isinstance(m, ast.Name) for m in ast.walk(node.slice)):
+        return [guarded]
+    if isinstance(node, ast.Call) \
+            and getattr(node.func, "id", "") == "_diagonal":
         return [guarded]
     return [r for child in ast.iter_child_nodes(node)
             for r in _mask_reads(child, guarded)]
@@ -683,3 +689,89 @@ def test_planning_lowers_each_rule_once(monkeypatch):
         for op, rel in dict.fromkeys((op, rel) for op, rel, _ in prog.rules):
             interpreter._plan(prog, op, rel)
     assert rules == len(made) == 718
+
+
+def test_the_diagonal_table_is_the_broadcast_identity():
+    """`_diagonal(n, depth, i, j)` is `x_i = x_j` over `depth` axes of
+    length n, as np.eye broadcasts it: full-shape, C-contiguous,
+    read-only, one object per key, and at two axes the identity
+    `_eye(n)`.  An axis listed after i and j has length 1."""
+    for n in range(6):
+        eye = np.eye(n, dtype=bool)
+        for depth in range(2, 5):
+            for i, j in itertools.combinations(range(depth), 2):
+                table = be._diagonal(n, depth, i, j)
+                want = np.broadcast_to(eye[tuple(
+                    slice(None) if a in (i, j) else None
+                    for a in range(depth))], (n,) * depth)
+                assert table.shape == want.shape, (n, depth, i, j)
+                assert np.array_equal(table, want), (n, depth, i, j)
+                assert table.flags.c_contiguous and not table.flags.writeable
+                assert be._diagonal(n, depth, i, j) is table
+        assert np.array_equal(be._eye(n), be._diagonal(n, 2, 0, 1))
+        table = be._diagonal(n, 4, 0, 2, 1)
+        assert table.shape == (n, 1, n, n) and table.flags.c_contiguous
+        assert np.array_equal(table, np.broadcast_to(
+            eye[:, None, :, None], table.shape))
+
+
+def _numpy_scalar(node, arities: dict, names: set) -> bool:
+    """Whether the expression `node` may be a numpy scalar: a read of one
+    cell of a relation `r<i>` (an index of as many entries as its arity,
+    none a slice or None), a reduction with no axis (`.any()`, `.all()`),
+    a temporary in `names` that was assigned one, or a branch of a
+    conditional or an operand of `and`/`or` that is one."""
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Subscript) and \
+            re.fullmatch(r"r\d+", getattr(node.value, "id", "")):
+        index = node.slice.elts if isinstance(node.slice, ast.Tuple) \
+            else [node.slice]
+        return len(index) in arities[node.value.id] and not any(
+            isinstance(e, ast.Slice) or
+            isinstance(e, ast.Constant) and e.value is None for e in index)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in ("any", "all") and not node.args \
+            and not node.keywords
+    if isinstance(node, ast.IfExp):
+        return _numpy_scalar(node.body, arities, names) or \
+            _numpy_scalar(node.orelse, arities, names)
+    if isinstance(node, ast.BoolOp):
+        return any(_numpy_scalar(v, arities, names) for v in node.values)
+    return False
+
+
+def test_no_kernel_compares_or_xors_a_numpy_scalar(planned_sources):
+    """Every scalar a kernel computes is a Python bool, so a scalar
+    compare or XOR is a Python operation: no `!=`, `==` or `^` of a
+    catalog kernel has an operand that may be a numpy scalar read (a
+    point chain's `if t3 != t4:`, a 0-ary rule's XOR chain)."""
+    checked = 0
+    for key, source in planned_sources.items():
+        arities: dict = {}
+        for rel, arity in re.findall(r"\b(r\d+)\.ndim != (\d+)", source):
+            arities.setdefault(rel, set()).add(int(arity))
+        tree = ast.parse(source)
+        assigns = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign)
+                   and isinstance(node.targets[0], ast.Name)]
+        names: set = set()
+        while True:   # temporaries assigned a scalar read, or another one
+            more = {a.targets[0].id for a in assigns
+                    if _numpy_scalar(a.value, arities, names)} - names
+            if not more:
+                break
+            names |= more
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and \
+                    isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
+                sides = [node.left, *node.comparators]
+            elif isinstance(node, ast.BinOp) and \
+                    isinstance(node.op, ast.BitXor):
+                sides = [node.left, node.right]
+            else:
+                continue
+            checked += 1
+            assert not any(_numpy_scalar(s, arities, names) for s in sides), \
+                (key, ast.unparse(node), source)
+    assert checked
