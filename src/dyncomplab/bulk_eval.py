@@ -45,12 +45,12 @@ The lowering
 - reads `x = t`, t a parameter or constant, as row t of the cached
   identity, a view (`eye[p0, None, :]`), under t's range test, since
   `eye[-1]` would read the last row; no `(arange == t)` is allocated;
-- reads `x = y`, x and y free variables, over three or more axes of
-  length n from the cached, read-only table of its node's shape
+- reads `x = y`, x and y free variables, over three or more axes, each
+  of length n, from the cached, read-only full-shape table
   (`_diagonal(n, 4, 0, 1)`), so that an operation with it is one of two
-  arrays of the same shape, not a broadcast of the identity; over two it
-  is a view of the identity (`eye[:, :, None]` where the third axis is
-  bound away);
+  arrays of the same shape, not a broadcast of the identity; over two
+  axes, or where a split bound an axis away, it stays a view of the
+  identity (`eye[:, :, None]`);
 - computes every scalar as a Python bool: a read of one cell, a point
   chain's read of its bound cell (`bool(r0[p0, p1])`) and a scalar
   quantifier's count of its body (`_count(t) != 0`), so that a scalar
@@ -243,15 +243,14 @@ def _full(shape: tuple[int, ...], value: bool) -> np.ndarray:
 # room for the tables of the catalog's runs: prop_4 reads six at four
 # axes and three at three, at each n 4..12
 @functools.lru_cache(maxsize=128)
-def _diagonal(n: int, depth: int, i: int, j: int, *dead: int) -> np.ndarray:
-    """The read-only, C-contiguous table of `x_i = x_j` over `depth` axes,
-    each of length n but the `dead` ones, of length 1; one object per
-    key.  An operation of it with a value of that shape is one of two
-    arrays of the same shape, not a broadcast.  It holds as many cells as
-    the result of such an operation, and no value of a state.  At two
-    axes it equals `_eye(n)`."""
-    table = np.empty(tuple(1 if a in dead else n for a in range(depth)),
-                     dtype=bool)
+def _diagonal(n: int, depth: int, i: int, j: int) -> np.ndarray:
+    """The read-only, C-contiguous table of `x_i = x_j` over `depth` axes
+    of length n; one object per key.  An operation of it with a value of
+    the full shape is one of two arrays of the same shape, not a
+    broadcast.  It holds as many cells as the result of such an
+    operation, and no value of a state.  At two axes it equals
+    `_eye(n)`."""
+    table = np.empty((n,) * depth, dtype=bool)
     line = np.arange(n)
     np.equal(line.reshape([n if a == i else 1 for a in range(depth)]),
              line.reshape([n if a == j else 1 for a in range(depth)]),
@@ -1098,14 +1097,13 @@ class _Lowering:
             if left[1] == right[1]:
                 return self.const(True, True, depth)
             axes = sorted((left[1], right[1]))
-            # the table of the node's shape: length n on the axes a name is
-            # bound to, 1 on those bound away.  With two such axes it is a
-            # view of the identity; with more, the cached `_diagonal`
-            dead = [a for a in range(depth) if a not in _live(ctx)]
-            if depth - len(dead) == 2:
+            # the full-shape table, where every axis has length n; a view of
+            # the identity at two axes, or where a split bound an axis away
+            # (the value has length 1 there, and the catalog has none)
+            if depth == 2 or len(_live(ctx)) < depth:
                 return self.val(f"eye[{_pattern(axes, depth)}]", True, block)
-            return self.val(f"_diagonal(n, {depth}, {axes[0]}, {axes[1]}"
-                            f"{''.join(f', {a}' for a in dead)})", True, block)
+            return self.val(f"_diagonal(n, {depth}, {axes[0]}, {axes[1]})",
+                            True, block)
         (_, axis), (kind, c) = (left, right) if left[0] == "axis" else (right, left)
         if (axis, (kind, c)) in ctx.get(_NE, ()):
             return self.const(False, True, depth)
