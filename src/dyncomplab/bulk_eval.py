@@ -45,16 +45,12 @@ The lowering
 - reads `x = t`, t a parameter or constant, as row t of the cached
   identity, a view (`eye[p0, None, :]`), under t's range test, since
   `eye[-1]` would read the last row; no `(arange == t)` is allocated;
-- reads `x = y`, x and y free variables, over three or more axes, each
-  of length n, from the cached, read-only full-shape table
-  (`_diagonal(n, 4, 0, 1)`), so that an operation with it is one of two
-  arrays of the same shape, not a broadcast of the identity; over two
-  axes, or where a split bound an axis away, it stays a view of the
-  identity (`eye[:, :, None]`);
 - computes every scalar as a Python bool: a read of one cell, a point
   chain's read of its bound cell (`bool(r0[p0, p1])`) and a scalar
-  quantifier's count of its body (`_count(t) != 0`), so that a scalar
-  test, compare or XOR is a Python operation, not a numpy call;
+  quantifier's reduction of its body (`bool(t.any())`), so that a scalar
+  test, compare or XOR is a Python operation, not a numpy call; the
+  negation of a read of one cell is `(not r0[p0])`, as `not` of a numpy
+  bool is a Python bool already;
 - computes an And, Or or XOR whose operand is a plain array negation
   `~Y` in one numpy call: `x & ~Y` is `x > Y`, `x | ~Y` is `x >= Y`
   and `x ^ ~Y` is `x == Y` on booleans;
@@ -238,24 +234,6 @@ def _full(shape: tuple[int, ...], value: bool) -> np.ndarray:
     an empty relation, or the one part of every slice of such a
     SliceArray."""
     return _readonly(np.full(shape, value, dtype=bool))
-
-
-# room for the tables of the catalog's runs: prop_4 reads six at four
-# axes and three at three, at each n 4..12
-@functools.lru_cache(maxsize=128)
-def _diagonal(n: int, depth: int, i: int, j: int) -> np.ndarray:
-    """The read-only, C-contiguous table of `x_i = x_j` over `depth` axes
-    of length n; one object per key.  An operation of it with a value of
-    the full shape is one of two arrays of the same shape, not a
-    broadcast.  It holds as many cells as the result of such an
-    operation, and no value of a state.  At two axes it equals
-    `_eye(n)`."""
-    table = np.empty((n,) * depth, dtype=bool)
-    line = np.arange(n)
-    np.equal(line.reshape([n if a == i else 1 for a in range(depth)]),
-             line.reshape([n if a == j else 1 for a in range(depth)]),
-             out=table)
-    return _readonly(table)
 
 
 @functools.lru_cache(maxsize=64)
@@ -468,7 +446,7 @@ _NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
                     "_copy": _copy, "_stored": stored, "_any": _any,
                     "_differs": _differs, "_count": _count_nonzero,
                     "SliceArray": SliceArray, "_diag": _diag, "_eye": _eye,
-                    "_diagonal": _diagonal, "_ArityMismatch": _ArityMismatch}
+                    "_ArityMismatch": _ArityMismatch}
 
 
 def _constant(value: bool, depth: int) -> str:
@@ -541,7 +519,8 @@ class _Val:
     splits bind (on all cells outside a split).  `chain` names the
     relation array that the temporary `code` holds unless a split wrote
     cells of a copy.  `neg` is X when `code` is the plain negation `(~X)`
-    of an array.  `implies` holds the range tests that a scalar's truth
+    of an array.  `cell` is R when `code` is `bool(R)`, a read R of one
+    cell.  `implies` holds the range tests that a scalar's truth
     implies, and those that its falsity implies."""
 
     code: str
@@ -552,6 +531,7 @@ class _Val:
     whole: str = ""
     chain: str = ""
     neg: str = ""
+    cell: str = ""
     implies: tuple = (frozenset(), frozenset())
 
 
@@ -924,7 +904,8 @@ class _Lowering:
             return off
         index = ", ".join([":"] * axis + [f"{at}:{at} + 1"])
         # length n on the axes a name is bound to, 1 on those bound away
-        live = _live(ctx)
+        live = {b[1] for b in ctx.values()
+                if b.__class__ is tuple and b[0] == "axis"}
         shape = "(" + "".join("n, " if a in live else "1, "
                               for a in range(depth)) + ")"
         read = set(_TEMP.findall(on.code)).union(*map(_reads, branch.stmts))
@@ -1016,8 +997,9 @@ class _Lowering:
         # and the read of it in the node's broadcast shape (`code`)
         sub = ", ".join(":" if k == "axis" else str(v) for k, v in terms)
         view = code = f"{r}[{sub or '()'}]"
+        cell = ""
         if not array:  # one cell, read as a Python bool (`_bool`)
-            code = _bool(code)
+            cell, code = view, _bool(view)
         if axes == distinct:  # one index: constants, slices and None
             if axes:
                 code = f"{r}[{', '.join(_interleave(terms, depth))}]"
@@ -1041,7 +1023,7 @@ class _Lowering:
             if at and r == at.rel:  # the cells the chain binds, read once
                 return _Val(at.read, array, whole=r)
             if at or _SKIPS not in ctx:
-                return _Val(code, array, whole=r)
+                return _Val(code, array, whole=r, cell=cell)
             # the all-false constant when the relation holds no true cell
             zero = _constant(False, depth)
             v = self.val(f"({code} if _any({r}) else {zero})", True, block,
@@ -1054,11 +1036,13 @@ class _Lowering:
         zero = _constant(False, depth) if array else "False"
         if tests:
             code = f"({code} if {' and '.join(tests)} else {zero})"
+            cell = ""
         if array:
             return self.val(code, True, block)
         # true only where every range test holds
-        return self.val(code, False, block,
-                        implies=(frozenset(guards), frozenset()))
+        v = self.val(code, False, block,
+                     implies=(frozenset(guards), frozenset()))
+        return replace(v, cell=cell)
 
     def _view(self, view: str, distinct: list, tests: list, depth: int,
               block: _Block) -> _Val:
@@ -1097,13 +1081,7 @@ class _Lowering:
             if left[1] == right[1]:
                 return self.const(True, True, depth)
             axes = sorted((left[1], right[1]))
-            # the full-shape table, where every axis has length n; a view of
-            # the identity at two axes, or where a split bound an axis away
-            # (the value has length 1 there, and the catalog has none)
-            if depth == 2 or len(_live(ctx)) < depth:
-                return self.val(f"eye[{_pattern(axes, depth)}]", True, block)
-            return self.val(f"_diagonal(n, {depth}, {axes[0]}, {axes[1]})",
-                            True, block)
+            return self.val(f"eye[{_pattern(axes, depth)}]", True, block)
         (_, axis), (kind, c) = (left, right) if left[0] == "axis" else (right, left)
         if (axis, (kind, c)) in ctx.get(_NE, ()):
             return self.const(False, True, depth)
@@ -1122,9 +1100,8 @@ class _Lowering:
         if v.const is not None:
             return self.const(not v.const, v.array, depth)
         if not v.array:  # `not` of a numpy bool is a Python bool
-            code = _BOOL_READ.fullmatch(v.code)
-            return self.val(f"(not {code[1] if code else v.code})", False,
-                            block, nest=v.nest + 1, implies=v.implies[::-1])
+            return self.val(f"(not {v.cell or v.code})", False, block,
+                            nest=v.nest + 1, implies=v.implies[::-1])
         return self.val(_not_code(v, depth), True, block,
                         {not c for c in v.may}, v.nest + 1,
                         neg="" if v.may else v.code)
@@ -1359,12 +1336,8 @@ class _Lowering:
                     return self.const(body.const, False, depth)
                 return self.val(f"({nonempty})", False, block)
             reduce = body.code
-            if body.array:  # a count, so a Python bool, not `.any()`
-                if exists:
-                    reduce = f"(_count({reduce}) != 0)"
-                else:
-                    t = self.named(body, block).code
-                    reduce = f"(_count({t}) == {t}.size)"
+            if body.array:
+                reduce = _bool(f"{reduce}.{'any' if exists else 'all'}()")
             return self.val(f"({nonempty} {'and' if exists else 'or'} {reduce})",
                             False, block, nest=body.nest + 1)
         # an array result has an axis of length n, so n > 0 or it is empty
@@ -1411,13 +1384,6 @@ def _guarded(block: _Block, guard: str | None, stmts: list, temp) -> None:
         block.stmts.append(("if", guard, stmts, [], temp))
 
 
-def _live(ctx: dict) -> set[int]:
-    """The axes a name is bound to: a value has length n on each of them,
-    and 1 on every other."""
-    return {b[1] for b in ctx.values()
-            if b.__class__ is tuple and b[0] == "axis"}
-
-
 def _axes(depth: int) -> tuple:
     return tuple(("axis", a) for a in range(depth))
 
@@ -1442,10 +1408,6 @@ def _disjuncts(f: Formula) -> list[Formula]:
 
 def _shape(depth: int) -> str:
     return "(" + "n, " * depth + ")"
-
-
-# a read of one cell as `_bool` makes it, unguarded
-_BOOL_READ = re.compile(r"bool\((r\d+\[[^\]]*\])\)")
 
 
 def _bool(read: str) -> str:

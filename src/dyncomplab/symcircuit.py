@@ -25,10 +25,10 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
-from . import structures
 from .structures import DynLabError, ValidationError, check_fits, directives
 
 
@@ -120,32 +120,53 @@ def _popcounts(k: int) -> np.ndarray:
     return count
 
 
+def _key_words(m: int, widest: int) -> int:
+    """The 64-bit words of every subset key over m inputs, when the
+    widest gate has `widest` inputs."""
+    return max(-(-widest // (63 // _digit_bits(m))), 1)
+
+
 # Peak bytes sym_init allocates in all (small fixed tables), per input
-# (its row bounds and its view in `affected`), per tracked subset (its
-# key words and their sorted copy, its sort order, id and weight, its
-# counter) and per (A∖{x}, A) pair (its subset, input and bit, their
-# sort order and its final row).  Fitted to tracemalloc peaks on single
-# gates of 1..16 inputs among k, 1000, 20000 and 2^20 inputs, which read
-# about 8.4 KiB in all and 228 bytes per input: the bound is 1.15 to 1.48
-# times every one of those peaks.
-_FIXED_BYTES, _INPUT_BYTES, _SUBSET_BYTES, _PAIR_BYTES = 9728, 264, 24, 52
+# (its row bounds, as numpy and as Python ints, and its view in
+# `affected`), per distinct gate (its entry in the gate counter and its
+# bounds), per tracked subset (its counter, and 16 bytes per key word:
+# the key and its sorted copy, which every subset of every gate has as
+# many words of as the widest gate needs) and per (A∖{x}, A) pair (its
+# subset, input and bit, their sort order and its final row; the ids and
+# weights of the subsets are counted here too, as a subset has at least
+# one pair but for ∅).  Fitted to tracemalloc peaks after a warm call:
+# on single gates of 1..16 inputs among k, 1000, 20000 and 131072
+# inputs, on one gate of 4..16 inputs with up to 20000 gates of 1..3
+# inputs among 1000 to 131072 (up to 6 key words), and on the peak that
+# each further gate of 1..4 inputs adds.  The bound is 1.16 to 2.3 times
+# every one of them.
+_FIXED_BYTES, _INPUT_BYTES, _GATE_BYTES = 16384, 320, 128
+_SUBSET_BYTES, _KEY_WORD_BYTES, _PAIR_BYTES = 8, 16, 52
 
 
-def _gate_bytes(k: int) -> int:
-    """Bytes sym_init allocates at most for the 2^k subsets and k·2^(k-1)
-    pairs of one distinct gate of k inputs."""
-    return (2 * _SUBSET_BYTES + k * _PAIR_BYTES) << (k - 1)
+def _gate_bytes(k: int, words: int) -> int:
+    """Bytes sym_init allocates at most for one distinct gate of k inputs,
+    its 2^k subsets keyed in `words` words and its k·2^(k-1) pairs."""
+    return _GATE_BYTES + ((2 * (_SUBSET_BYTES + _KEY_WORD_BYTES * words)
+                           + k * _PAIR_BYTES) << (k - 1))
 
 
 def footprint(c: SymCircuit) -> dict[str, int]:
     """An upper bound on the bytes sym_init allocates for c, by part:
     the inputs, then the distinct gates of each fan-in (gates that share
     subsets need less)."""
-    sizes = Counter(map(len, set(c.gates)))
-    return {f"the fixed tables and the index arrays of {c.m} inputs":
-            _FIXED_BYTES + _INPUT_BYTES * c.m,
+    return _footprint(c.m, Counter(map(len, set(c.gates))))
+
+
+def _footprint(m: int, fan_ins: Mapping[int, int]) -> dict[str, int]:
+    """`footprint` of m inputs and, for each fan-in k, fan_ins[k]
+    distinct gates of k inputs."""
+    words = _key_words(m, max(fan_ins, default=0))
+    return {f"the fixed tables and the index arrays of {m} inputs":
+            _FIXED_BYTES + _INPUT_BYTES * m,
             **{f"{count} distinct gate(s) of {k} inputs":
-               count * _gate_bytes(k) for k, count in sorted(sizes.items())}}
+               count * _gate_bytes(k, words)
+               for k, count in sorted(fan_ins.items())}}
 
 
 def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,16 +211,13 @@ def sym_init(c: SymCircuit, assignment) -> SymState:
         raise CircuitError(f"assignment must have {c.m} bits")
     gates = Counter(c.gates)
     sizes = np.fromiter(map(len, gates), dtype=np.intp, count=len(gates))
-    # the sum of footprint(c), whose labels are built only for the report
-    need = _FIXED_BYTES + _INPUT_BYTES * c.m + sum(
-        count * _gate_bytes(k)
-        for k, count in enumerate(np.bincount(sizes).tolist()) if count)
-    if need > structures.PHYSICAL_MEMORY:
-        check_fits("the symmetric-circuit counters", footprint(c))
+    check_fits("the symmetric-circuit counters", _footprint(
+        c.m, {k: count for k, count in enumerate(np.bincount(sizes).tolist())
+              if count}))
     widest = int(sizes.max(initial=0))
     bits = _digit_bits(c.m)
     per = 63 // bits                        # digits per word
-    words = max(-(-widest // per), 1)
+    words = _key_words(c.m, widest)
     # place[w, r]: the multiple of a digit that puts it in word w of a
     # key, in the slot after the last input of subset r (0 in other words)
     word, slot = np.divmod(_popcounts(max(widest - 1, 0)), per)

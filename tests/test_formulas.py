@@ -206,8 +206,8 @@ def test_bulk_eval_matches_evaluate():
         k = rng.randrange(len(names) + 1)
         params = {v: rng.randrange(n + 2) for v in names[:k]}
         _check_bulk(f, random_structure(rng, n), params, tuple(names[k:]))
-    # x = y over three axes (the diagonal table) under a negation, with
-    # the third axis free or quantified, at n = 0 and n = 1
+    # x = y over three axes under a negation, with the third axis free
+    # or quantified, at n = 0 and n = 1
     rng = random.Random(37)
     for n in (0, 1):
         for _ in range(40):

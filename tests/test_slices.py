@@ -566,8 +566,8 @@ def test_an_empty_p_skips_the_parameter_free_mask(sliced, monkeypatch):
     E's column w are empty, the kernel returns the shared all-false
     constant itself (`_full` of the shape, or with every array sliced
     the one SliceArray `stored` keeps of False), and its source computes
-    the mask (the diagonal tables, which read no parameter) only where a
-    test `... is not Z4` holds."""
+    the mask (the identity read with no parameter) only where a test
+    `... is not Z4` holds."""
     if sliced:
         monkeypatch.setattr(be, "_SHARE_MIN", 0)
     prog = pg.catalog_entry("parity_exists_prop_4").build()
@@ -593,10 +593,9 @@ def test_an_empty_p_skips_the_parameter_free_mask(sliced, monkeypatch):
 
 def _mask_reads(node, guarded: bool) -> list[bool]:
     """For each read of the identity with no parameter under `node`
-    (`eye[:, :, None]`, or the diagonal table `_diagonal(n, 4, 0, 1)`,
-    a conjunct of a parameter-free mask), whether a test `t is not Z<d>`
-    guards it: it is in the body of such an if-statement or conditional
-    expression."""
+    (`eye[:, :, None, None]`, a conjunct of a parameter-free mask),
+    whether a test `t is not Z<d>` guards it: it is in the body of such
+    an if-statement or conditional expression."""
     if isinstance(node, (ast.If, ast.IfExp)):
         test = node.test
         holds = isinstance(test, ast.Compare) and \
@@ -612,9 +611,6 @@ def _mask_reads(node, guarded: bool) -> list[bool]:
     if isinstance(node, ast.Subscript) \
             and getattr(node.value, "id", "") == "eye" \
             and not any(isinstance(m, ast.Name) for m in ast.walk(node.slice)):
-        return [guarded]
-    if isinstance(node, ast.Call) \
-            and getattr(node.func, "id", "") == "_diagonal":
         return [guarded]
     return [r for child in ast.iter_child_nodes(node)
             for r in _mask_reads(child, guarded)]
@@ -689,26 +685,6 @@ def test_planning_lowers_each_rule_once(monkeypatch):
         for op, rel in dict.fromkeys((op, rel) for op, rel, _ in prog.rules):
             interpreter._plan(prog, op, rel)
     assert rules == len(made) == 718
-
-
-def test_the_diagonal_table_is_the_broadcast_identity():
-    """`_diagonal(n, depth, i, j)` is `x_i = x_j` over `depth` axes of
-    length n, as np.eye broadcasts it: full-shape, C-contiguous,
-    read-only, one object per key, and at two axes the identity
-    `_eye(n)`."""
-    for n in range(6):
-        eye = np.eye(n, dtype=bool)
-        for depth in range(2, 5):
-            for i, j in itertools.combinations(range(depth), 2):
-                table = be._diagonal(n, depth, i, j)
-                want = np.broadcast_to(eye[tuple(
-                    slice(None) if a in (i, j) else None
-                    for a in range(depth))], (n,) * depth)
-                assert table.shape == want.shape, (n, depth, i, j)
-                assert np.array_equal(table, want), (n, depth, i, j)
-                assert table.flags.c_contiguous and not table.flags.writeable
-                assert be._diagonal(n, depth, i, j) is table
-        assert np.array_equal(be._eye(n), be._diagonal(n, 2, 0, 1))
 
 
 def _numpy_scalar(node, arities: dict, names: set) -> bool:

@@ -204,7 +204,10 @@ def test_init_counts_the_affected_rows_not_only_the_counters(monkeypatch):
     (1000, [range(988, 1000)]),
     (1000, [range(i, 1000, 250) for i in range(250)]),
     (20, [range(8)] * 50 + [range(4, 14), range(10, 20)]),
-], ids=["one-gate", "high-inputs", "many-gates", "repeated-overlapping"])
+    # every subset keyed in the 4 words the 12-input gate needs at m = 2^17
+    (131072, [range(12)] + [range(i, i + 2) for i in range(12, 20012, 2)]),
+], ids=["one-gate", "high-inputs", "many-gates", "repeated-overlapping",
+        "wide-and-narrow"])
 def test_footprint_bounds_what_init_allocates(m, gates):
     import tracemalloc
     circ = sc.make_circuit(m, 12, gates, [False] * (len(gates) + 1))
@@ -224,7 +227,8 @@ def test_footprint_bounds_what_init_allocates(m, gates):
 def test_footprint_stays_at_or_above_the_peak_of_one_gate(m):
     """On one gate over the k highest of m inputs (m = k for 0), for k in
     1..12, `footprint` bounds the tracemalloc peak of sym_init after a
-    warm call; its constants are fitted at 1.15 times those peaks."""
+    warm call; its constants are fitted at no less than 1.15 times those
+    peaks."""
     import tracemalloc
     for k in range(1, 13):
         size = m or k
