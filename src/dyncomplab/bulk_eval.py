@@ -1411,9 +1411,10 @@ def _shape(depth: int) -> str:
 
 
 def _bool(read: str) -> str:
-    """A read of one cell as a Python bool.  A test, compare or XOR of
-    two costs a Python operation, where one of two numpy scalars is a
-    numpy call (about 0.1 against 0.85 µs at the catalog's sizes)."""
+    """A read of one cell, or a reduction to one, as a Python bool.  A
+    test, compare or XOR of two costs a Python operation, where one of
+    two numpy scalars is a numpy call (about 0.1 against 0.85 µs at the
+    catalog's sizes)."""
     return f"bool({read})"
 
 
