@@ -56,40 +56,30 @@ The lowering
   and `x ^ ~Y` is `x == Y` on booleans;
 - tests a parameter's range (`k0 = 0 <= p0 < n`) once per branch: an
   atom inside the slice of a split on that parameter reads without it,
-  and a split inside it on the same parameter runs unguarded.  What a
-  scalar test guards holds the range tests the test implies: inside
-  `if (bool(r0[p0]) if k0 else False):` no atom tests k0;
+  and a split inside it on the same parameter runs unguarded;
 - lowers `x = t & ψ`, x a free variable and t a parameter or constant,
-  with x bound to t inside ψ, and computes a rule whose disjunction has
-  such a disjunct (`!(x = t) & OLD | x = t & NEW`) as the formula with
-  x = t false, overwritten on the slice x = t by the formula with x
-  bound to t: the slice has one axis less;
-- does not split on a disjunct with an equality already known false
-  (one that an outer split refuted): that disjunct is false there;
-- starts a chain at a split of the rule's root whose base is a whole
-  atom of one relation, in axis order (`T(z, x, y)` with frees
-  (z, x, y)): the rule keeps T wherever its equalities fail.  The slice
-  splits again on an axis still free there, as long as its base stays T
-  on the cells the chain binds (`T(z, x, y) | z = w & L(z, x) & y = v`
-  binds the column (w, :, v), `F(z, x) | z = w & x = v & C(z)` the point
-  (w, v)).  Inside a chain a slice is lowered in the compact shape of
-  the cells it binds, its axes numbered among the axes still free, so
-  the innermost split computes its value on those cells alone
-  (`r1[p0, :, p1] | r0[p0, :]` for the column, not a broadcast over
-  three axes).  It reads T's cells there once, for the value and for the
-  compare (an atom of T under a quantifier, which adds an axis, is read
-  as any other atom): when they are equal the rule's value is T's own
-  array, and no copy is made.  Otherwise one copy is made and the cells
-  written: one new slice of a SliceArray when axis 0 is bound
-  (`SliceArray.written`, the one write a SliceArray has), a dense copy
-  otherwise;
-- writes a slice into the base itself when the base is an array the
-  kernel made and reads no more (an operation's result or an earlier
-  split's), so a rule makes at most one full-shape copy however many
-  splits it nests;
-- starts any other split whose base is a whole atom of one relation
-  from a dense copy of that relation's array, made up front, and
-  writes its slice into that copy;
+  with x bound to t inside ψ: ψ has one axis less, and the row of the
+  identity that `x = t` reads broadcasts it;
+- splits a rule's disjunction on a disjunct with such an equality
+  (`!(x = t) & OLD | x = t & NEW`) only to start a chain: where the
+  formula with x = t false is a whole atom of one relation, in axis
+  order (`T(z, x, y)` with frees (z, x, y)), the rule keeps T wherever
+  its equalities fail.  Any other such rule lowers as its plain
+  disjunction, `!(x = t) & OLD` folding to `OLD > eye[...]`.  The slice
+  of a chain splits again on an axis still free there, as long as the
+  formula stays T on the cells the chain binds
+  (`T(z, x, y) | z = w & L(z, x) & y = v` binds the column (w, :, v),
+  `F(z, x) | z = w & x = v & C(z)` the point (w, v)).  Inside a chain a
+  slice is lowered in the compact shape of the cells it binds, its axes
+  numbered among the axes still free, so the innermost split computes
+  its value on those cells alone (`r1[p0, :, p1] | r0[p0, :]` for the
+  column, not a broadcast over three axes).  It reads T's cells there
+  once, for the value and for the compare (an atom of T under a
+  quantifier, which adds an axis, is read as any other atom): when they
+  are equal the rule's value is T's own array, and no copy is made.
+  Otherwise one copy is made and the cells written: one new slice of a
+  SliceArray when axis 0 is bound (`SliceArray.written`, the one write
+  a SliceArray has), a dense copy otherwise;
 - drops a named intermediate that nothing reads, and frees every other
   one after its last use.
 
@@ -246,18 +236,6 @@ def _diag(sub: np.ndarray, spec: str) -> np.ndarray:
     return np.einsum(spec, sub.astype(np.uint8)).astype(bool)
 
 
-def _take(a, shape: tuple[int, ...]):
-    """`a` itself when it is a fresh, full-shape, contiguous, writable
-    array (an operation's own output); otherwise a broadcast copy.  Atoms
-    are views and the shared constants are read-only, so neither is ever
-    handed out."""
-    flags = a.flags
-    if a.base is None and a.shape == shape and flags.writeable \
-            and flags.c_contiguous:
-        return a
-    return _copy(a, shape)
-
-
 def _copy(a, shape: tuple[int, ...]):
     """A new writable, dense array of `a` broadcast to `shape`."""
     if a.shape == shape:
@@ -375,11 +353,12 @@ def stored(a, shape: tuple[int, ...]):
     kernel but an identity rule's returns it; `a` is taken over.  A
     SliceArray is kept as it is.  A bool becomes the shared read-only
     constant array (`_full`, or `_full_slices` when large).  Any other
-    array is taken as `_take` takes it (copied unless it is fresh), made
-    read-only, and kept as a SliceArray of views of it when large: ndim
-    >= 2 and at least _SHARE_MIN cells."""
+    array is copied unless it is fresh, made read-only, and kept as a
+    SliceArray of views of it when large: ndim >= 2 and at least
+    _SHARE_MIN cells."""
     if a.__class__ is np.ndarray:
-        # _take's test, inline, so that a kernel's result costs one call
+        # fresh: an operation's own full-shape, contiguous, writable
+        # output; atoms are views and the constants read-only
         flags = a.flags
         if a.base is not None or a.shape != shape or not flags.writeable \
                 or not flags.c_contiguous:
@@ -442,8 +421,8 @@ _SHARE_MIN = 1 << 15
 
 # namespace of every kernel; the all-false / all-true constants Z<d> and
 # O<d> of shape (1,)*d are added on first use
-_NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_take": _take,
-                    "_copy": _copy, "_stored": stored, "_any": _any,
+_NAMESPACE: dict = {"__builtins__": builtins, "np": np, "_copy": _copy,
+                    "_stored": stored, "_any": _any,
                     "_differs": _differs, "_count": _count_nonzero,
                     "SliceArray": SliceArray, "_diag": _diag, "_eye": _eye,
                     "_ArityMismatch": _ArityMismatch}
@@ -520,8 +499,7 @@ class _Val:
     relation array that the temporary `code` holds unless a split wrote
     cells of a copy.  `neg` is X when `code` is the plain negation `(~X)`
     of an array.  `cell` is R when `code` is `bool(R)`, a read R of one
-    cell.  `implies` holds the range tests that a scalar's truth
-    implies, and those that its falsity implies."""
+    cell."""
 
     code: str
     array: bool
@@ -532,7 +510,6 @@ class _Val:
     chain: str = ""
     neg: str = ""
     cell: str = ""
-    implies: tuple = (frozenset(), frozenset())
 
 
 @dataclass
@@ -585,11 +562,6 @@ class _Lowering:
         self.uses: dict[int, int] = {}
         self._count(f)
         self.temps = 0
-        # temporary -> the temporaries whose array its value may be
-        self.aliases: dict[str, set[str]] = {}
-        # temporaries that hold a chain's read of its relation's cells:
-        # never written in place
-        self.kept: set[str] = set()
         self.once: dict[tuple, str] = {}        # view -> c<i> (see `_view`)
         self.falsy: dict[tuple, bool] = {}      # see `_falsy`
 
@@ -714,35 +686,16 @@ class _Lowering:
             self.param_local[name] = f"p{len(self.param_local)}"
         return self.param_local[name]
 
-    def _temp(self, code: str = "") -> str:
-        """A new temporary, assigned `code` (a value it may alias)."""
+    def _temp(self) -> str:
         self.temps += 1
-        t = f"t{self.temps}"
-        self.aliases[t] = {t} | self._may_be(code)
-        return t
-
-    def _may_be(self, code: str) -> set[str]:
-        """The temporaries whose array the value of `code` may be."""
-        return set().union(*(self.aliases.get(t, {t})
-                             for t in _TEMP.findall(code)))
-
-    def _owned(self, v: _Val, read: set[str], block: _Block) -> bool:
-        """Whether v's array, if the kernel made it, may be written in
-        place: it may be no temporary in `read` (those read later), none
-        a memo entry holds and no chain's read of its relation's cells."""
-        held = read | self.kept
-        b = block
-        while b is not None:
-            held |= {m.code for m in b.memo.values()}
-            b = b.parent
-        return not self._may_be(v.code) & held
+        return f"t{self.temps}"
 
     def named(self, v: _Val, block: _Block) -> _Val:
         if v.const is not None or v.code.isidentifier():
             return v
-        t = self._temp(v.code)
+        t = self._temp()
         block.stmts.append(("assign", t, v.code))
-        return _Val(t, v.array, None, v.may, whole=v.whole, implies=v.implies)
+        return _Val(t, v.array, None, v.may, whole=v.whole)
 
     def shared(self, v: _Val, block: _Block) -> _Val:
         """v with code that another branch of an expression may repeat: a
@@ -756,10 +709,8 @@ class _Lowering:
         return replace(v, code=f"(~{t})", neg=t)
 
     def val(self, code: str, array: bool, block: _Block, may=frozenset(),
-            nest: int = 0, neg: str = "",
-            implies: tuple = (frozenset(), frozenset())) -> _Val:
-        v = _Val(code, array, None, frozenset(may), nest, neg=neg,
-                 implies=implies)
+            nest: int = 0, neg: str = "") -> _Val:
+        v = _Val(code, array, None, frozenset(may), nest, neg=neg)
         if may or nest > _MAX_NEST:
             v = self.named(v, block)
         return v
@@ -843,88 +794,44 @@ class _Lowering:
 
     def _split(self, f: Formula, name: str, term: tuple, ctx, depth: int,
                scope: tuple, block: _Block) -> _Val | None:
-        """f where x != t, overwritten where x = t by f with x bound to t:
-        the slice is computed with one axis less, and its statements run
-        only where t is in range.  A split whose base is a relation's own
-        array, outside every other split, starts a chain (`_write_cells`):
-        its slice, lowered without x's axis, splits again on an axis still
-        free there, as long as the base stays that relation's array on the
-        cells the chain binds.  None when such a split does not (its base
-        is then lowered for nothing, and its statements dropped).  Any
-        other split's base is a dense array, and the slice is written into
-        it with one store."""
+        """A split of a chain (`_write_cells`): f where x != t, which must
+        be a whole atom of one relation in axis order (of the chain's
+        relation inside a chain), overwritten where x = t by f with x
+        bound to t.  The slice is lowered without x's axis, in the compact
+        shape of the cells the chain binds, and splits again on an axis
+        still free there; its statements run only where t is in range.
+        None when f where x != t is no such atom: it was lowered apart,
+        with no split, and its statements are dropped."""
         axis = ctx[name][1]
         kind, at = term
         outer = ctx.get(_AT)
-        off_ctx = dict(ctx)
-        off_ctx[_NE] = ctx.get(_NE, frozenset()) | {(axis, term)}
-        trial = block
-        if outer is not None:
-            off_ctx[_NO_SPLIT] = (None, None)
-            # lowered apart, and kept only when the chain goes on
-            trial = _Block(parent=block, level=block.level)
+        off_ctx = {**ctx, _NE: frozenset([(axis, term)]),
+                   _NO_SPLIT: (None, None)}
+        trial = _Block(parent=block, level=block.level)
         off = self.gen(f, off_ctx, depth, scope + ((_NE, axis, term),), trial)
-        if outer is not None:
-            if off.whole != outer.rel:
-                return None
-            block.stmts += trial.stmts
-            block.memo.update(trial.memo)
+        if not off.whole or outer is not None and off.whole != outer.rel:
+            return None
+        block.stmts += trial.stmts
+        block.memo.update(trial.memo)
         if kind == "lit" and at < 0:  # x = t holds nowhere
             return off
-        if kind == "lit":
-            guard = f"{at} < n"
-        else:
-            guard = f"k{at[1:]}"
+        guard = f"{at} < n" if kind == "lit" else f"k{at[1:]}"
         held = ctx.get(_HELD, frozenset())
-        on_ctx = dict(ctx)
-        on_ctx[name] = ("same", term)
-        on_ctx[_HELD] = held | {guard}
-        cells = None
-        if outer is not None or off.whole and _NE not in ctx:
-            # a chain: the slice is lowered in its compact shape, its axes
-            # numbered among the axes still free
-            free = outer.axes if outer else tuple(range(depth))
-            on_ctx = _without_axis(on_ctx, axis)
-            cells = on_ctx[_AT] = _Cells(
-                off.whole, (outer.cells if outer else ()) + ((free[axis], term),),
-                outer.temp if outer else self._temp(),
-                free[:axis] + free[axis + 1:], self._temp())
-            self.kept.add(cells.read)
-        else:
-            on_ctx[_NO_SPLIT] = (None, None)
+        # the slice is lowered in its compact shape, its axes numbered
+        # among the axes still free
+        free = outer.axes if outer else tuple(range(depth))
+        on_ctx = _without_axis(
+            {**ctx, name: ("same", term), _HELD: held | {guard}}, axis)
+        cells = on_ctx[_AT] = _Cells(
+            off.whole, (outer.cells if outer else ()) + ((free[axis], term),),
+            outer.temp if outer else self._temp(),
+            free[:axis] + free[axis + 1:], self._temp())
         branch = block.child()
-        on = self.gen(f, on_ctx, depth - (cells is not None),
-                      scope + ((name, term),), branch)
+        on = self.gen(f, on_ctx, depth - 1, scope + ((name, term),), branch)
         if guard in held:  # an enclosing branch tested it
             guard = None
-        if cells is not None:
-            return self._write_cells(on, off, cells, outer is None, guard,
-                                     branch, block)
-        if off.const is not None and on.const == off.const:
-            return off
-        index = ", ".join([":"] * axis + [f"{at}:{at} + 1"])
-        # length n on the axes a name is bound to, 1 on those bound away
-        live = {b[1] for b in ctx.values()
-                if b.__class__ is tuple and b[0] == "axis"}
-        shape = "(" + "".join("n, " if a in live else "1, "
-                              for a in range(depth)) + ")"
-        read = set(_TEMP.findall(on.code)).union(*map(_reads, branch.stmts))
-        # the base, always a dense array: a copy of the relation's own
-        # array for a whole atom of it (`_copy` densifies a SliceArray);
-        # an array the kernel made and nothing else reads, which _take
-        # hands on unless it is a view, a constant or too small (so nested
-        # splits make one full-shape copy in all); otherwise a copy.  (A
-        # chain's value, which may be its relation's array, is only ever
-        # a rule's root.)
-        owned = not off.whole and off.const is None and \
-            self._owned(off, read, block)
-        t = self._temp(off.code if owned else "")
-        block.stmts.append(("assign", t, f"{'_take' if owned else '_copy'}"
-                            f"({off.whole or off.code}, {shape})"))
-        value = self.named(on, branch).code
-        write = ("store", f"{t}[{index}]", value)
-        _guarded(block, guard, branch.stmts + [write], None)
-        return _Val(t, True)
+        return self._write_cells(on, off, cells, outer is None, guard,
+                                 branch, block)
 
     def _write_cells(self, on: _Val, off: _Val, at: _Cells, first: bool,
                      guard: str | None, branch: _Block, block: _Block) -> _Val:
@@ -1037,12 +944,7 @@ class _Lowering:
         if tests:
             code = f"({code} if {' and '.join(tests)} else {zero})"
             cell = ""
-        if array:
-            return self.val(code, True, block)
-        # true only where every range test holds
-        v = self.val(code, False, block,
-                     implies=(frozenset(guards), frozenset()))
-        return replace(v, cell=cell)
+        return replace(self.val(code, array, block), cell=cell)
 
     def _view(self, view: str, distinct: list, tests: list, depth: int,
               block: _Block) -> _Val:
@@ -1101,7 +1003,7 @@ class _Lowering:
             return self.const(not v.const, v.array, depth)
         if not v.array:  # `not` of a numpy bool is a Python bool
             return self.val(f"(not {v.cell or v.code})", False, block,
-                            nest=v.nest + 1, implies=v.implies[::-1])
+                            nest=v.nest + 1)
         return self.val(_not_code(v, depth), True, block,
                         {not c for c in v.may}, v.nest + 1,
                         neg="" if v.may else v.code)
@@ -1113,14 +1015,11 @@ class _Lowering:
         if self._is_array(first, ctx) and not self._is_array(second, ctx):
             first, second = second, first
         # a split copies the formula, so only the rule's own disjunction
-        # is split, and a slice is split again only in a chain; a disjunct
-        # with an equality known false here is false here, and a split on
-        # its other equalities would only write the base's own values back
+        # is split, and only as a chain (`_split`)
         if not is_and and array and f is self.f and _NO_SPLIT not in ctx:
-            ne = ctx.get(_NE, ())
             for d in _disjuncts(f):
                 eqs = self._equalities(d, ctx)
-                if eqs and all((ctx[x][1], t) not in ne for x, t in eqs):
+                if eqs:
                     v = self._split(f, *eqs[0], ctx, depth, scope, block)
                     if v is not None:
                         return v
@@ -1147,13 +1046,6 @@ class _Lowering:
         # the second operand is only evaluated when the first does not decide
         decides = (not x.array) or absorb in x.may
         branch = block.child() if decides and block.level < _MAX_LEVEL else block
-        if not x.array and branch is not block:
-            # y runs only where x did not decide: the range tests that
-            # implies hold there
-            held = ctx.get(_HELD, frozenset())
-            more = x.implies[0 if is_and else 1] - held
-            if more:
-                ctx = {**ctx, _HELD: held | more}
         y = self.gen(second, ctx, depth, scope, branch)
         if y.const == absorb:
             return self.const(absorb, array, depth)
@@ -1162,13 +1054,10 @@ class _Lowering:
         if not x.array:
             # decided: x is the absorbing value; otherwise the result is y
             test = x.code if is_and else f"(not {x.code})"
-            (xt, xf), (yt, yf) = x.implies, y.implies
             return self._select(test, branch, y.code,
                                 self.const(absorb, y.array, depth), y.array,
                                 y.may | ({absorb} if y.array else set()),
-                                max(x.nest, y.nest) + 1, block,
-                                (xt | yt, xf & yf) if is_and else
-                                (xt & yt, xf | yf))
+                                max(x.nest, y.nest) + 1, block)
         # both arrays; x may still be the identity constant, y either one
         if ident in y.may:
             x = self.shared(x, block)
@@ -1273,17 +1162,16 @@ class _Lowering:
         return out
 
     def _select(self, test: str, branch: _Block, code: str, otherwise: _Val,
-                array: bool, may, nest: int, block: _Block,
-                implies: tuple = (frozenset(), frozenset())) -> _Val:
+                array: bool, may, nest: int, block: _Block) -> _Val:
         """`code` when `test` holds, else `otherwise`.  Statements that
         `code` needs go into an if-statement, so they run only then."""
         if branch is block or not branch.stmts:
             return self.val(f"({code} if {test} else {otherwise.code})", array,
-                            block, may, nest, implies=implies)
-        t = self._temp(f"{code} {otherwise.code}")
+                            block, may, nest)
+        t = self._temp()
         block.stmts.append(("if", test, branch.stmts + [("assign", t, code)],
                             [("assign", t, otherwise.code)], t))
-        return _Val(t, array, None, frozenset(may), implies=implies)
+        return _Val(t, array, None, frozenset(may))
 
     def _xor(self, f, array: bool, ctx, depth, scope, block) -> _Val:
         first, second = f.left, f.right
@@ -1392,9 +1280,7 @@ def _without_axis(ctx: dict, axis: int) -> dict:
     """ctx with `axis` bound away: every higher axis numbered one less."""
     out = {}
     for key, b in ctx.items():
-        if key == _NE:
-            b = frozenset((a - (a > axis), t) for a, t in b if a != axis)
-        elif b.__class__ is tuple and b[0] == "axis" and b[1] > axis:
+        if b.__class__ is tuple and b[0] == "axis" and b[1] > axis:
             b = ("axis", b[1] - 1)
         out[key] = b
     return out

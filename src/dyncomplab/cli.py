@@ -46,7 +46,7 @@ K_QUERIES = {"size-k", "parity-exists-deg"}
 
 # target aliases accepted by fuzz/run in addition to catalog names
 TARGET_ALIASES = {
-    "prop33": lambda k: f"parity_exists_prop_{k if k else 3}",
+    "prop33": lambda k: f"parity_exists_prop_{3 if k is None else k}",
 }
 
 

@@ -588,6 +588,16 @@ def test_a_k_that_nothing_reads_exits_2(tmp_path, capsys, argv):
     assert out == ""
 
 
+def test_fuzz_prop33_reads_k_0_as_given(capsys):
+    """`--k 0` names parity_exists_prop_0, which the catalog does not
+    hold; it is not read as an unset k that fuzzes prop_3."""
+    assert main(["fuzz", "--target", "prop33", "--k", "0", "--seeds", "1",
+                 "--n", "4", "--length", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert "unknown catalog program 'parity_exists_prop_0'" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("target, k", [("parity_exists_prop_3", "4"),
                                        ("size_2", "3"), ("fo-logn", "2")])
 def test_fuzz_refuses_a_k_its_target_does_not_read(capsys, target, k):

@@ -211,32 +211,11 @@ def test_a_branch_does_not_test_a_range_again():
     kernel of the catalog tests kN again: degree_rel_3's insert-E List_1
     reads `r1[p0, :, p1]` under `if k0:` / `if k1:`, not
     `(r1[...] if k0 and k1 else Z3)`.  Two splits on one parameter test
-    it once, with no `if True:` for the inner one.  Nor does what runs
-    only where a scalar test holds test the ranges that the test implies:
-    prop_4's insert-E P_0_4 reads E's column w with no `k0` under
-    `if (bool(r0[p0]) if k0 else False):`, and degree_rel_3's delete-E
-    First_1 reads `(r1[p0, p1, :] if t4 else Z1)`, t4 being
-    `(bool(r0[p0, p1]) if k1 else False)`, not `((r1[...] if k1 else Z1)
-    if t4 else Z1)`."""
+    it once, with no `if True:` for the inner one."""
     rule = pg.catalog_entry("degree_rel_3").build().rules[
         ("ins", "E", "List_1")]
     source = _Lowering(rule.body, rule.params, rule.frees).source()
     assert "if k1:" in source and "if k0 and k1 else" not in source, source
-    rule = pg.catalog_entry("parity_exists_prop_4").build().rules[
-        ("ins", "E", "P_0_4")]
-    lines = _Lowering(rule.body, rule.params, rule.frees).source().splitlines()
-    at = next(i for i, line in enumerate(lines)
-              if line.strip() == "if (bool(r0[p0]) if k0 else False):")
-    indent = len(lines[at]) - len(lines[at].lstrip())
-    inside = list(itertools.takewhile(
-        lambda line: len(line) - len(line.lstrip()) > indent, lines[at + 1:]))
-    assert "r1[:, p0]" in "\n".join(inside), lines
-    assert not any(re.search(r"\bk0\b", line) for line in inside), inside
-    rule = pg.catalog_entry("degree_rel_3").build().rules[
-        ("del", "E", "First_1")]
-    source = _Lowering(rule.body, rule.params, rule.frees).source()
-    assert "(r1[p0, p1, :] if t" in source and "if k1 else Z1" not in source, \
-        source
     source = _Lowering(parse_formula("T(x, y, z) | x = w & y = w & E(z, w)"),
                        ("w",), ("x", "y", "z")).source()
     assert source.count("if k0:") == 1 and "if True" not in source, source
@@ -256,48 +235,6 @@ def test_a_branch_does_not_test_a_range_again():
                 test = re.fullmatch(r" +if (k\d+):", line)
                 if test:
                     held.append((indent, test[1]))
-            _assert_scalar_tests_hold_their_range_tests(key, source)
-
-
-def _range_tests(test: ast.expr, guarded: dict) -> set[str]:
-    """The range tests kN that `test` being true implies: those of an atom
-    `(bool(r[...]) if kN and ... else False)`, directly or through the
-    temporary it was assigned to (`guarded`)."""
-    if isinstance(test, ast.Name):
-        return guarded.get(test.id, set())
-    if isinstance(test, ast.IfExp) and isinstance(test.orelse, ast.Constant) \
-            and test.orelse.value is False \
-            and isinstance(test.body, ast.Call) \
-            and getattr(test.body.func, "id", "") == "bool" \
-            and isinstance(test.body.args[0], ast.Subscript):
-        names = test.test.values if isinstance(test.test, ast.BoolOp) \
-            else [test.test]
-        return {t.id for t in names
-                if isinstance(t, ast.Name) and re.fullmatch(r"k\d+", t.id)}
-    return set()
-
-
-def _assert_scalar_tests_hold_their_range_tests(key, source: str) -> None:
-    """What runs only where a scalar test holds reads no range test that
-    the test implies: not in `if (bool(r0[p0]) if k0 else False):`, and
-    not in `(r1[p0, p1, :] if t4 else Z1)` where t4 is `(bool(r0[p0, p1])
-    if k1 else False)`."""
-    tree = ast.parse(source)
-    guarded = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name):
-            tests = _range_tests(node.value, {})
-            if tests:
-                guarded[node.targets[0].id] = tests
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.If, ast.IfExp)):
-            inside = node.body if isinstance(node, ast.If) else [node.body]
-            for k in _range_tests(node.test, guarded):
-                for part in inside:
-                    assert not any(isinstance(n, ast.Name) and n.id == k
-                                   for n in ast.walk(part)), \
-                        (key, k, ast.unparse(node), source)
 
 
 def test_stored_keeps_small_arrays_and_slices_large_ones():
@@ -656,6 +593,17 @@ def test_a_kernel_writes_a_slice_array_only_through_written(planned_sources):
                       getattr(c.func, "attr", "") == "written"
                       for part in node.body for c in ast.walk(part))]
         assert all(any(t is w for w in writes) for t in tests), (key, source)
+
+
+def test_every_split_is_a_chain(planned_sources):
+    """A rule splits on `x = t` only to start a chain, whose base is its
+    relation's own array: no catalog kernel hands an array it made on as
+    the base of a split (`_take(`) or stores a slice `x = t` into a
+    dense base (`t5[:, p0:p0 + 1] = ...`)."""
+    for key, source in planned_sources.items():
+        assert "_take(" not in source, (key, source)
+        assert not re.search(r"\[[^\]]*\b(\w+):\1 \+ 1\b[^\]]*\] = ",
+                             source), (key, source)
 
 
 def test_no_kernel_keeps_a_value_between_calls(planned_sources):
