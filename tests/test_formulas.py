@@ -60,7 +60,8 @@ SPLIT_SCHEMA = {**SCHEMA, "T": 3}
 def split_rule(rng, frees, params, base=None):
     """`!(x = p) & A | x = p & y = q & B | ...`: a rule body whose
     disjuncts bind free variables to parameters or constants, the shape
-    bulk_eval lowers to a base plus slice writes.  `base` is A when
+    bulk_eval splits into a chain when A is a whole atom in axis order,
+    and lowers as its plain disjunction otherwise.  `base` is A when
     given."""
     names = list(frees) + list(params)
 
@@ -246,9 +247,9 @@ def test_bulk_eval_matches_evaluate():
                           ({"u": 3}, ("y", "x")), ({"y": 2, "u": 0}, ("x",)),
                           ({}, ("u", "x", "y")), ({"u": 1}, ("x", "y"))]:
         _check_bulk(f, s, params, frees)
-    # rules lowered to a base plus slice writes: nested splits on two and
-    # three axes, disjuncts refuted by an outer split, p = q, parameters
-    # >= n, n = 0 and n = 1
+    # rules of the split shape: nested equalities on two and three axes,
+    # disjuncts that an outer equality refutes, p = q, parameters >= n,
+    # n = 0 and n = 1
     rng = random.Random(31)
     for _ in range(300):
         n = rng.randrange(0, 5)
@@ -280,9 +281,9 @@ def test_bulk_eval_matches_evaluate():
 
 
 def test_a_split_from_a_relation_array_matches_evaluate(monkeypatch):
-    """Splits whose base is a whole atom, in axis order: from a dense
-    array, and from the SliceArray a state keeps (whatever its size
-    here), each copied up front.  Neither input is written to."""
+    """Splits whose base is a whole atom, in axis order (chains): from a
+    dense array, and from the SliceArray a state keeps (whatever its size
+    here).  Neither input is written to."""
     monkeypatch.setattr(be, "_SHARE_MIN", 0)
     rng = random.Random(37)
     for _ in range(300):

@@ -243,9 +243,9 @@ def _share_every_base(monkeypatch):
 
 def _count_copies(monkeypatch) -> dict:
     """Count, per rule body, the most full-shape copies one call of its
-    kernel made: a `_copy` that returned a new array (from the kernel,
-    or from `_take` or `stored` when they had to copy), a SliceArray's
-    dense copy counted once, where `SliceArray.copy` makes it."""
+    kernel made: a `_copy` that returned a new array (from a chain's
+    write, or from `stored` when it had to copy), a SliceArray's dense
+    copy counted once, where `SliceArray.copy` makes it."""
     from dyncomplab import bulk_eval as be
     from dyncomplab import interpreter as ip
 
